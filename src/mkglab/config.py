@@ -20,7 +20,7 @@ file header.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
@@ -237,7 +237,3 @@ def dump_config(cfg: RunConfig) -> str:
 
 def run_config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()[:16]
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)

@@ -138,13 +138,38 @@ def null_decompose(state: FieldState, grid: RadialGrid, r: float) -> NullFrameSa
     return NullFrameSample(t=state.t, r=r, A_L=a0 + ar, A_Lbar=a0 - ar)
 
 
+def current_density(phi, phi_t, drphi, a0, ar, out=None, work=None):
+    """(J_0, J_r) from phi, phi_t, d_r phi and the potentials (a0, ar).
+
+        J_0 = -Im(conj(phi) phi_t) - a0 |phi|^2,
+        J_r = -Im(conj(phi) d_r phi) - ar |phi|^2.
+
+    phi, phi_t and drphi are complex128 arrays, a0 and ar float64.  out =
+    (j0, jr) and work = (abs2, tmp) are float64 buffers of the same length;
+    each pair is allocated when not given.  Returns (j0, jr).
+    """
+    n = len(phi)
+    j0, jr = out if out is not None else (np.empty(n), np.empty(n))
+    abs2, tmp = work if work is not None else (np.empty(n), np.empty(n))
+    pr, pi = phi.real, phi.imag
+    np.multiply(pr, pr, out=abs2)
+    np.multiply(pi, pi, out=tmp)
+    abs2 += tmp
+    for j, u, a in ((j0, phi_t, a0), (jr, drphi, ar)):
+        np.multiply(pi, u.real, out=j)
+        np.multiply(pr, u.imag, out=tmp)
+        j -= tmp                      # -Im(conj(phi) u)
+        np.multiply(a, abs2, out=tmp)
+        j -= tmp
+    return j0, jr
+
+
 def current(state: FieldState, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Charge and radial current densities (J_0, J_r) on the grid."""
-    phi = state.phi
-    absphi2 = np.abs(phi) ** 2
-    j0 = -np.imag(np.conj(phi) * state.phi_t) - state.a0 * absphi2
-    jr = -np.imag(np.conj(phi) * d_r(phi, grid, EVEN)) - state.ar * absphi2
-    return j0, jr
+    phi = np.asarray(state.phi, dtype=complex)
+    return current_density(phi, np.asarray(state.phi_t, dtype=complex),
+                           d_r(phi, grid, EVEN), np.real(state.a0),
+                           np.real(state.ar))
 
 
 def field_strength(state: FieldState, grid: RadialGrid) -> np.ndarray:

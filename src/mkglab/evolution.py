@@ -17,16 +17,28 @@ of the null-frame identity
     L( r Lbar(r A_L) ) + L( r A^1_Lbar ) = r^2 J_L
 
 measured along outgoing rays (the angular term vanishes here).
+
+The RK4 kernel allocates nothing per step.  evolve() builds one Workspace
+per run, which holds the state being stepped, the stage, the running
+derivative sum, the second derivatives and the RHS scratch; every array
+operation of a step writes into those buffers (stencils via out=, the
+current via core.current_density), and the state advances in place.  The
+caller's initial state, the slices, the snapshots and the final state are
+copies and never share memory with a workspace.  A bare step() without a
+workspace leaves its input untouched and returns fresh arrays.  The run
+takes n_steps = ceil(t_end / (cfl h)) steps of dt = t_end / n_steps, so
+it ends at t_end (time_grid).
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FieldState, current
+from .core import FieldState, current, current_density
 from .data_builder import ChargeValue, CutoffChi
 from .grid import (EVEN, RadialGrid, d_r, divergence_radial, interp_values,
                    laplacian_even, laplacian_radial_vector, simpson_integral)
@@ -137,30 +149,97 @@ class EvolveResult:
 # ---------------------------------------------------------------------------
 # right-hand side and stepper
 
-def rhs(state: FieldState, grid: RadialGrid, boundary: str = "sommerfeld",
-        linear: bool = False):
-    """Time derivative of every evolved field (NaN-guarded)."""
-    out = _rhs_arrays(state.phi, state.phi_t, state.a0, state.a0_t,
-                      state.ar, state.ar_t, grid, boundary, linear)
-    if not np.all(np.isfinite(out[1])):
-        bad = int(np.argmax(~np.isfinite(out[1])))
-        raise EvolutionUnstable(f"non-finite RHS at t={state.t}, node {bad}")
-    return FieldState(state.t, out[0], out[1], out[2], out[3], out[4], out[5])
+def _fields(state: FieldState) -> tuple:
+    return (state.phi, state.phi_t, state.a0, state.a0_t, state.ar, state.ar_t)
 
 
-def _rhs_arrays(phi, phi_t, a0, a0_t, ar, ar_t, grid, boundary, linear=False):
-    phi_tt = laplacian_even(phi, grid)
-    if linear:
-        j0 = jr = 0.0
-    else:
-        drphi = d_r(phi, grid, EVEN)
-        absphi2 = phi.real * phi.real + phi.imag * phi.imag
-        j0 = -(np.conj(phi) * phi_t).imag - a0 * absphi2
-        jr = -(np.conj(phi) * drphi).imag - ar * absphi2
-        phi_tt += 2j * (ar * drphi - a0 * phi_t)
-        phi_tt += (a0 * a0 - ar * ar) * phi
-    a0_tt = laplacian_even(a0, grid) + j0
-    ar_tt = laplacian_radial_vector(ar, grid) + jr
+def _evolved(state: FieldState) -> tuple:
+    """The six fields with the evolved dtypes (no copy when already so)."""
+    phi, phi_t, a0, a0_t, ar, ar_t = _fields(state)
+    return (np.asarray(phi, dtype=complex), np.asarray(phi_t, dtype=complex),
+            np.real(a0), np.real(a0_t), np.real(ar), np.real(ar_t))
+
+
+def _field_views(block: np.ndarray, n: int) -> tuple:
+    """(phi, phi_t, a0, a0_t, ar, ar_t) laid out in one float64 block.
+
+    The block holds the positions [phi (re, im interleaved), a0, ar] and
+    then the velocities [phi_t, a0_t, ar_t] in the same layout, so that the
+    derivative of the block is [velocity half, (phi_tt, a0_tt, ar_tt)].
+    """
+    m = 4 * n
+    return (block[:2 * n].view(complex), block[m:m + 2 * n].view(complex),
+            block[2 * n:3 * n], block[m + 2 * n:m + 3 * n],
+            block[3 * n:m], block[m + 3 * n:])
+
+
+class Workspace:
+    """Every buffer an RK4 step needs on one grid, allocated once.
+
+    y: the state being stepped; stage: the fields at the current RK4 stage;
+    acc: the running weighted sum of the stage derivatives; each is one
+    contiguous block laid out by _field_views, so that an RK4 combination
+    of all six fields is one ufunc call.  dd: (phi_tt, a0_tt, ar_tt) of one
+    RHS evaluation, in the layout of a velocity half.  drphi, j and scratch
+    serve the RHS.  load() is the only way a caller sees a buffer.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        n = self.n_nodes = grid.n_nodes
+        self.y, self.stage, self.acc = (np.empty(8 * n) for _ in range(3))
+        self.y_fields = _field_views(self.y, n)
+        self.stage_fields = _field_views(self.stage, n)
+        self.dd_block = np.empty(4 * n)
+        self.dd = (self.dd_block[:2 * n].view(complex),
+                   self.dd_block[2 * n:3 * n], self.dd_block[3 * n:])
+        self.drphi = np.empty(n, dtype=complex)
+        self.j = (np.empty(n), np.empty(n))
+        self.scratch = (np.empty(n), np.empty(n), np.empty(n))
+
+    def holds(self, state: FieldState) -> bool:
+        """True when state's arrays are this workspace's y fields."""
+        return all(a is b for a, b in zip(_fields(state), self.y_fields))
+
+    def load(self, state: FieldState) -> FieldState:
+        """Copy state into y; the result is stepped in place by step()."""
+        for dst, src in zip(self.y_fields, _evolved(state)):
+            np.copyto(dst, src)
+        return FieldState(state.t, *self.y_fields)
+
+
+def _rhs_into(y, ws: Workspace, grid: RadialGrid, boundary: str,
+              linear: bool) -> None:
+    """Second time derivatives of the fields y into ws.dd, allocation-free.
+
+    The first-order RHS is (phi_t, phi_tt, a0_t, a0_tt, ar_t, ar_tt); its
+    velocity entries are y's own arrays, so only dd is computed.
+    """
+    phi, phi_t, a0, a0_t, ar, ar_t = y
+    phi_tt, a0_tt, ar_tt = ws.dd
+    laplacian_even(phi, grid, out=phi_tt)
+    laplacian_even(a0, grid, out=a0_tt)
+    laplacian_radial_vector(ar, grid, out=ar_tt)
+    if not linear:
+        w, s, t = ws.scratch
+        drphi = d_r(phi, grid, EVEN, out=ws.drphi)
+        j0, jr = current_density(phi, phi_t, drphi, a0, ar, out=ws.j,
+                                 work=(w, s))
+        a0_tt += j0
+        ar_tt += jr
+        # phi_tt += 2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2) phi, by parts
+        np.multiply(a0, a0, out=w)
+        np.multiply(ar, ar, out=t)
+        w -= t
+        for part, sign, d_other, p_other, phi_part in (
+                (phi_tt.real, 2.0, drphi.imag, phi_t.imag, phi.real),
+                (phi_tt.imag, -2.0, drphi.real, phi_t.real, phi.imag)):
+            np.multiply(a0, p_other, out=s)
+            np.multiply(ar, d_other, out=t)
+            s -= t
+            s *= sign
+            part += s
+            np.multiply(w, phi_part, out=s)
+            part += s
     ar_tt[0] = 0.0
 
     if boundary == "sommerfeld":
@@ -172,29 +251,65 @@ def _rhs_arrays(phi, phi_t, a0, a0_t, ar, ar_t, grid, boundary, linear=False):
         phi_tt[-1] = 0.0
         a0_tt[-1] = 0.0
         ar_tt[-1] = 0.0
-    return phi_t, phi_tt, a0_t, a0_tt, ar_t, ar_tt
+
+
+def rhs(state: FieldState, grid: RadialGrid, boundary: str = "sommerfeld",
+        linear: bool = False):
+    """Time derivative of every evolved field (NaN-guarded)."""
+    y = _evolved(state)
+    ws = Workspace(grid)
+    _rhs_into(y, ws, grid, boundary, linear)
+    phi_tt, a0_tt, ar_tt = ws.dd
+    if not np.all(np.isfinite(phi_tt)):
+        bad = int(np.argmax(~np.isfinite(phi_tt)))
+        raise EvolutionUnstable(f"non-finite RHS at t={state.t}, node {bad}")
+    return FieldState(state.t, y[1], phi_tt, y[3], a0_tt, y[5], ar_tt)
 
 
 def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
-         dt: float | None = None) -> FieldState:
-    """One classical RK4 step; parity is re-pinned at r = 0 afterwards."""
+         dt: float | None = None, work: Workspace | None = None) -> FieldState:
+    """One classical RK4 step; parity is re-pinned at r = 0 afterwards.
+
+    work is a Workspace for this grid, built here when None.  A state
+    returned by work.load() (or by a step on it) advances in place, and the
+    result holds the same arrays.  Any other state is left untouched and
+    the result gets fresh arrays.
+    """
     if dt is None:
         dt = scheme.cfl * grid.h
-    y = (state.phi, state.phi_t, state.a0, state.a0_t, state.ar, state.ar_t)
+    ws = work if work is not None else Workspace(grid)
+    in_place = ws.holds(state)
+    if not in_place:
+        ws.load(state)
+    y, z, acc, dd = ws.y, ws.stage, ws.acc, ws.dd_block
+    m = len(y) // 2                 # positions y[:m], velocities y[m:]
     b, lin = scheme.boundary, scheme.linear
 
-    k1 = _rhs_arrays(*y, grid, b, lin)
-    k2 = _rhs_arrays(*(y[i] + 0.5 * dt * k1[i] for i in range(6)), grid, b, lin)
-    k3 = _rhs_arrays(*(y[i] + 0.5 * dt * k2[i] for i in range(6)), grid, b, lin)
-    k4 = _rhs_arrays(*(y[i] + dt * k3[i] for i in range(6)), grid, b, lin)
-    new = [y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-           for i in range(6)]
-    new[4][0] = 0.0
-    new[5][0] = 0.0
-    return FieldState(state.t + dt, new[0], new[1],
-                      new[2].real if np.iscomplexobj(new[2]) else new[2],
-                      new[3].real if np.iscomplexobj(new[3]) else new[3],
-                      new[4], new[5])
+    # the stage-s derivative is [v[m:], dd], with v the block its RHS was
+    # evaluated on.  acc is summed as ((k1/2 + k2 + k3) * 2 + k4): halving
+    # and doubling are exact, so it rounds exactly like k1 + 2 k2 + 2 k3 + k4
+    # summed left to right
+    _rhs_into(ws.y_fields, ws, grid, b, lin)
+    np.multiply(y[m:], 0.5, out=acc[:m])
+    np.multiply(dd, 0.5, out=acc[m:])
+    for s, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
+        v = y if s == 0 else z
+        np.multiply(v[m:], c, out=z[:m])      # positions first: they read
+        z[:m] += y[:m]                        # the previous stage's velocity
+        np.multiply(dd, c, out=z[m:])
+        z[m:] += y[m:]
+        _rhs_into(ws.stage_fields, ws, grid, b, lin)
+        if s == 2:
+            acc *= 2.0
+        acc[:m] += z[m:]
+        acc[m:] += dd
+    acc *= dt / 6.0
+    new = y if in_place else np.empty_like(y)
+    np.add(y, acc, out=new)
+    fields = ws.y_fields if in_place else _field_views(new, ws.n_nodes)
+    fields[4][0] = 0.0
+    fields[5][0] = 0.0
+    return FieldState(state.t + dt, *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +378,17 @@ def frame_identity_residual(history: RayHistory, Q: ChargeValue,
 # ---------------------------------------------------------------------------
 # the driver
 
+def time_grid(t_end: float, dt_max: float) -> tuple[int, float]:
+    """Step count and step size of a run that ends exactly at t_end.
+
+    n_steps = ceil(t_end / dt_max), where a ratio within 1e-9 (relative) of
+    an integer counts as that integer, so that an exact multiple never
+    gains a step; dt = t_end / n_steps <= dt_max.
+    """
+    n_steps = math.ceil(t_end / dt_max * (1.0 - 1e-9))
+    return n_steps, t_end / n_steps
+
+
 def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
            plan: ObservationPlan | None = None,
            guard_factor: float = 1e6) -> EvolveResult:
@@ -279,9 +405,9 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         raise ValueError("; ".join(errs))
     if scheme.cfl <= 0.0:
         raise ValueError(f"cfl must be positive, got {scheme.cfl}")
-    dt = scheme.cfl * grid.h
-    n_steps = int(round(scheme.t_end / dt))
-    state = initial.copy()
+    n_steps, dt = time_grid(scheme.t_end, scheme.cfl * grid.h)
+    ws = Workspace(grid)
+    state = ws.load(initial)        # stepped in place; copied out below
     log = MonitorLog()
     dlt = plan.stencil_spacing_cells * grid.h
     offsets = dlt * np.arange(-plan.stencil_half, plan.stencil_half + 1)
@@ -336,13 +462,13 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
                 state.t >= slice_times[next_slice] - 0.5 * dt:
             slices[slice_times[next_slice]] = state.copy()
             next_slice += 1
-        state = step(state, grid, scheme, dt)
+        state = step(state, grid, scheme, dt, work=ws)
     observe()
     while next_slice < len(slice_times) and \
             state.t >= slice_times[next_slice] - 0.5 * dt:
         slices[slice_times[next_slice]] = state.copy()
         next_slice += 1
-    return EvolveResult(final=state, log=log, rays=rays, snapshots=snapshots,
+    return EvolveResult(final=state.copy(), log=log, rays=rays, snapshots=snapshots,
                         slices=slices)
 
 
@@ -371,24 +497,34 @@ def save_checkpoint(state: FieldState, grid: RadialGrid, path,
         json.dump(meta or {}, f, indent=1, sort_keys=True)
 
 
+def _read_exact(f, nbytes: int, path, what: str) -> bytes:
+    data = f.read(nbytes)
+    if len(data) != nbytes:
+        raise ValueError(f"{path}: truncated checkpoint, {what} has "
+                         f"{len(data)} of {nbytes} bytes")
+    return data
+
+
 def load_checkpoint(path) -> tuple[FieldState, RadialGrid, dict]:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, n_cells, h, t = struct.unpack("<IQdd", f.read(28))
+        version, n_cells, h, t = struct.unpack(
+            "<IQdd", _read_exact(f, 28, path, "the header"))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         n = n_cells + 1
-        phi = np.frombuffer(f.read(16 * n), dtype=np.complex128).copy()
-        phi_t = np.frombuffer(f.read(16 * n), dtype=np.complex128).copy()
-        a0 = np.frombuffer(f.read(8 * n), dtype=np.float64).copy()
-        a0_t = np.frombuffer(f.read(8 * n), dtype=np.float64).copy()
-        ar = np.frombuffer(f.read(8 * n), dtype=np.float64).copy()
-        ar_t = np.frombuffer(f.read(8 * n), dtype=np.float64).copy()
+        arrays = {}
+        for name, dtype in (("phi", np.complex128), ("phi_t", np.complex128),
+                            ("a0", np.float64), ("a0_t", np.float64),
+                            ("ar", np.float64), ("ar_t", np.float64)):
+            size = np.dtype(dtype).itemsize * n
+            arrays[name] = np.frombuffer(_read_exact(f, size, path, name),
+                                         dtype=dtype).copy()
     try:
         with open(str(path) + ".json") as f:
             meta = json.load(f)
     except FileNotFoundError:
         meta = {}
     grid = RadialGrid(r_max=n_cells * h, n_cells=n_cells)
-    return FieldState(t, phi, phi_t, a0, a0_t, ar, ar_t), grid, meta
+    return FieldState(t, **arrays), grid, meta

@@ -21,7 +21,7 @@ from .core import FieldState, Weights
 from .data_builder import (BumpProfile, ChargeValue, FreeData, GaussianProfile,
                            PolyGaussianProfile, TableProfile, assemble_state)
 from .evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
-                        evolve, frame_identity_residual)
+                        evolve, frame_identity_residual, time_grid)
 from .grid import RadialGrid
 from .interior import AsymSource, interior_limit_check
 from .null_extraction import (build_radiation_table, envelope_check,
@@ -184,7 +184,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         slice_times=tuple(slice_times),
         ray_domain_frac=ext["domain_frac"])
 
-    say(f"[2/6] evolving to t={t_end} ({int(round(t_end / (scheme.cfl * grid.h)))} steps)")
+    n_steps, _ = time_grid(t_end, scheme.cfl * grid.h)
+    say(f"[2/6] evolving to t={t_end} ({n_steps} steps)")
     result = evolve(state0, grid, scheme, plan)
     log = result.log
 

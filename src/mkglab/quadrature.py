@@ -29,14 +29,6 @@ def gl_panel(f, a: float, b: float, order: int = 20) -> float:
     return float(half * np.dot(w, f(mid + half * x)))
 
 
-def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-8,
-                  points=None, limit: int = 200) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod integral with surfaced error estimate."""
-    val, err = quad(f, a, b, epsabs=abs_tol, epsrel=1e-12, limit=limit,
-                    points=points)
-    return val, err
-
-
 def integrate_log_kernel(j, q_lo: float, q_hi: float, t: float, r: float,
                          abs_tol: float = 1e-8) -> float:
     """Evaluate int_{q_lo}^{q_hi} j(eta) * ln((eta+t+r)/(eta+t-r)) deta.

@@ -4,10 +4,12 @@ import pytest
 from mkglab.core import FieldState, GaugeFunction, gauge_transform
 from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble_state
 from mkglab.evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
-                              charge_monitor, energy_monitor, evolve,
+                              Workspace, charge_monitor, energy_monitor, evolve,
                               frame_identity_residual, load_checkpoint,
-                              lorenz_residual, rhs, save_checkpoint, step)
-from mkglab.grid import RadialGrid, simpson_integral
+                              lorenz_residual, rhs, save_checkpoint, step,
+                              time_grid)
+from mkglab.grid import (RadialGrid, d_r, laplacian_even,
+                         laplacian_radial_vector, simpson_integral)
 from mkglab.wave_oracle import GaussianLambdaH, dalembert_free
 
 
@@ -16,6 +18,167 @@ def gaussian_data(grid, eps=0.05, ar_amp=0.0):
     phi0 = eps * np.exp(-r ** 2) + 0j
     return FreeData(phi0=phi0, phi0_dot=1j * phi0,
                     ar0=ar_amp * r * np.exp(-r ** 2), ar0_dot=np.zeros_like(r))
+
+
+FIELDS = ("phi", "phi_t", "a0", "a0_t", "ar", "ar_t")
+
+
+def allocating_rk4_step(y, grid, dt):
+    """The RK4 step with sommerfeld boundary, written out with fresh arrays
+    for every intermediate: the reference the in-place kernel must match."""
+    h = grid.h
+    r = np.arange(grid.n_nodes) * h
+
+    def deriv(f, parity):
+        out = np.empty_like(f)
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+        out[0] = (f[1] - parity * f[1]) / (2.0 * h)
+        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+        return out
+
+    def lap(f, vector):
+        out = np.empty_like(f)
+        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h) \
+            + (f[2:] - f[:-2]) / (2.0 * h) * (2.0 / r[1:-1])
+        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h) \
+            + (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h) * (2.0 / r[-1])
+        if vector:
+            out[1:] -= 2.0 * f[1:] / (r[1:] * r[1:])
+            out[0] = 0.0
+        else:
+            out[0] = 6.0 * (f[1] - f[0]) / (h * h)
+        return out
+
+    def f(phi, phi_t, a0, a0_t, ar, ar_t):
+        drphi = deriv(phi, 1)
+        absphi2 = np.abs(phi) ** 2
+        j0 = -(np.conj(phi) * phi_t).imag - a0 * absphi2
+        jr = -(np.conj(phi) * drphi).imag - ar * absphi2
+        phi_tt = lap(phi, False) + 2j * (ar * drphi - a0 * phi_t) \
+            + (a0 * a0 - ar * ar) * phi
+        a0_tt = lap(a0, False) + j0
+        ar_tt = lap(ar, True) + jr
+        ar_tt[0] = 0.0
+        for u_t, u_tt in ((phi_t, phi_tt), (a0_t, a0_tt), (ar_t, ar_tt)):
+            u_tt[-1] = -(3.0 * u_t[-1] - 4.0 * u_t[-2] + u_t[-3]) / (2.0 * h) \
+                - u_t[-1] / grid.r_max
+        return phi_t, phi_tt, a0_t, a0_tt, ar_t, ar_tt
+
+    k1 = f(*y)
+    k2 = f(*(y[i] + 0.5 * dt * k1[i] for i in range(6)))
+    k3 = f(*(y[i] + 0.5 * dt * k2[i] for i in range(6)))
+    k4 = f(*(y[i] + dt * k3[i] for i in range(6)))
+    new = [y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+           for i in range(6)]
+    new[4][0] = 0.0
+    new[5][0] = 0.0
+    return new
+
+
+class TestKernel:
+    def test_parity_with_allocating_rk4(self):
+        grid = RadialGrid(20.0, 400)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.05, ar_amp=0.02), grid)
+        scheme = SchemeParams(cfl=0.5, t_end=7.5, monitor_stride=10 ** 9)
+        n_steps, dt = time_grid(scheme.t_end, scheme.cfl * grid.h)
+        assert n_steps == 300
+        y = [getattr(st, name).copy() for name in FIELDS]
+        for _ in range(n_steps):
+            y = allocating_rk4_step(y, grid, dt)
+        final = evolve(st, grid, scheme).final
+        for name, ref in zip(FIELDS, y):
+            got = getattr(final, name)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_step_leaves_input_untouched(self):
+        grid = RadialGrid(10.0, 100)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05), grid)
+        before = st.copy()
+        for work in (None, Workspace(grid)):
+            out = step(st, grid, SchemeParams(cfl=0.5), work=work)
+            for name in FIELDS:
+                assert np.array_equal(getattr(st, name), getattr(before, name))
+                for other in FIELDS:
+                    assert not np.shares_memory(getattr(out, name),
+                                                getattr(st, other))
+            assert not np.iscomplexobj(out.a0) and not np.iscomplexobj(out.a0_t)
+
+    def test_workspace_state_steps_in_place(self):
+        grid = RadialGrid(10.0, 100)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        ws = Workspace(grid)
+        loaded = ws.load(st)
+        fresh = step(st, grid, SchemeParams(cfl=0.5))
+        stepped = step(loaded, grid, SchemeParams(cfl=0.5), work=ws)
+        for name in FIELDS:
+            assert getattr(stepped, name) is getattr(loaded, name)
+            assert np.array_equal(getattr(stepped, name), getattr(fresh, name))
+
+    def test_evolve_outputs_share_no_memory(self):
+        grid = RadialGrid(10.0, 100)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05), grid)
+        scheme = SchemeParams(cfl=0.5, t_end=1.0, monitor_stride=4)
+        res = evolve(st, grid, scheme,
+                     ObservationPlan(slice_times=(0.0, 0.5, 1.0)))
+        states = [st, res.final, *res.slices.values()]
+        assert len(states) == 5
+        arrays = [getattr(s, name) for s in states for name in FIELDS]
+        arrays += [getattr(snap, name) for snap in res.snapshots
+                   for name in ("phi", "a0", "ar", "j0")]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("fn", [laplacian_even, laplacian_radial_vector])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stencil_out_buffer(self, fn, dtype):
+        grid = RadialGrid(10.0, 100)
+        f = (np.exp(-grid.r ** 2) * (1.0 + (0.5j if dtype is complex else 0.0))
+             ).astype(dtype)
+        buf = np.empty_like(f)
+        assert fn(f, grid, out=buf) is buf
+        assert np.array_equal(buf, fn(f, grid))
+        assert d_r(f, grid, 1, out=buf) is buf
+        with pytest.raises(ValueError, match="out must be"):
+            fn(f, grid, out=np.empty(grid.n_nodes + 1, dtype=dtype))
+
+    def test_grid_radii_read_only(self):
+        grid = RadialGrid(10.0, 100)
+        assert grid.r is grid.r
+        with pytest.raises(ValueError):
+            grid.r[0] = 1.0
+
+
+class TestTimeGrid:
+    def test_exact_multiples_keep_step_count_and_dt(self):
+        # the reference config and the ladder, companion and quick-run grids
+        for t_end, r_max, n_cells, steps in ((320.0, 400.0, 8000, 12800),
+                                             (80.0, 100.0, 2000, 3200),
+                                             (10.0, 800.0, 16000, 400),
+                                             (20.0, 100.0, 500, 200),
+                                             (20.0, 100.0, 1000, 400),
+                                             (20.0, 100.0, 2000, 800)):
+            dt_max = 0.5 * RadialGrid(r_max, n_cells).h
+            assert time_grid(t_end, dt_max) == (steps, dt_max)
+
+    def test_partial_step_rounds_up(self):
+        n_steps, dt = time_grid(0.125, 0.05)
+        assert n_steps == 3
+        assert dt == pytest.approx(0.125 / 3, rel=1e-15)
+
+    def test_run_ends_at_t_end_with_slices_at_their_times(self):
+        # t_end / (cfl h) = 2.5: the run used to stop at t = 0.1 and store
+        # that state as the t = 0.125 slice
+        grid = RadialGrid(10.0, 100)
+        st, _ = assemble_state(gaussian_data(grid), grid)
+        scheme = SchemeParams(cfl=0.5, t_end=0.125, monitor_stride=1)
+        times = (0.0, 0.125 / 3, 0.25 / 3, 0.125)
+        res = evolve(st, grid, scheme, ObservationPlan(slice_times=times))
+        assert res.final.t == pytest.approx(0.125, rel=1e-14)
+        assert res.log.t[-1] == pytest.approx(0.125, rel=1e-14)
+        assert sorted(res.slices) == list(times)
+        for t, sl in res.slices.items():
+            assert sl.t == pytest.approx(t, abs=1e-14)
 
 
 class TestRHS:
@@ -313,6 +476,17 @@ class TestCheckpoint:
         assert meta["config_hash"] == "abc123"
         for name in ("phi", "phi_t", "a0", "a0_t", "ar", "ar_t"):
             assert np.array_equal(getattr(st2, name), getattr(st, name))
+
+    def test_truncated_payload(self, tmp_path):
+        grid = RadialGrid(15.0, 150)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.07), grid)
+        path = tmp_path / "snap.mkgs"
+        save_checkpoint(st, grid, path)
+        full = path.read_bytes()
+        for cut in (1, 8, 16 * grid.n_nodes + 3, len(full) - 20):
+            path.write_bytes(full[:-cut])
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
