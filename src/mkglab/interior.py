@@ -280,7 +280,9 @@ def interior_limit_check(slices: dict, grid: RadialGrid, source: AsymSource,
 
     Uses the raw potential (the charge-tail correction only matters in the
     exterior r > t).  Reports per (y, t): simulated values, predictions,
-    absolute errors; callers assert the error decreases in t.
+    absolute errors; callers assert the error decreases in t.  Each t needs
+    a slice within grid.h / 2 of it (evolve captures a requested slice
+    within dt / 2 <= 0.45 h); otherwise ValueError names both times.
     """
     states = {round(st.t, 6): st for st in slices.values()}
     out = []
@@ -289,6 +291,10 @@ def interior_limit_check(slices: dict, grid: RadialGrid, source: AsymSource,
         for t in t_list:
             key = min(states, key=lambda tt: abs(tt - t))
             st = states[key]
+            if abs(st.t - t) > 0.5 * grid.h:
+                raise ValueError(
+                    f"no slice at t = {t}: the nearest slice is at "
+                    f"t = {st.t}, more than h/2 = {0.5 * grid.h} away")
             r_pt = y * st.t
             if r_pt > grid.r_max:
                 raise ValueError(f"interior point r={r_pt} outside the grid")

@@ -11,7 +11,9 @@ while r A_L -> Q/(4 pi) and the bad component needs a log subtraction,
 
 with the asymptotic source J_Lbar(q) = -2 Im(Phi_0 conj d_q Phi_0).
 Limits are estimated by the last sampled value with Cauchy-increment error
-bars; no extrapolation.
+bars; no extrapolation.  The radiation table is built column by column in
+array calls; its A_Lbar^mod column integrates the tabulated J_Lbar against
+the log kernel exactly (quadrature.integrate_log_kernel).
 """
 from __future__ import annotations
 
@@ -77,6 +79,11 @@ class RadiationTable:
         return -0.5 * self.J_Lbar
 
 
+def _in_domain(x, grid: RadialGrid, domain_frac: float):
+    """Whether radii x lie in the extraction domain 4h < x < domain_frac r_max."""
+    return (x > 4.0 * grid.h) & (x < domain_frac * grid.r_max)
+
+
 def sample_ray(slices: dict, grid: RadialGrid, q: float,
                domain_frac: float = 0.95) -> RaySample:
     """Build a RaySample from stored full-resolution time slices.
@@ -88,7 +95,7 @@ def sample_ray(slices: dict, grid: RadialGrid, q: float,
     ts, rs, als, albs, phis = [], [], [], [], []
     for st in sorted(slices.values(), key=lambda s: s.t):
         x = st.t + q
-        if x <= 4.0 * grid.h or x >= domain_frac * grid.r_max:
+        if not _in_domain(x, grid, domain_frac):
             continue
         a0 = float(interp_values(st.a0, grid, x)[0])
         ar = float(interp_values(st.ar, grid, x)[0])
@@ -191,32 +198,42 @@ def compute_J_asym(q_grid: np.ndarray, Phi0: np.ndarray) -> tuple[np.ndarray, np
     return jlbar, d
 
 
-def mod_ALbar(A_Lbar_value: float, j_of_q, q_max: float, t: float, r: float,
-              q_min: float | None = None, abs_tol: float = 1e-8) -> float:
-    """A_Lbar minus the log-kernel correction.
+def mod_ALbar(A_Lbar, q_grid: np.ndarray, j: np.ndarray, t, r,
+              q_min: float | None = None) -> np.ndarray:
+    """A_Lbar minus the log-kernel correction, at arrays of points (t, r).
 
-    A^mod = A_Lbar - (1/2r) int_{r-t}^{q_max} J_Lbar(eta)
+    A^mod = A_Lbar - (1/2r) int_{r-t}^{q_grid[-1]} J_Lbar(eta)
             ln((eta+t+r)/(eta+t-r)) deta,
-    with J_Lbar = -2 j; the tail beyond q_max is treated as zero.  j_of_q
-    is a callable (use a table interpolant for pipeline sources).  The
-    integrable log singularity at eta = r - t is handled by the dedicated
-    kernel quadrature.
+    with J_Lbar = -2 j and j the linear interpolant of the table
+    (q_grid, j), zero outside it; the tail beyond the table is treated as
+    zero.  The integral, log-singular endpoint included, is evaluated
+    exactly for every point in one call.  With q_min given, a point whose
+    ray needs the source below q_min raises ValueError.
     """
-    q_lo = r - t
-    if q_min is not None and q_lo < q_min - 1e-12:
-        raise ValueError(
-            f"source table does not cover the ray: needs q >= {q_lo}, "
-            f"table starts at {q_min}")
-    integral = integrate_log_kernel(lambda e: -2.0 * j_of_q(e), q_lo, q_max,
-                                    t, r, abs_tol=abs_tol)
-    return float(A_Lbar_value - integral / (2.0 * r))
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if q_min is not None:
+        q_lo = r - t
+        uncovered = q_lo < q_min - 1e-12
+        if np.any(uncovered):
+            raise ValueError(
+                f"source table does not cover the ray: needs q >= "
+                f"{np.min(q_lo[uncovered])}, table starts at {q_min}")
+    integral = integrate_log_kernel(q_grid, -2.0 * np.asarray(j, dtype=float),
+                                    t, r)
+    return A_Lbar - integral / (2.0 * r)
 
 
-def table_interpolant(q_grid: np.ndarray, values: np.ndarray):
-    """Linear interpolant of a tabulated source, zero outside the table."""
-    def f(x):
-        return np.interp(x, q_grid, values, left=0.0, right=0.0)
-    return f
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, rounded as four products and two sums.
+
+    numpy's vector loop for complex multiplication may fuse a product into
+    the sum (FMA), which rounds differently from the plain formula.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
@@ -232,26 +249,27 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
     if len(states) < 2:
         raise ValueError("radiation table needs at least two time slices")
     last, prev = states[-1], states[-2]
-    Phi0 = np.zeros(len(q_grid), dtype=complex)
-    Phi0_err = np.zeros(len(q_grid))
-    for i, q in enumerate(q_grid):
-        vals = []
-        for st in (prev, last):
-            x = st.t + q
-            if x <= 4.0 * grid.h or x >= domain_frac * grid.r_max:
-                continue
-            ph = complex(interp_values(st.phi, grid, x)[0])
-            vals.append(x * ph * complex(charge_phase(Q.Q, x)))
-        if vals:
-            Phi0[i] = vals[-1]
-            Phi0_err[i] = abs(vals[-1] - vals[0]) if len(vals) == 2 else np.inf
+    vals, inside = [], []
+    for st in (prev, last):
+        x = st.t + q_grid
+        ok = _in_domain(x, grid, domain_frac)
+        v = np.zeros(len(q_grid), dtype=complex)
+        v[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
+                         charge_phase(Q.Q, x[ok]))
+        vals.append(v)
+        inside.append(ok)
+    Phi0 = np.where(inside[1], vals[1], vals[0])
+    change = vals[1] - vals[0]
+    # hypot, not np.abs, rounds the modulus like abs() of a Python complex
+    Phi0_err = np.where(inside[0] & inside[1], np.hypot(change.real, change.imag),
+                        np.where(inside[0] | inside[1], np.inf, 0.0))
     jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
     # A_L limit along the central extraction ray
     q_al = 0.0 if not ray_qs else sorted(ray_qs, key=abs)[0]
     ral = []
     for st in states:
         x = st.t + q_al
-        if 4.0 * grid.h < x < domain_frac * grid.r_max:
+        if _in_domain(x, grid, domain_frac):
             a0 = float(interp_values(st.a0, grid, x)[0])
             ar = float(interp_values(st.ar, grid, x)[0])
             ral.append(x * (a0 + ar))
@@ -261,16 +279,12 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
     else:
         al, alerr = (ral[-1] if ral else 0.0), np.inf
     # modified A_Lbar at the last slice, on the q grid
-    j_interp = table_interpolant(q_grid, -0.5 * jlbar)
+    x = last.t + q_grid
+    ok = _in_domain(x, grid, domain_frac)
+    albar = interp_values(last.a0, grid, x[ok]) - interp_values(last.ar, grid, x[ok])
     mod = np.zeros(len(q_grid))
-    for i, q in enumerate(q_grid):
-        x = last.t + q
-        if x <= 4.0 * grid.h or x >= domain_frac * grid.r_max:
-            continue
-        a0 = float(interp_values(last.a0, grid, x)[0])
-        ar = float(interp_values(last.ar, grid, x)[0])
-        mod[i] = x * mod_ALbar(a0 - ar, j_interp, q_grid[-1], last.t, x,
-                               q_min=q_grid[0])
+    mod[ok] = x[ok] * mod_ALbar(albar, q_grid, -0.5 * jlbar, last.t, x[ok],
+                                q_min=q_grid[0])
     return RadiationTable(q=q_grid.copy(), Phi0=Phi0, dPhi0_dq=dPhi0,
                           J_Lbar=jlbar, A_L_limit=al, A_L_err=alerr,
                           A_Lbar_mod=mod, Phi0_err=Phi0_err,

@@ -27,8 +27,7 @@ from .interior import AsymSource, interior_limit_check
 from .null_extraction import (build_radiation_table, envelope_check,
                               extract_AL_limit, extract_phi0,
                               j0_envelope_spec, phase_slope_fit,
-                              phi_peeling_spec, sample_ray, table_interpolant,
-                              mod_ALbar)
+                              phi_peeling_spec, sample_ray, mod_ALbar)
 from .wave_oracle import dalembert_free, GaussianLambdaH
 
 
@@ -407,14 +406,11 @@ def _albar_checks(result, plan, grid, Q, table, ext, t_end):
     corr = float(np.corrcoef(x, y)[0, 1])
     slope = float(np.polyfit(x, y, 1)[0])
     # mod-corrected values at geometrically spaced late times
-    j_interp = table_interpolant(table.q, table.j_scalar())
     idx = [len(times) // 4, len(times) // 2, int(len(times) * 0.7),
            int(len(times) * 0.85), len(times) - 1]
-    mods = []
-    for i in idx:
-        mods.append(r0[i] * mod_ALbar((a0[i, c] - ar[i, c]), j_interp,
-                                      table.q[-1], times[i], r0[i],
-                                      q_min=table.q[0]))
+    mods = r0[idx] * mod_ALbar(a0[idx, c] - ar[idx, c], table.q,
+                               table.j_scalar(), times[idx], r0[idx],
+                               q_min=table.q[0])
     incs = np.abs(np.diff(mods))
     mod_ratio = float(incs[-1] / incs[-2]) if incs[-2] > 0 else np.inf
     detail = (f"ray q={q_low}: slope={slope:.4e}, corr={corr:.5f}, "

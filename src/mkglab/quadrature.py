@@ -1,17 +1,15 @@
 """Shared quadrature helpers.
 
-Adaptive 1-D integration delegates to QUADPACK (Gauss-Kronrod) through
-scipy; on top of that this module provides the pieces the asymptotic
-evaluators need repeatedly: fixed-order Gauss-Legendre panels, integrals
-against the logarithmic null kernel ln((eta+t+r)/(eta+t-r)) whose lower
-endpoint is log-singular, and a product quadrature on the unit sphere.
+Fixed-order Gauss-Legendre rules and panels, a product quadrature on the
+unit sphere, and the exact integral of a tabulated source against the
+logarithmic null kernel ln((eta+t+r)/(eta+t-r)), whose lower endpoint
+eta = r - t is log-singular.  The source is a table read through its linear
+interpolant, so that integral is a sum of closed-form segment integrals of
+(a + b u) ln u; it is evaluated for many (t, r) points in one array call.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -29,41 +27,86 @@ def gl_panel(f, a: float, b: float, order: int = 20) -> float:
     return float(half * np.dot(w, f(mid + half * x)))
 
 
-def integrate_log_kernel(j, q_lo: float, q_hi: float, t: float, r: float,
-                         abs_tol: float = 1e-8) -> float:
-    """Evaluate int_{q_lo}^{q_hi} j(eta) * ln((eta+t+r)/(eta+t-r)) deta.
+# Below d = L/u2 = 1/4 the closed forms of _log_hat_weights cancel, and
+# their power series, truncated after 24 terms, is exact to rounding.
+_SERIES_BELOW = 0.25
+_M = np.arange(1.0, 25.0)
+_P_SERIES = np.concatenate(([0.0], 1.0 / (_M * (_M + 2.0))))
+_S_SERIES = np.concatenate(([0.0], -1.0 / (_M * (_M + 1.0) * (_M + 2.0))))
+# points x segments per block of integrate_log_kernel: 32 KB temporaries
+_BLOCK = 4096
 
-    The kernel has an integrable logarithmic singularity when the lower
-    limit sits at eta = r - t (there eta + t - r = 0).  The integral is
-    split as j*ln(eta+t+r) minus j*ln(eta+t-r); the singular half is
-    handled with the QUADPACK log-weight rule when the endpoint is within
-    round-off of r - t, and plain adaptive quadrature otherwise.
+
+def _log_hat_weights(u1, u2, length):
+    """Integrals of ln u against the two hat functions of segments [u1, u2].
+
+    Returns (a, b) with a = int (u2-u)/L ln u du and b = int (u-u1)/L ln u du
+    over [u1, u2], where L = length = u2 - u1 and 0 <= u1 < u2.  With
+    d = L/u2 and y = u1/u2 = 1 - d they are exactly
+
+        a = L (ln(u2)/2 - p(d)),  p(d) = 1/(2d) + 1/4 + (1+d) y ln(y) / (2d^2)
+                                       = sum_{m>=1} d^m / (m (m+2)),
+        b = L (ln(u2)/2 + s(d)),  s(d) = 1/(2d) - 3/4 + y^2 ln(y) / (2d^2)
+                                       = -sum_{m>=1} d^m / (m (m+1) (m+2)),
+
+    with 0 ln 0 = 0 at the log zero u1 = 0 (d = 1: p = 3/4, s = -1/4).
+    L is passed separately because u2 - u1 loses digits when the u are far
+    from 0; the segment length itself is known to rounding.
     """
-    if q_hi <= q_lo:
-        return 0.0
-    a_plus = t + r
-    with warnings.catch_warnings():
-        # near-zero integrands trip QUADPACK's roundoff heuristics; the
-        # absolute target is what matters here
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val_plus, _ = quad(lambda e: j(e) * np.log(e + a_plus), q_lo, q_hi,
-                           epsabs=abs_tol, epsrel=1e-12, limit=200)
-        b_minus = t - r
-        sing = q_lo + b_minus  # location of log zero relative to eta = q_lo
-        if abs(sing) < 1e-12 * max(1.0, abs(q_lo)):
-            # ln(eta + t - r) = ln(eta - q_lo): QUADPACK 'alg-loga' weight
-            val_minus, _ = quad(j, q_lo, q_hi, weight="alg-loga",
-                                wvar=(0.0, 0.0), epsabs=abs_tol,
-                                epsrel=1e-12, limit=200)
-        elif sing > 0:
-            val_minus, _ = quad(lambda e: j(e) * np.log(e + b_minus),
-                                q_lo, q_hi, epsabs=abs_tol, epsrel=1e-12,
-                                limit=200)
-        else:
-            raise ValueError(
-                f"log kernel singular inside the integration range: "
-                f"r-t = {r - t} > q_lo = {q_lo}")
-    return val_plus - val_minus
+    d = length / u2
+    p = np.polynomial.polynomial.polyval(d, _P_SERIES)
+    s = np.polynomial.polynomial.polyval(d, _S_SERIES)
+    near = d >= _SERIES_BELOW     # the few segments next to the log zero
+    if np.any(near):
+        dn = d[near]
+        y = u1[near] / u2[near]
+        ylny = np.where(y > 0.0, y * np.log(y), 0.0)
+        c = ylny / (2.0 * dn * dn)
+        p[near] = 0.5 / dn + 0.25 + (1.0 + dn) * c
+        s[near] = 0.5 / dn - 0.75 + y * c
+    half_log = 0.5 * np.log(u2)
+    return length * (half_log - p), length * (half_log + s)
+
+
+def integrate_log_kernel(q_grid, J, t, r) -> np.ndarray:
+    """int_{r-t}^{q_grid[-1]} J(eta) ln((eta+t+r)/(eta+t-r)) deta, exactly.
+
+    J(eta) is the linear interpolant of the table (q_grid, J), zero outside
+    it.  t and r are arrays (broadcast against each other); the result has
+    their shape.  On each segment the two logs are ln u with
+    u = eta + t + r and u = eta - (r - t), and the segment integral is the
+    table's end values times the hat-function weights of _log_hat_weights.
+    The log zero u = 0 sits at the lower limit q_lo = r - t: the segment
+    holding q_lo is cut there, so q_lo may fall anywhere, a table node or a
+    few ulps off one included.  Points are taken in blocks so no temporary
+    exceeds _BLOCK elements.
+    """
+    q = np.asarray(q_grid, dtype=float)
+    J = np.asarray(J, dtype=float)
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    t_flat, r_flat = t.ravel(), r.ravel()
+    out = np.zeros(t_flat.shape)
+    q_left, q_right = q[:-1], q[1:]
+    slope = np.diff(J) / np.diff(q)
+    rows = max(1, _BLOCK // len(q_left))
+    for i in range(0, len(out), rows):
+        tb = t_flat[i:i + rows, None]
+        rb = r_flat[i:i + rows, None]
+        q_lo, shift = rb - tb, tb + rb
+        lo = np.clip(q_lo, q_left, q_right)   # segment starts cut at q_lo
+        length = q_right - lo
+        j_lo = J[:-1] + slope * (lo - q_left)
+        # 0 ln 0 at the log zero and the segments wholly below q_lo, which
+        # have length 0 and no defined weights, divide by zero in passing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a_plus, b_plus = _log_hat_weights(lo + shift, q_right + shift,
+                                              length)
+            a_minus, b_minus = _log_hat_weights(lo - q_lo, q_right - q_lo,
+                                                length)
+            seg = j_lo * (a_plus - a_minus) + J[1:] * (b_plus - b_minus)
+        out[i:i + rows] = np.sum(np.where(length > 0.0, seg, 0.0), axis=1)
+    return out.reshape(t.shape)
 
 
 def sphere_quadrature(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkglab.core import FieldState, GaugeFunction, gauge_transform
 from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble_state
@@ -179,6 +181,26 @@ class TestTimeGrid:
         assert sorted(res.slices) == list(times)
         for t, sl in res.slices.items():
             assert sl.t == pytest.approx(t, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_cells=st.integers(16, 40),
+           cfl=st.floats(0.01, 0.9),
+           t_end=st.floats(0.01, 3.0),
+           fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=4))
+    def test_every_slice_captured_and_run_ends_at_t_end(self, n_cells, cfl,
+                                                         t_end, fracs):
+        # cfl is kept above 0.01 only to bound the step count of an example
+        grid = RadialGrid(4.0, n_cells)
+        scheme = SchemeParams(cfl=cfl, t_end=t_end, monitor_stride=7)
+        times = tuple(f * t_end for f in fracs) + (t_end,)
+        n_steps, dt = time_grid(t_end, cfl * grid.h)
+        rounding = 4.0 * np.finfo(float).eps * n_steps * t_end
+        res = evolve(FieldState.zeros(grid), grid, scheme,
+                     ObservationPlan(slice_times=times))
+        assert abs(res.final.t - t_end) <= rounding
+        assert sorted(res.slices) == sorted(set(times))
+        for t, sl in res.slices.items():
+            assert abs(sl.t - t) <= 0.5 * dt + rounding
 
 
 class TestRHS:

@@ -209,6 +209,15 @@ class TestInteriorLimitCheck:
         rows = interior_limit_check(slices, grid, src, [0.3], [50.0, 80.0])
         assert all(r["abs_err0"] == 0.0 for r in rows)
 
+    def test_missing_slice_raises(self):
+        from mkglab.core import FieldState
+        from mkglab.grid import RadialGrid
+        grid = RadialGrid(100.0, 500)
+        slices = {t: FieldState.zeros(grid, t=t) for t in (50.0, 80.0)}
+        src = AsymSource(q_grid=np.linspace(-1, 1, 11), j=np.zeros(11))
+        with pytest.raises(ValueError, match="t = 100.0.*t = 80.0"):
+            interior_limit_check(slices, grid, src, [0.3], [50.0, 100.0])
+
     def test_coulomb_interior_matches_K(self):
         # static a0 = Q/(4 pi r) capped: t*a0(t, yt) = Q/(4 pi y t) * t;
         # compare against a point-mass source with M = -Q/4pi... instead

@@ -4,11 +4,13 @@ from scipy.integrate import quad
 
 from mkglab.core import FieldState
 from mkglab.data_builder import ChargeValue, coulomb_capped_profile
-from mkglab.grid import RadialGrid
-from mkglab.null_extraction import (EnvelopeSpec, RaySample, charge_phase,
+from mkglab.grid import RadialGrid, interp_values
+from mkglab.null_extraction import (EnvelopeSpec, RaySample,
+                                    build_radiation_table, charge_phase,
                                     compute_J_asym, envelope_check,
                                     extract_AL_limit, extract_phi0, mod_ALbar,
                                     phase_slope_fit, sample_ray)
+from mkglab.quadrature import integrate_log_kernel
 from mkglab.wave_oracle import dalembert_free
 
 
@@ -176,48 +178,172 @@ class TestComputeJAsym:
         assert np.max(np.abs(jl - jl2)) < 1e-12
 
 
+def segmentwise_log_kernel(q_grid, J, t, r):
+    """The log-kernel integral by adaptive QUADPACK, one table segment at a
+    time: the reference integrate_log_kernel must match.
+
+    Each segment integrates its two hat functions separately, so no
+    integrand changes sign.  The piece from q_lo = r - t to the next node
+    takes the 'alg-loga' weight ln(eta - q_lo); a node within 1e-9 of q_lo
+    is merged into that piece.  Every other piece is smooth.
+    """
+    q_lo = r - t
+    f = lambda e: np.interp(e, q_grid, J, left=0.0, right=0.0)
+    nodes = q_grid[q_grid > q_lo]
+    if len(nodes) > 1 and nodes[0] - q_lo < 1e-9 * max(1.0, abs(q_lo)):
+        nodes = nodes[1:]
+    breaks = np.concatenate(([max(q_lo, q_grid[0])], nodes))
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        for end, hat in ((a, lambda e: (b - e) / (b - a)),
+                         (b, lambda e: (e - a) / (b - a))):
+            if a == q_lo:
+                plus, _ = quad(lambda e: hat(e) * np.log(e + t + r), a, b, **tol)
+                minus, _ = quad(hat, a, b, weight="alg-loga", wvar=(0.0, 0.0),
+                                **tol)
+                val = plus - minus
+            else:
+                val, _ = quad(lambda e: hat(e) * np.log((e + t + r) / (e + t - r)),
+                              a, b, **tol)
+            total += float(f(end)) * val
+    return total
+
+
+class TestLogKernel:
+    @pytest.mark.parametrize("table", ["uniform", "random"])
+    def test_matches_segmentwise_quad(self, table):
+        rng = np.random.default_rng(7)
+        q = (np.linspace(-10.0, 10.0, 41) if table == "uniform"
+             else np.sort(rng.uniform(-10.0, 10.0, 41)))
+        J = np.exp(-q ** 2 / 8.0) * np.cos(2.0 * q) + 0.1 * rng.normal(size=41)
+        # the log zero q_lo = r - t on a node, 1 and 3 ulps of r either side
+        # of it, between two nodes, and below the table; t = 400 puts the
+        # segments of the smooth half far from the log zero, where closed
+        # forms cancel
+        for t in (40.0, 400.0):
+            on_node = t + q[17]
+            ulp = np.spacing(on_node)
+            rs = [on_node, on_node + ulp, on_node - ulp, on_node + 3 * ulp,
+                  on_node - 3 * ulp, t + 0.5 * (q[25] + q[26]), t + q[0] - 2.0]
+            for r in rs:
+                got = float(integrate_log_kernel(q, J, t, r))
+                want = segmentwise_log_kernel(q, J, t, r)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_past_the_table_is_zero(self):
+        q = np.linspace(0.0, 1.0, 5)
+        assert integrate_log_kernel(q, np.ones(5), 10.0, 11.5) == 0.0
+
+    def test_vectorized_equals_per_point(self):
+        q = np.linspace(-5.0, 5.0, 101)
+        J = np.exp(-q ** 2)
+        t = np.repeat([30.0, 60.0], 200)
+        r = t + np.tile(np.linspace(-6.0, 6.0, 200), 2)
+        together = integrate_log_kernel(q, J, t, r)
+        one_by_one = [float(integrate_log_kernel(q, J, tt, rr))
+                      for tt, rr in zip(t, r)]
+        np.testing.assert_array_equal(together, one_by_one)
+
+
 class TestModALbar:
     def test_zero_source_identity(self):
-        val = mod_ALbar(0.7, lambda e: np.zeros_like(np.asarray(e)), 10.0,
-                        t=20.0, r=15.0)
+        q = np.linspace(-5.0, 10.0, 31)
+        val = mod_ALbar(0.7, q, np.zeros_like(q), t=20.0, r=15.0)
         assert val == pytest.approx(0.7, abs=1e-12)
 
     def test_indicator_closed_form(self):
-        # J_Lbar = indicator of [0,1] means j = -1/2 on [0,1]
+        # J_Lbar = indicator of [0,1] means j = -1/2 on [0,1], which this
+        # table's linear interpolant (zero outside it) represents exactly
         t, r = 10.0, 6.0  # r - t = -4 < 0
         a, b = t + r, t - r
-
-        def j(e):
-            e = np.asarray(e, dtype=float)
-            return np.where((e >= 0.0) & (e <= 1.0), -0.5, 0.0)
-
         # closed form: int_0^1 ln((eta+a)/(eta+b)) deta
         exact = ((1 + a) * np.log(1 + a) - a * np.log(a)
                  - (1 + b) * np.log(1 + b) + b * np.log(b))
-        got = mod_ALbar(0.0, j, q_max=2.0, t=t, r=r)
+        got = mod_ALbar(0.0, np.array([0.0, 1.0]), np.array([-0.5, -0.5]),
+                        t=t, r=r)
         # A^mod = A - (1/2r) * integral of J_Lbar * ln(...) = -(1/2r) exact
-        assert got == pytest.approx(-exact / (2 * r), rel=1e-9)
+        assert got == pytest.approx(-exact / (2 * r), rel=1e-12)
 
     def test_coverage_error(self):
-        # the ray needs the table down to q = r - t = -0.5 < q_min = 0
+        # the rays need the table down to q = r - t = -0.5 < q_min = 0
+        q = np.linspace(0.0, 5.0, 11)
         with pytest.raises(ValueError, match="does not cover"):
-            mod_ALbar(0.0, lambda e: 0.0, q_max=5.0, t=1.0, r=0.5, q_min=0.0)
+            mod_ALbar(np.zeros(2), q, np.zeros_like(q), t=np.array([1.0, 1.0]),
+                      r=np.array([2.0, 0.5]), q_min=0.0)
 
     def test_log_singular_endpoint(self):
-        # smooth j crossing the singular endpoint eta = r - t: the integral
-        # must match a brute-force substitution quadrature
+        # a smooth tabulated j crossing the singular endpoint eta = r - t:
+        # the integral must match a brute-force substitution quadrature of
+        # the same interpolant
         t, r = 30.0, 33.0
         q_lo = r - t
-        j = lambda e: np.exp(-np.asarray(e) ** 2)
+        q = np.linspace(-4.0, 8.0, 61)
+        jt = np.exp(-q ** 2)
+        j = lambda e: np.interp(e, q, jt, left=0.0, right=0.0)
+        kinks = np.sqrt(q[(q > q_lo) & (q < 8.0)] - q_lo)
 
         def brute():
             # eta = q_lo + u^2 regularizes the log endpoint
-            val, _ = quad(lambda u: 2 * u * (-2.0) * np.exp(-(q_lo + u * u) ** 2)
+            val, _ = quad(lambda u: 2 * u * (-2.0) * j(q_lo + u * u)
                           * np.log((q_lo + u * u + t + r) / (u * u)),
-                          0.0, np.sqrt(8.0 - q_lo), limit=400, epsabs=1e-12)
+                          0.0, np.sqrt(8.0 - q_lo), points=kinks, limit=400,
+                          epsabs=1e-12)
             return val
-        got = mod_ALbar(0.0, j, q_max=8.0, t=t, r=r)
+        got = mod_ALbar(0.0, q, jt, t=t, r=r)
         assert got == pytest.approx(-brute() / (2 * r), abs=1e-9)
+
+
+class TestBuildRadiationTable:
+    def slices(self, grid):
+        out = {}
+        for t in (60.0, 80.0):
+            st = FieldState.zeros(grid, t=t)
+            r = grid.r
+            bump = np.exp(-(r - t) ** 2 / 4.0)
+            st.phi = bump * np.exp(0.7j * (r - t)) / (1.0 + r)
+            st.a0 = 0.01 * bump / (1.0 + r)
+            st.ar = -0.004 * bump * (r - t) / (1.0 + r)
+            out[t] = st
+        return out
+
+    def test_columns_match_per_q_loops(self):
+        # the per-q loops the array calls replaced; q up to 18 leaves the
+        # t = 80 slice's domain (0.95 r_max = 95) before the t = 60 one
+        grid = RadialGrid(100.0, 1000)
+        Q = ChargeValue(-0.3)
+        q_grid = np.arange(-8.0, 36.0 + 0.1, 0.2)
+        slices = self.slices(grid)
+        table = build_radiation_table(slices, grid, Q, q_grid)
+        prev, last = slices[60.0], slices[80.0]
+        phi0 = np.zeros(len(q_grid), dtype=complex)
+        err = np.zeros(len(q_grid))
+        mod = np.zeros(len(q_grid))
+        for i, q in enumerate(q_grid):
+            vals = []
+            for st in (prev, last):
+                x = st.t + q
+                if x <= 4.0 * grid.h or x >= 0.95 * grid.r_max:
+                    continue
+                ph = complex(interp_values(st.phi, grid, x)[0])
+                vals.append(x * ph * complex(charge_phase(Q.Q, x)))
+            if vals:
+                phi0[i] = vals[-1]
+                err[i] = abs(vals[-1] - vals[0]) if len(vals) == 2 else np.inf
+        _, dphi0 = compute_J_asym(q_grid, phi0)
+        for i, q in enumerate(q_grid):
+            x = last.t + q
+            if x <= 4.0 * grid.h or x >= 0.95 * grid.r_max:
+                continue
+            a0 = float(interp_values(last.a0, grid, x)[0])
+            ar = float(interp_values(last.ar, grid, x)[0])
+            mod[i] = x * mod_ALbar(a0 - ar, q_grid, table.j_scalar(), last.t, x,
+                                   q_min=q_grid[0])
+        assert np.isinf(err).any() and (err == 0.0).any()
+        np.testing.assert_array_equal(table.Phi0, phi0)
+        np.testing.assert_array_equal(table.Phi0_err, err)
+        np.testing.assert_array_equal(table.A_Lbar_mod, mod)
+        assert np.any(mod != 0.0)
 
 
 class TestEnvelopeCheck:
