@@ -11,11 +11,10 @@ import numpy as np
 
 from mkglab import FieldState, ObservationPlan, RadialGrid, SchemeParams, evolve
 from mkglab.data_builder import GaussianProfile
-from mkglab.wave_oracle import GaussianLambdaH, dalembert_free
+from mkglab.wave_oracle import dalembert_free
 
 R_MAX, T_END = 100.0, 50.0
 g = GaussianProfile(1.0, 1.0)
-lam = GaussianLambdaH(c=1.0, width=1.0)
 
 print(f"free radial wave on [0, {R_MAX}], data phi = e^(-r^2), phi_t = i e^(-r^2)")
 print(f"{'n_cells':>8} {'h':>9} {'sup error':>12} {'order':>7} {'seconds':>8}")
@@ -32,8 +31,8 @@ for n in (500, 1000, 2000):
     r = grid.r[1:]
     t = res.final.t
     exact = dalembert_free(g, None, t, r) + 0.5j * (
-        lam.lambda_antiderivative(r + t)
-        - lam.lambda_antiderivative(np.abs(r - t))) / r
+        g.lambda_antiderivative(r + t)
+        - g.lambda_antiderivative(np.abs(r - t))) / r
     err = np.max(np.abs(res.final.phi[1:] - exact))
     order = f"{np.log2(prev / err):7.2f}" if prev else "      -"
     print(f"{n:>8} {grid.h:>9.4f} {err:>12.3e} {order} {dt_wall:>8.2f}")

@@ -13,6 +13,16 @@ P rotates by the unit phase e^{-i A_L (s - s0)} (so |P| is exactly
 preserved), Phi factorizes the same way, and the frame components of B
 grow linearly in s with s-independent rates.  These exact features are
 what the weak-null certificate measures.
+
+integrate() works a block of steps at a time.  P needs neither B nor Phi,
+so each RK4 step marches P alone and keeps its four stage inputs in a
+(steps, 4, nq) block; P's arithmetic is the plain per-step RK4.  Phi and
+the drive Im(Phi conj P) of every stage in the block then come from one
+batched call, and B advances by (L_mu/2) (ds/6)(d1 + 2 d2 + 2 d3 + d4) per
+step through a running sum of those drives.  The march takes whole steps
+only: s_target must lie n * ds from the start, to 1e-9 relative as in
+evolution.time_grid, or integrate raises ValueError naming the nearest
+end it can reach.
 """
 from __future__ import annotations
 
@@ -66,11 +76,11 @@ class AsymState:
 
     def phi(self) -> np.ndarray:
         """Phi(q) = -int_q^{q_max} P, anchored at Phi(q_max) = 0."""
-        return _phi_from_P(self.P, self.q_grid)
+        return _cum_from_top(self.P, self.q_grid)
 
     def A_frame(self) -> dict:
         """Frame components of A_mu(q) = -int_q^{q_max} B_mu."""
-        a = np.stack([_cum_from_top(self.B[m], self.q_grid) for m in range(4)])
+        a = _cum_from_top(self.B, self.q_grid)
         return {
             "A_L": contract_L(a, self.omega),
             "A_Lbar": contract_Lbar(a, self.omega),
@@ -84,33 +94,56 @@ class AsymState:
         return contract_Lbar(self.B, self.omega)
 
 
-def _cum_from_top(f: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """g(q) = -int_q^{q_max} f dq' by the trapezoid rule, g(q_max) = 0."""
+def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
+    """g(q) = -int_q^{q_max} f dq' by the trapezoid rule, g(q_max) = 0.
+
+    Works along the last axis, so a stack of profiles goes in one call;
+    out (f's shape) and work (one q point shorter) are optional buffers.
+    """
     dq = q[1] - q[0]
-    incr = 0.5 * dq * (f[1:] + f[:-1])
-    out = np.empty_like(f)
-    out[-1] = 0.0
-    out[:-1] = -np.cumsum(incr[::-1])[::-1]
+    incr = np.add(f[..., 1:], f[..., :-1], out=work)
+    np.multiply(0.5 * dq, incr, out=incr)
+    if out is None:
+        out = np.empty_like(f)
+    np.cumsum(incr[..., ::-1], axis=-1, out=out[..., -2::-1])
+    flat = out.view(float)      # a complex out as (re, im) pairs
+    np.negative(flat, out=flat)
+    out[..., -1] = 0.0
     return out
 
 
-def _phi_from_P(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return _cum_from_top(P, q)
+# RK4 steps whose stage drives are reduced in one batched call
+_CHUNK = 4
 
 
-def _rhs(P: np.ndarray, B: np.ndarray, q: np.ndarray, a_l: float,
-         L_mu: np.ndarray, source_mode: str = "standard"):
-    phi = _phi_from_P(P, q)
+def _step_count(s0: float, s_target: float, ds: float) -> int:
+    """Number of steps ds from s0 that end exactly at s_target.
+
+    A ratio (s_target - s0)/ds within 1e-9 (relative) of an integer counts
+    as that integer, as in evolution.time_grid; any other ratio is an error
+    that names the nearest end the march can reach.
+    """
+    if ds <= 0.0:
+        raise ValueError("ds must be positive")
+    ratio = (s_target - s0) / ds
+    if ratio < 0.0:
+        raise ValueError("s_target must be >= state.s")
+    n = int(round(ratio))
+    if abs(ratio - n) > 1e-9 * ratio:
+        raise ValueError(
+            f"s_target = {s_target!r} is not a whole number of steps "
+            f"ds = {ds!r} from s = {s0!r}; the nearest reachable end is "
+            f"{s0 + n * ds:.15g}")
+    return n
+
+
+def _slope(P: np.ndarray, c: complex, source_mode: str, out: np.ndarray) -> None:
+    """d_s P into out: -i A_L P, or the negative control -i |P| P."""
     if source_mode == "standard":
-        dP = -1j * a_l * P
-    elif source_mode == "non_null_control":
-        # negative control, not the physical system: phase speed |P|
-        dP = -1j * np.abs(P) * P
+        np.multiply(c, P, out=out)
     else:
-        raise ValueError(f"unknown source mode {source_mode!r}")
-    drive = np.imag(phi * np.conj(P))
-    dB = 0.5 * L_mu[:, None] * drive[None, :]
-    return dP, dB
+        # negative control, not the physical system: phase speed |P|
+        np.multiply(-1j * np.abs(P), P, out=out)
 
 
 def integrate(state: AsymState, s_target: float, ds: float,
@@ -118,38 +151,56 @@ def integrate(state: AsymState, s_target: float, ds: float,
               record_every: int | None = None) -> tuple[AsymState, list]:
     """RK4 march of the asymptotic system from state.s to s_target.
 
+    s_target must lie a whole number of steps ds from state.s (_step_count).
     Returns the final state and, when record_every is set, a history of
     intermediate states (including the initial and final ones).
     """
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
-    n = int(round((s_target - state.s) / ds))
-    if n < 0:
-        raise ValueError("s_target must be >= state.s")
-    L_mu = null_vector_lower(state.omega)
-    P = state.P.copy()
-    B = state.B.copy()
+    if source_mode not in ("standard", "non_null_control"):
+        raise ValueError(f"unknown source mode {source_mode!r}")
+    n = _step_count(state.s, s_target, ds)
+    half_L = 0.5 * null_vector_lower(state.omega)[:, None]
     q = state.q_grid
-    a_l = state.A_L_param
+    c = -1j * state.A_L_param
+    P = state.P.copy()
+    drive_sum = np.zeros(len(q))
     history = []
-
-    def snap(s):
-        history.append(replace(state, s=s, P=P.copy(), B=B.copy()))
-
     if record_every:
-        snap(state.s)
-    s = state.s
-    for k in range(n):
-        k1P, k1B = _rhs(P, B, q, a_l, L_mu, source_mode)
-        k2P, k2B = _rhs(P + 0.5 * ds * k1P, B + 0.5 * ds * k1B, q, a_l, L_mu, source_mode)
-        k3P, k3B = _rhs(P + 0.5 * ds * k2P, B + 0.5 * ds * k2B, q, a_l, L_mu, source_mode)
-        k4P, k4B = _rhs(P + ds * k3P, B + ds * k3B, q, a_l, L_mu, source_mode)
-        P = P + ds / 6.0 * (k1P + 2.0 * k2P + 2.0 * k3P + k4P)
-        B = B + ds / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
-        s = state.s + (k + 1) * ds
-        if record_every and ((k + 1) % record_every == 0 or k == n - 1):
-            snap(s)
-    final = replace(state, s=s, P=P, B=B)
+        history.append(replace(state, P=P.copy(), B=state.B.copy()))
+    m = max(1, min(_CHUNK, n))
+    Y = np.empty((m, 4, len(q)), dtype=complex)     # stage inputs per step
+    K = np.empty((4, len(q)), dtype=complex)        # stage slopes
+    Phi = np.empty_like(Y)
+    work = np.empty((m, 4, len(q) - 1), dtype=complex)
+    for k0 in range(0, n, m):
+        steps = min(m, n - k0)
+        recorded = []
+        for i in range(steps):
+            y = Y[i]
+            y[0] = P
+            _slope(y[0], c, source_mode, K[0])
+            np.add(P, 0.5 * ds * K[0], out=y[1])
+            _slope(y[1], c, source_mode, K[1])
+            np.add(P, 0.5 * ds * K[1], out=y[2])
+            _slope(y[2], c, source_mode, K[2])
+            np.add(P, ds * K[2], out=y[3])
+            _slope(y[3], c, source_mode, K[3])
+            P = P + ds / 6.0 * (K[0] + 2.0 * K[1] + 2.0 * K[2] + K[3])
+            k = k0 + i + 1
+            if record_every and (k % record_every == 0 or k == n):
+                recorded.append((i, k, P.copy()))
+        # d_s B = (L/2) Im(Phi conj P) at all 4 * steps stage inputs at once;
+        # Y is conjugated in place, the next block overwrites it
+        Ys, Phis = Y[:steps], Phi[:steps]
+        _cum_from_top(Ys, q, out=Phis, work=work[:steps])
+        d = np.multiply(Phis, np.conjugate(Ys, out=Ys), out=Phis).imag
+        w = ds / 6.0 * (d[:, 0] + 2.0 * d[:, 1] + 2.0 * d[:, 2] + d[:, 3])
+        w[0] += drive_sum
+        np.cumsum(w, axis=0, out=w)
+        drive_sum = w[-1]
+        for i, k, Pk in recorded:
+            history.append(replace(state, s=state.s + k * ds, P=Pk,
+                                   B=state.B + half_L * w[i]))
+    final = replace(state, s=state.s + n * ds, P=P, B=state.B + half_L * drive_sum)
     return final, history
 
 

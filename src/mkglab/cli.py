@@ -106,9 +106,14 @@ def cmd_asys(args) -> int:
     phi0 = amp * np.exp(-q_grid ** 2) * (q_grid / 2.0 + 0.25j)
     a_l = amp ** 2 * np.sqrt(np.pi / 2.0) / 8.0
     st = asys_mod.AsymState.from_phi0(q_grid, phi0, A_L_param=a_l)
-    final, hist = asys_mod.integrate(st, args.s_end, args.ds,
-                                     record_every=max(1, int(round(args.s_end / (10.0 * args.ds)))))
-    cert = asys_mod.weak_null_certificate(hist, args.ds)
+    try:
+        _, hist = asys_mod.integrate(
+            st, args.s_end, args.ds,
+            record_every=max(1, int(round(args.s_end / (10.0 * args.ds)))))
+        cert = asys_mod.weak_null_certificate(hist, args.ds)
+    except ValueError as exc:
+        print(f"asys: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = args.out or cfg.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "asys.csv")

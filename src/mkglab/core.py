@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import EVEN, RadialGrid, d_r, interp_value
+from .grid import EVEN, RadialGrid, d_r, interp_values
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,8 @@ def null_decompose(state: FieldState, grid: RadialGrid, r: float) -> NullFrameSa
     """Frame components of the potential at radius r (cubic interpolation)."""
     if not grid.contains(r):
         raise ValueError(f"radius {r} outside [0, {grid.r_max}]")
-    a0 = float(interp_value(state.a0, grid, r))
-    ar = float(interp_value(state.ar, grid, r))
+    a0 = float(interp_values(state.a0, grid, [r])[0])
+    ar = float(interp_values(state.ar, grid, [r])[0])
     return NullFrameSample(t=state.t, r=r, A_L=a0 + ar, A_Lbar=a0 - ar)
 
 

@@ -54,6 +54,12 @@ class GaussianProfile(Profile):
         r = np.asarray(r, dtype=float)
         return self(r) * (-2.0 * r / self.width ** 2)
 
+    def lambda_antiderivative(self, x):
+        """int_0^x lam * self(lam) dlam in closed form (d'Alembert velocity term)."""
+        x = np.asarray(x, dtype=float)
+        w2 = self.width ** 2
+        return self.amplitude * 0.5 * w2 * (1.0 - np.exp(-(x ** 2) / w2))
+
 
 class PolyGaussianProfile(Profile):
     """amplitude * r^m * exp(-(r/width)^2); odd m gives an odd profile."""

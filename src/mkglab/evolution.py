@@ -31,9 +31,7 @@ it ends at t_end (time_grid).
 """
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -470,61 +468,3 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         next_slice += 1
     return EvolveResult(final=state.copy(), log=log, rays=rays, snapshots=snapshots,
                         slices=slices)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint io
-
-_MAGIC = b"MKGS"
-_VERSION = 1
-
-
-def save_checkpoint(state: FieldState, grid: RadialGrid, path,
-                    meta: dict | None = None) -> None:
-    """Binary snapshot: header (version, n_cells, h, t) + 6 double arrays.
-
-    Complex fields are stored as interleaved (re, im) doubles.  A JSON
-    sidecar <path>.json carries caller metadata such as the config hash.
-    """
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IQdd", _VERSION, grid.n_cells, grid.h, state.t))
-        for arr in (state.phi, state.phi_t):
-            f.write(np.ascontiguousarray(arr, dtype=np.complex128).tobytes())
-        for arr in (state.a0, state.a0_t, state.ar, state.ar_t):
-            f.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    with open(str(path) + ".json", "w") as f:
-        json.dump(meta or {}, f, indent=1, sort_keys=True)
-
-
-def _read_exact(f, nbytes: int, path, what: str) -> bytes:
-    data = f.read(nbytes)
-    if len(data) != nbytes:
-        raise ValueError(f"{path}: truncated checkpoint, {what} has "
-                         f"{len(data)} of {nbytes} bytes")
-    return data
-
-
-def load_checkpoint(path) -> tuple[FieldState, RadialGrid, dict]:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, n_cells, h, t = struct.unpack(
-            "<IQdd", _read_exact(f, 28, path, "the header"))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        n = n_cells + 1
-        arrays = {}
-        for name, dtype in (("phi", np.complex128), ("phi_t", np.complex128),
-                            ("a0", np.float64), ("a0_t", np.float64),
-                            ("ar", np.float64), ("ar_t", np.float64)):
-            size = np.dtype(dtype).itemsize * n
-            arrays[name] = np.frombuffer(_read_exact(f, size, path, name),
-                                         dtype=dtype).copy()
-    try:
-        with open(str(path) + ".json") as f:
-            meta = json.load(f)
-    except FileNotFoundError:
-        meta = {}
-    grid = RadialGrid(r_max=n_cells * h, n_cells=n_cells)
-    return FieldState(t, **arrays), grid, meta

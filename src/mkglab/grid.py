@@ -204,11 +204,6 @@ def interp_values(f: np.ndarray, grid: RadialGrid, x: np.ndarray) -> np.ndarray:
     return wm1 * ym1 + w0 * y0 + w1 * y1 + w2 * y2
 
 
-def interp_value(f: np.ndarray, grid: RadialGrid, x: float):
-    """Scalar convenience wrapper around interp_values."""
-    return interp_values(f, grid, np.array([x]))[0]
-
-
 def simpson_integral(y: np.ndarray, h: float) -> float:
     """Composite Simpson rule on uniformly spaced samples.
 

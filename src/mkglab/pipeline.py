@@ -28,7 +28,7 @@ from .null_extraction import (build_radiation_table, envelope_check,
                               extract_AL_limit, extract_phi0,
                               j0_envelope_spec, phase_slope_fit,
                               phi_peeling_spec, sample_ray, mod_ALbar)
-from .wave_oracle import dalembert_free, GaussianLambdaH
+from .wave_oracle import dalembert_free
 
 
 @dataclass
@@ -486,7 +486,6 @@ def _oracle_checks(report: RunReport, rng) -> None:
     """Manufactured-solution gate, oracle agreement, logest1 stability."""
     from .wave_oracle import (RadialSource, solve_inhom_radial, kirchhoff_eval,
                               verify_decay_bound)
-    from .data_builder import GaussianProfile
 
     # manufactured solution: phi* = e^{-t} e^{-r^2}; F = d_t^2 phi* - Lap phi*
     def F(t, r):
@@ -508,8 +507,8 @@ def _oracle_checks(report: RunReport, rng) -> None:
         widths = rng.uniform(0.5, 2.0, size=2)
         t = float(rng.uniform(0.2, 6.0))
         r = float(rng.uniform(0.1, 8.0))
-        g0 = _GaussMix(amps[0], widths[0])
-        h0 = _GaussMix(amps[1], widths[1])
+        g0 = GaussianProfile(amps[0], widths[0])
+        h0 = GaussianProfile(amps[1], widths[1])
         da = dalembert_free(g0, h0, t, r).real
         ki = kirchhoff_eval(g0, h0, t, r, w0_prime=g0.d, order=160)
         worst = max(worst, abs(da - ki))
@@ -541,20 +540,6 @@ def _oracle_checks(report: RunReport, rng) -> None:
 _SAMPLE_FRACS = [(0.2, 0.1), (0.2, 0.22), (0.5, 0.1), (0.5, 0.3), (0.5, 0.52),
                  (0.8, 0.2), (0.8, 0.5), (0.8, 0.82), (0.9, 0.3), (0.9, 0.7),
                  (0.6, 0.58), (0.95, 0.9), (0.4, 0.38), (0.7, 0.1), (0.3, 0.28)]
-
-
-class _GaussMix:
-    def __init__(self, amp, width):
-        self.amp = amp
-        self.width = width
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.amp * np.exp(-((x / self.width) ** 2))
-
-    def d(self, x):
-        x = np.asarray(x, dtype=float)
-        return self(x) * (-2.0 * x / self.width ** 2)
 
 
 def _free_wave_order_check(report: RunReport, cfg: RunConfig) -> None:
@@ -720,7 +705,7 @@ def _free_wave_error(cfg: RunConfig, grid: RadialGrid, scheme: SchemeParams) -> 
     t_fin = res.final.t
     r = grid.r[1:]
     if d["family"] == "gaussian":
-        lam = GaussianLambdaH(c=d["phidot_scale"] * d["amplitude"], width=d["width"])
+        lam = GaussianProfile(d["phidot_scale"] * d["amplitude"], d["width"])
         exact_re = dalembert_free(prof, None, t_fin, r)
         exact = exact_re + 1j * np.asarray(
             0.5 * (lam.lambda_antiderivative(r + t_fin)

@@ -1,6 +1,6 @@
 """Shared quadrature helpers.
 
-Fixed-order Gauss-Legendre rules and panels, a product quadrature on the
+Fixed-order Gauss-Legendre rules, a product quadrature on the
 unit sphere, and the exact integral of a tabulated source against the
 logarithmic null kernel ln((eta+t+r)/(eta+t-r)), whose lower endpoint
 eta = r - t is log-singular.  The source is a table read through its linear
@@ -18,13 +18,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
-
-
-def gl_panel(f, a: float, b: float, order: int = 20) -> float:
-    """Fixed-order Gauss-Legendre on [a, b] for a vectorized integrand."""
-    x, w = gauss_legendre(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.dot(w, f(mid + half * x)))
 
 
 # Below d = L/u2 = 1/4 the closed forms of _log_hat_weights cancel, and

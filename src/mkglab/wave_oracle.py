@@ -15,7 +15,10 @@ triangle gives
 where the eta lower limit reflects sources supported in s >= 0.  Radial
 homogeneous data is propagated either by the d'Alembert formula for
 r phi or by Kirchhoff's sphere mean reduced to a 1-D integral; the two
-must agree, which is one of the standing cross checks.
+must agree, which is one of the standing cross checks.  The d'Alembert
+velocity term int lam h(lam) dlam uses h.lambda_antiderivative when h has
+one (data_builder.GaussianProfile does, in closed form) and adaptive
+quadrature otherwise.
 """
 from __future__ import annotations
 
@@ -135,24 +138,6 @@ def dalembert_free(g, h, t: float, r, g_prime=None):
     if np.isscalar(r) or np.ndim(r) == 0:
         return complex(out[0])
     return out
-
-
-class GaussianLambdaH:
-    """h(lam) = c * exp(-(lam/w)^2) with the closed-form lambda-weighted
-    antiderivative used by dalembert_free."""
-
-    def __init__(self, c=1.0, width=1.0):
-        self.c = c
-        self.width = width
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.c * np.exp(-((lam / self.width) ** 2))
-
-    def lambda_antiderivative(self, x):
-        x = np.asarray(x, dtype=float)
-        w2 = self.width ** 2
-        return self.c * 0.5 * w2 * (1.0 - np.exp(-(x ** 2) / w2))
 
 
 def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None,

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.special import erfc
 
 from mkglab.asymptotic_system import (Albar_profile, AsymState,
-                                      integrate, phase_factorization_error,
+                                      integrate, null_vector_lower,
+                                      phase_factorization_error,
                                       weak_null_certificate)
 
 
@@ -11,6 +16,99 @@ def gaussian_state(a_l=1.0, n=801, span=8.0, profile=None):
     q = np.linspace(-span, span, n)
     phi0 = np.exp(-q ** 2) if profile is None else profile(q)
     return AsymState.from_phi0(q, phi0.astype(complex), A_L_param=a_l)
+
+
+def per_step_rk4(state, s_target, ds, source_mode="standard", record_every=None):
+    """The one-stage-at-a-time RK4 that integrate() replaced, as reference."""
+    def cum_from_top(f, q):
+        incr = 0.5 * (q[1] - q[0]) * (f[1:] + f[:-1])
+        out = np.empty_like(f)
+        out[-1] = 0.0
+        out[:-1] = -np.cumsum(incr[::-1])[::-1]
+        return out
+
+    def rhs(P, L_mu):
+        if source_mode == "standard":
+            dP = -1j * state.A_L_param * P
+        else:
+            dP = -1j * np.abs(P) * P
+        drive = np.imag(cum_from_top(P, state.q_grid) * np.conj(P))
+        return dP, 0.5 * L_mu[:, None] * drive[None, :]
+
+    n = int(round((s_target - state.s) / ds))
+    L_mu = null_vector_lower(state.omega)
+    P, B = state.P.copy(), state.B.copy()
+    history = [replace(state, P=P.copy(), B=B.copy())] if record_every else []
+    for k in range(n):
+        k1P, k1B = rhs(P, L_mu)
+        k2P, k2B = rhs(P + 0.5 * ds * k1P, L_mu)
+        k3P, k3B = rhs(P + 0.5 * ds * k2P, L_mu)
+        k4P, k4B = rhs(P + ds * k3P, L_mu)
+        P = P + ds / 6.0 * (k1P + 2.0 * k2P + 2.0 * k3P + k4P)
+        B = B + ds / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
+        if record_every and ((k + 1) % record_every == 0 or k == n - 1):
+            history.append(replace(state, s=state.s + (k + 1) * ds,
+                                   P=P.copy(), B=B.copy()))
+    return replace(state, s=state.s + n * ds, P=P, B=B), history
+
+
+class TestAgainstPerStepRK4:
+    @pytest.mark.parametrize("source_mode", ["standard", "non_null_control"])
+    @pytest.mark.parametrize("record_every", [None, 7])
+    @pytest.mark.parametrize("omega", [(0.0, 0.0, 1.0), (0.36, 0.48, 0.8)])
+    def test_same_march(self, source_mode, record_every, omega):
+        q = np.linspace(-6.0, 6.0, 241)
+        st = AsymState.from_phi0(q, np.exp(-q ** 2) * (q / 2.0 + 0.25j), 1.3,
+                                 omega=omega)
+        # 45 steps: whole blocks, a ragged last block, 7 not dividing 45
+        got, got_hist = integrate(st, 0.45, 1e-2, source_mode, record_every)
+        ref, ref_hist = per_step_rk4(st, 0.45, 1e-2, source_mode, record_every)
+        # continue from a state whose B is already nonzero
+        got2, _ = integrate(got, 0.6, 1e-2, source_mode)
+        ref2, _ = per_step_rk4(ref, 0.6, 1e-2, source_mode)
+        pairs = list(zip(got_hist, ref_hist)) + [(got, ref), (got2, ref2)]
+        assert len(got_hist) == len(ref_hist)
+        for a, b in pairs:
+            assert a.s == b.s
+            assert np.array_equal(a.P, b.P)
+            assert np.max(np.abs(a.B - b.B)) <= 1e-14 * np.max(np.abs(b.B))
+        assert np.max(np.abs(got2.B)) > 0.0
+
+
+class TestEndPoint:
+    def test_ragged_end_rejected(self):
+        st = gaussian_state(n=41)
+        with pytest.raises(ValueError, match=r"s_target = 1\.0 .* ds = 0\.3 .*"
+                                             r"nearest reachable end is 0\.9"):
+            integrate(st, 1.0, 0.3)
+        with pytest.raises(ValueError, match="nearest reachable end is 0.2"):
+            integrate(st, 0.25, 0.1)
+
+    def test_bad_arguments(self):
+        st = gaussian_state(n=41)
+        with pytest.raises(ValueError, match="ds must be positive"):
+            integrate(st, 1.0, 0.0)
+        with pytest.raises(ValueError, match="s_target must be >= state.s"):
+            integrate(st, -1.0, 0.1)
+        with pytest.raises(ValueError, match="unknown source mode"):
+            integrate(st, 1.0, 0.1, source_mode="other")
+
+    @settings(max_examples=60, deadline=None)
+    @given(s0=hst.floats(-5.0, 5.0),
+           n=hst.integers(0, 40),
+           ds=hst.floats(1e-3, 2.0),
+           offset=hst.one_of(hst.just(0.0), hst.floats(-0.5, 0.5)))
+    def test_ends_at_s_target_or_raises(self, s0, n, ds, offset):
+        st = replace(gaussian_state(n=17), s=s0)
+        s_target = s0 + (n + offset) * ds
+        try:
+            final, _ = integrate(st, s_target, ds)
+        except ValueError:
+            # only a target off the step lattice may be refused
+            assert offset != 0.0 or s_target < s0
+            return
+        assert abs(final.s - s_target) <= 1e-9 * abs(s_target - s0) + 8e-16 * (
+            abs(s0) + abs(s_target))
 
 
 class TestIntegrate:

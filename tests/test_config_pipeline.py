@@ -213,3 +213,15 @@ class TestCLI:
                          "--out", str(tmp_path / "asys_out")])
         assert code == 0
         assert (tmp_path / "asys_out" / "asys.csv").exists()
+
+    def test_asys_bad_s_range_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text(SMALL)
+        code = cli_main(["asys", str(cfgfile), "--s-end", "1", "--ds", "0.3",
+                         "--out", str(tmp_path / "asys_out")])
+        assert code == 2
+        assert "nearest reachable end is 0.9" in capsys.readouterr().err
+        # one step leaves too few states for the certificate
+        assert cli_main(["asys", str(cfgfile), "--s-end", "0.01", "--ds", "0.01",
+                         "--out", str(tmp_path / "asys_out")]) == 2
+        assert not (tmp_path / "asys_out").exists()

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.data_builder import GaussianProfile
-from mkglab.wave_oracle import (GaussianLambdaH, RadialSource, bound_envelope,
+from mkglab.wave_oracle import (RadialSource, bound_envelope,
                                 dalembert_free, kirchhoff_eval,
                                 solve_inhom_radial, verify_decay_bound)
 
@@ -34,11 +34,25 @@ class TestDalembert:
         assert 0.5 * np.exp(-1.0) == pytest.approx(0.18394, abs=1e-5)
 
     def test_gaussian_lambda_antiderivative(self):
-        lam = GaussianLambdaH(c=0.7, width=1.3)
-        x = np.linspace(0, 6, 25)
-        brute = [quad(lambda s: 0.7 * np.exp(-(s / 1.3) ** 2) * s, 0, xi)[0]
-                 for xi in x]
-        assert np.allclose(lam.lambda_antiderivative(x), brute, atol=1e-12)
+        h = GaussianProfile(0.7, 1.3)
+        x = np.linspace(0.25, 6, 24)
+        brute = np.array([quad(lambda lam: lam * h(lam), 0, xi,
+                               epsabs=0.0, epsrel=2e-14)[0] for xi in x])
+        closed = h.lambda_antiderivative(x)
+        assert np.max(np.abs(closed - brute) / np.abs(brute)) < 1e-13
+        assert h.lambda_antiderivative(0.0) == 0.0
+
+    def test_closed_form_matches_quadrature_path(self):
+        # the same Gaussian h with and without lambda_antiderivative
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = GaussianProfile(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2)))
+            h = GaussianProfile(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2)))
+            t = float(rng.uniform(0.2, 6.0))
+            r = rng.uniform(0.1, 8.0, size=3)
+            closed = dalembert_free(g, h, t, r)
+            quadrature = dalembert_free(g, lambda lam: h(lam), t, r)
+            assert np.max(np.abs(closed - quadrature)) < 1e-12
 
 
 class TestKirchhoff:
@@ -120,13 +134,12 @@ class TestInhomRepresentation:
             scheme = SchemeParams(cfl=0.5, t_end=15.0, boundary="none",
                                   monitor_stride=10 ** 9, linear=True)
             res = evolve(st, grid, scheme, ObservationPlan(snapshot_every=10 ** 9))
-            lam = GaussianLambdaH(c=1.0, width=1.0)
             r = grid.r[1:]
             t = res.final.t
             # phi_t(0) = 0.5i g: imaginary part carries the velocity integral
             exact = dalembert_free(g, None, t, r) + 0.5j * 0.5 * (
-                lam.lambda_antiderivative(r + t)
-                - lam.lambda_antiderivative(np.abs(r - t))) / r
+                g.lambda_antiderivative(r + t)
+                - g.lambda_antiderivative(np.abs(r - t))) / r
             errs.append(np.max(np.abs(res.final.phi[1:] - exact)))
         assert np.log2(errs[0] / errs[1]) > 1.7
         assert errs[1] < 5e-4
