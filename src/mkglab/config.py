@@ -198,6 +198,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
         errs.append(f"data.family must be gaussian|bump|polygauss|file, got {fam!r}")
     if fam == "file" and not cfg.data["phi0_file"]:
         errs.append("data.family = file requires data.phi0_file")
+    if not cfg.data["width"] > 0.0:
+        errs.append(f"data.width must be positive, got {cfg.data['width']}")
     if cfg.data["ar_family"] not in ("none", "polygauss", "file"):
         errs.append(f"data.ar_family must be none|polygauss|file, got {cfg.data['ar_family']!r}")
     ext = cfg.extraction
@@ -205,15 +207,23 @@ def validate_config(cfg: RunConfig) -> list[str]:
         errs.append("extraction.q_min must be < q_max")
     if ext["q_spacing_cells"] < 1:
         errs.append("extraction.q_spacing_cells must be >= 1")
+    if ext["stencil_spacing_cells"] < 1:
+        errs.append("extraction.stencil_spacing_cells must be >= 1, got "
+                    f"{ext['stencil_spacing_cells']}")
     if not all(0.0 < f <= 1.0 for f in ext["t_fracs"]):
         errs.append("extraction.t_fracs must lie in (0, 1]")
+    if len(set(ext["t_fracs"])) < 2:
+        errs.append("extraction.t_fracs needs at least two distinct entries "
+                    f"(the radiation table needs two slices), got {ext['t_fracs']}")
     if not (0.0 < ext["domain_frac"] <= 1.0):
         errs.append("extraction.domain_frac must lie in (0, 1]")
     for y in cfg.interior["y_list"]:
         if not (0.0 < y < 1.0):
             errs.append(f"interior.y_list entries must lie in (0, 1), got {y}")
     for t in cfg.interior["t_list"]:
-        if t > sch["t_end"]:
+        if t <= 0.0:
+            errs.append(f"interior.t_list entries must be positive, got {t}")
+        elif t > sch["t_end"]:
             errs.append(f"interior.t_list entry {t} exceeds t_end = {sch['t_end']}")
     return errs
 

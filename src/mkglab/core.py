@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import EVEN, RadialGrid, d_r, interp_values
+from .grid import EVEN, RadialGrid, _run, d_r, interp_values
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,22 @@ def null_decompose(state: FieldState, grid: RadialGrid, r: float) -> NullFrameSa
     return NullFrameSample(t=state.t, r=r, A_L=a0 + ar, A_Lbar=a0 - ar)
 
 
+def _current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp) -> list:
+    """The ufunc calls (fn, args) of current_density, on fixed buffers.
+
+    Each J is formed in its own buffer as Im(phi) Re(u) - Re(phi) Im(u) -
+    a |phi|^2, with u = phi_t, a = a0 for J_0 and u = d_r phi, a = ar for J_r.
+    """
+    pr, pi = phi.real, phi.imag
+    ops = [(np.multiply, (pr, pr, abs2)), (np.multiply, (pi, pi, tmp)),
+           (np.add, (abs2, tmp, abs2))]
+    for j, u, a in ((j0, phi_t, a0), (jr, drphi, ar)):
+        ops += [(np.multiply, (pi, u.real, j)), (np.multiply, (pr, u.imag, tmp)),
+                (np.subtract, (j, tmp, j)),          # -Im(conj(phi) u)
+                (np.multiply, (a, abs2, tmp)), (np.subtract, (j, tmp, j))]
+    return ops
+
+
 def current_density(phi, phi_t, drphi, a0, ar, out=None, work=None):
     """(J_0, J_r) from phi, phi_t, d_r phi and the potentials (a0, ar).
 
@@ -151,16 +167,7 @@ def current_density(phi, phi_t, drphi, a0, ar, out=None, work=None):
     n = len(phi)
     j0, jr = out if out is not None else (np.empty(n), np.empty(n))
     abs2, tmp = work if work is not None else (np.empty(n), np.empty(n))
-    pr, pi = phi.real, phi.imag
-    np.multiply(pr, pr, out=abs2)
-    np.multiply(pi, pi, out=tmp)
-    abs2 += tmp
-    for j, u, a in ((j0, phi_t, a0), (jr, drphi, ar)):
-        np.multiply(pi, u.real, out=j)
-        np.multiply(pr, u.imag, out=tmp)
-        j -= tmp                      # -Im(conj(phi) u)
-        np.multiply(a, abs2, out=tmp)
-        j -= tmp
+    _run(_current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp))
     return j0, jr
 
 

@@ -35,7 +35,7 @@ class Profile:
         raise NotImplementedError
 
     def d(self, r):
-        """Derivative; default is a 6th-order central difference."""
+        """Derivative; default is the 2nd-order two-point central difference."""
         r = np.asarray(r, dtype=float)
         eps = 1e-5 * max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
         return (self(r + eps) - self(r - eps)) / (2.0 * eps)

@@ -20,14 +20,19 @@ measured along outgoing rays (the angular term vanishes here).
 
 The RK4 kernel allocates nothing per step.  evolve() builds one Workspace
 per run, which holds the state being stepped, the stage, the running
-derivative sum, the second derivatives and the RHS scratch; every array
-operation of a step writes into those buffers (stencils via out=, the
-current via core.current_density), and the state advances in place.  The
-caller's initial state, the slices, the snapshots and the final state are
-copies and never share memory with a workspace.  A bare step() without a
-workspace leaves its input untouched and returns fresh arrays.  The run
-takes n_steps = ceil(t_end / (cfl h)) steps of dt = t_end / n_steps, so
-it ends at t_end (time_grid).
+derivative sum, the second derivatives, the RHS scratch, and one RHS plan
+per field block (state and stage) for the run's boundary and coupling.  A
+plan binds once the ufunc calls of the stencils, of the current (core) and
+of the phi couplings on fixed views, with their scalar factors, and the
+views its boundary rows (grid's _row_* functions) read and write; _rhs()
+runs it.  a0 and ar sit side by side in a block, so both Laplacians are one
+stencil, and J_0, J_r are added in one call.  step() and rhs() go through
+the plan; a linear plan has no current and no couplings.  The state
+advances in place.  The caller's initial state, the slices, the snapshots
+and the final state are copies and never share memory with a workspace.  A
+bare step() without a workspace leaves its input untouched and returns
+fresh arrays.  The run takes n_steps = ceil(t_end / (cfl h)) steps of
+dt = t_end / n_steps, so it ends at t_end (time_grid).
 """
 from __future__ import annotations
 
@@ -36,10 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FieldState, current, current_density
+from .core import FieldState, _current_ops, current
 from .data_builder import ChargeValue, CutoffChi
-from .grid import (EVEN, RadialGrid, d_r, divergence_radial, interp_values,
-                   laplacian_even, laplacian_radial_vector, simpson_integral)
+from .grid import (EVEN, RadialGrid, _d_r_ops, _row_d_r_origin, _row_lap_origin,
+                   _row_sommerfeld, _three_point_ops, d_r, divergence_radial,
+                   interp_values, simpson_integral)
 
 
 class EvolutionUnstable(RuntimeError):
@@ -178,21 +184,28 @@ class Workspace:
     acc: the running weighted sum of the stage derivatives; each is one
     contiguous block laid out by _field_views, so that an RK4 combination
     of all six fields is one ufunc call.  dd: (phi_tt, a0_tt, ar_tt) of one
-    RHS evaluation, in the layout of a velocity half.  drphi, j and scratch
-    serve the RHS.  load() is the only way a caller sees a buffer.
+    RHS evaluation, in the layout of a velocity half.  drphi, j (J_0 then
+    J_r) and scratch serve the RHS.  plans() gives the RHS plans at y and at
+    the stage.  load() is the only way a caller sees a buffer.
     """
 
     def __init__(self, grid: RadialGrid):
         n = self.n_nodes = grid.n_nodes
+        self.grid = grid
         self.y, self.stage, self.acc = (np.empty(8 * n) for _ in range(3))
         self.y_fields = _field_views(self.y, n)
-        self.stage_fields = _field_views(self.stage, n)
-        self.dd_block = np.empty(4 * n)
+        m = 4 * n
+        self.halves = (self.y[:m], self.y[m:], self.stage[:m],
+                       self.stage[m:], self.acc[:m], self.acc[m:])
+        # zeroed: no RHS writes phi_tt[-1] or d_r phi[-1] before reading them
+        # (their values only reach rows the outer boundary row overwrites)
+        self.dd_block = np.zeros(m)
         self.dd = (self.dd_block[:2 * n].view(complex),
                    self.dd_block[2 * n:3 * n], self.dd_block[3 * n:])
-        self.drphi = np.empty(n, dtype=complex)
-        self.j = (np.empty(n), np.empty(n))
+        self.drphi = np.zeros(n, dtype=complex)
+        self.j = np.empty(2 * n)
         self.scratch = (np.empty(n), np.empty(n), np.empty(n))
+        self._plans: dict = {}
 
     def holds(self, state: FieldState) -> bool:
         """True when state's arrays are this workspace's y fields."""
@@ -204,109 +217,164 @@ class Workspace:
             np.copyto(dst, src)
         return FieldState(state.t, *self.y_fields)
 
+    def plans(self, boundary: str, linear: bool) -> tuple:
+        """The RHS plans at y and at the stage, built on first use."""
+        key = (boundary, linear)
+        if key not in self._plans:
+            self._plans[key] = tuple(_RHSPlan(b, self, boundary, linear)
+                                     for b in (self.y, self.stage))
+        return self._plans[key]
 
-def _rhs_into(y, ws: Workspace, grid: RadialGrid, boundary: str,
-              linear: bool) -> None:
-    """Second time derivatives of the fields y into ws.dd, allocation-free.
+
+class _RHSPlan:
+    """One RHS evaluation on one field block of a Workspace, bound once.
+
+    stencils: the ufunc calls (fn, args) of phi's Laplacian interior, of the
+    one stencil over [a0, ar] and, when coupled, of d_r phi's interior.
+    couplings (empty when linear): the current into ws.j, one add of J into
+    (a0_tt, ar_tt), and phi_tt += 2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2)
+    phi by parts.  The other slots are what the boundary rows read and write.
+    """
+
+    __slots__ = ("stencils", "couplings", "dd", "drphi", "h", "r_max",
+                 "sommerfeld", "n2", "ar0", "phi_head", "a0_head",
+                 "phi_t_tail", "a0_t_tail", "ar_t_tail")
+
+    def __init__(self, block: np.ndarray, ws: Workspace, boundary: str,
+                 linear: bool):
+        grid, n, dd = ws.grid, ws.n_nodes, ws.dd_block
+        m = 4 * n
+        phi, phi_t, a0, _, ar, _ = _field_views(block, n)
+        self.stencils = _three_point_ops(block[:2 * n], dd[:2 * n],
+                                         grid._even_interleaved, 2)
+        self.stencils += _three_point_ops(block[2 * n:m], dd[2 * n:],
+                                          tuple(grid._coef))
+        self.couplings = []
+        if not linear:
+            drphi, j, (w, s, t) = ws.drphi, ws.j, ws.scratch
+            phi_tt = ws.dd[0]
+            self.stencils += _d_r_ops(phi, drphi, grid.h)
+            c = _current_ops(phi, phi_t, drphi, a0, ar, j[:n], j[n:], w, s)
+            c += [(np.add, (dd[2 * n:], j, dd[2 * n:])),
+                  (np.multiply, (a0, a0, w)), (np.multiply, (ar, ar, t)),
+                  (np.subtract, (w, t, w))]
+            for part, sign, d_other, p_other, phi_part in (
+                    (phi_tt.real, 2.0, drphi.imag, phi_t.imag, phi.real),
+                    (phi_tt.imag, -2.0, drphi.real, phi_t.real, phi.imag)):
+                c += [(np.multiply, (a0, p_other, s)),
+                      (np.multiply, (ar, d_other, t)), (np.subtract, (s, t, s)),
+                      (np.multiply, (s, np.array(sign), s)),
+                      (np.add, (part, s, part)),
+                      (np.multiply, (w, phi_part, s)), (np.add, (part, s, part))]
+            self.couplings = c
+        self.dd, self.drphi = dd, ws.drphi.view(np.float64)
+        self.h, self.r_max = grid.h, grid.r_max
+        self.sommerfeld = boundary == "sommerfeld"
+        self.n2, self.ar0 = 2 * n, 3 * n
+        self.phi_head, self.a0_head = block[:4], block[2 * n:2 * n + 2]
+        self.phi_t_tail = block[m + 2 * n - 6:m + 2 * n]
+        self.a0_t_tail = block[m + 3 * n - 3:m + 3 * n]
+        self.ar_t_tail = block[2 * m - 3:]
+
+
+def _rhs(p: _RHSPlan) -> None:
+    """Second time derivatives of p's block into its workspace's dd block.
 
     The first-order RHS is (phi_t, phi_tt, a0_t, a0_tt, ar_t, ar_tt); its
-    velocity entries are y's own arrays, so only dd is computed.
+    velocity entries are the block's own arrays, so only dd is computed.
     """
-    phi, phi_t, a0, a0_t, ar, ar_t = y
-    phi_tt, a0_tt, ar_tt = ws.dd
-    laplacian_even(phi, grid, out=phi_tt)
-    laplacian_even(a0, grid, out=a0_tt)
-    laplacian_radial_vector(ar, grid, out=ar_tt)
-    if not linear:
-        w, s, t = ws.scratch
-        drphi = d_r(phi, grid, EVEN, out=ws.drphi)
-        j0, jr = current_density(phi, phi_t, drphi, a0, ar, out=ws.j,
-                                 work=(w, s))
-        a0_tt += j0
-        ar_tt += jr
-        # phi_tt += 2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2) phi, by parts
-        np.multiply(a0, a0, out=w)
-        np.multiply(ar, ar, out=t)
-        w -= t
-        for part, sign, d_other, p_other, phi_part in (
-                (phi_tt.real, 2.0, drphi.imag, phi_t.imag, phi.real),
-                (phi_tt.imag, -2.0, drphi.real, phi_t.real, phi.imag)):
-            np.multiply(a0, p_other, out=s)
-            np.multiply(ar, d_other, out=t)
-            s -= t
-            s *= sign
-            part += s
-            np.multiply(w, phi_part, out=s)
-            part += s
-    ar_tt[0] = 0.0
-
-    if boundary == "sommerfeld":
-        h, rmax = grid.h, grid.r_max
-        for u_t, u_tt in ((phi_t, phi_tt), (a0_t, a0_tt), (ar_t, ar_tt)):
-            u_tt[-1] = -(3.0 * u_t[-1] - 4.0 * u_t[-2] + u_t[-3]) / (2.0 * h) \
-                - u_t[-1] / rmax
+    for fn, args in p.stencils:
+        fn(*args)
+    dd, h, n2 = p.dd, p.h, p.n2
+    phi01 = p.phi_head.tolist()
+    dd[0], dd[1] = _row_lap_origin(phi01, h)
+    dd[n2], = _row_lap_origin(p.a0_head.tolist(), h)
+    if p.couplings:
+        p.drphi[0], p.drphi[1] = _row_d_r_origin(phi01[2:], EVEN, h)
+        for fn, args in p.couplings:
+            fn(*args)
+    ar0 = p.ar0
+    dd[ar0] = 0.0
+    if p.sommerfeld:
+        r_max = p.r_max
+        dd[n2 - 2], dd[n2 - 1] = _row_sommerfeld(p.phi_t_tail.tolist(), h, r_max)
+        dd[ar0 - 1], = _row_sommerfeld(p.a0_t_tail.tolist(), h, r_max)
+        dd[-1], = _row_sommerfeld(p.ar_t_tail.tolist(), h, r_max)
     else:  # frozen outer node; the causality shield keeps it irrelevant
-        phi_tt[-1] = 0.0
-        a0_tt[-1] = 0.0
-        ar_tt[-1] = 0.0
+        dd[n2 - 2] = dd[n2 - 1] = dd[ar0 - 1] = dd[-1] = 0.0
 
 
 def rhs(state: FieldState, grid: RadialGrid, boundary: str = "sommerfeld",
         linear: bool = False):
     """Time derivative of every evolved field (NaN-guarded)."""
-    y = _evolved(state)
     ws = Workspace(grid)
-    _rhs_into(y, ws, grid, boundary, linear)
+    ws.load(state)
+    _rhs(ws.plans(boundary, linear)[0])
+    finite = np.isfinite(ws.dd_block)
+    if not finite.all():
+        i, n = int(np.argmin(finite)), ws.n_nodes
+        name, node = (("phi_tt", i // 2) if i < 2 * n else
+                      ("a0_tt", i - 2 * n) if i < 3 * n else ("ar_tt", i - 3 * n))
+        raise EvolutionUnstable(
+            f"non-finite {name} at t={state.t}, node {node}")
+    y = _evolved(state)
     phi_tt, a0_tt, ar_tt = ws.dd
-    if not np.all(np.isfinite(phi_tt)):
-        bad = int(np.argmax(~np.isfinite(phi_tt)))
-        raise EvolutionUnstable(f"non-finite RHS at t={state.t}, node {bad}")
     return FieldState(state.t, y[1], phi_tt, y[3], a0_tt, y[5], ar_tt)
+
+
+_HALF, _TWO = np.array(0.5), np.array(2.0)
+_HALF.flags.writeable = _TWO.flags.writeable = False
 
 
 def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
          dt: float | None = None, work: Workspace | None = None) -> FieldState:
     """One classical RK4 step; parity is re-pinned at r = 0 afterwards.
 
-    work is a Workspace for this grid, built here when None.  A state
-    returned by work.load() (or by a step on it) advances in place, and the
-    result holds the same arrays.  Any other state is left untouched and
-    the result gets fresh arrays.
+    work is a Workspace for this grid (ValueError otherwise), built here
+    when None.  A state returned by work.load() (or by a step on it)
+    advances in place, and the result holds the same arrays.  Any other
+    state is left untouched and the result gets fresh arrays.
     """
     if dt is None:
         dt = scheme.cfl * grid.h
     ws = work if work is not None else Workspace(grid)
+    if ws.grid is not grid and ws.grid != grid:
+        raise ValueError(f"workspace is for {ws.grid}, not {grid}")
     in_place = ws.holds(state)
     if not in_place:
         ws.load(state)
-    y, z, acc, dd = ws.y, ws.stage, ws.acc, ws.dd_block
-    m = len(y) // 2                 # positions y[:m], velocities y[m:]
-    b, lin = scheme.boundary, scheme.linear
+    at_y, at_stage = ws.plans(scheme.boundary, scheme.linear)
+    # 0-d arrays: a ufunc takes them faster than Python floats
+    half, full, sixth = (np.array(c, dtype=np.float64)
+                         for c in (0.5 * dt, dt, dt / 6.0))
+    yp, yv, zp, zv, ap, av = ws.halves   # positions and velocities
+    dd, acc = ws.dd_block, ws.acc
+    mul, add = np.multiply, np.add
 
-    # the stage-s derivative is [v[m:], dd], with v the block its RHS was
-    # evaluated on.  acc is summed as ((k1/2 + k2 + k3) * 2 + k4): halving
-    # and doubling are exact, so it rounds exactly like k1 + 2 k2 + 2 k3 + k4
-    # summed left to right
-    _rhs_into(ws.y_fields, ws, grid, b, lin)
-    np.multiply(y[m:], 0.5, out=acc[:m])
-    np.multiply(dd, 0.5, out=acc[m:])
-    for s, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
-        v = y if s == 0 else z
-        np.multiply(v[m:], c, out=z[:m])      # positions first: they read
-        z[:m] += y[:m]                        # the previous stage's velocity
-        np.multiply(dd, c, out=z[m:])
-        z[m:] += y[m:]
-        _rhs_into(ws.stage_fields, ws, grid, b, lin)
-        if s == 2:
-            acc *= 2.0
-        acc[:m] += z[m:]
-        acc[m:] += dd
-    acc *= dt / 6.0
+    # the stage-s derivative is [v's velocities, dd], with v the block its
+    # RHS was evaluated on.  acc is summed as ((k1/2 + k2 + k3) * 2 + k4):
+    # halving and doubling are exact, so it rounds exactly like
+    # k1 + 2 k2 + 2 k3 + k4 summed left to right
+    _rhs(at_y)
+    mul(yv, _HALF, ap)
+    mul(dd, _HALF, av)
+    for v, c in ((yv, half), (zv, half), (zv, full)):
+        mul(v, c, zp)               # positions first: they read
+        add(zp, yp, zp)             # the previous stage's velocity
+        mul(dd, c, zv)
+        add(zv, yv, zv)
+        _rhs(at_stage)
+        if c is full:
+            mul(acc, _TWO, acc)
+        add(ap, zv, ap)
+        add(av, dd, av)
+    mul(acc, sixth, acc)
+    y, n = ws.y, ws.n_nodes
     new = y if in_place else np.empty_like(y)
-    np.add(y, acc, out=new)
-    fields = ws.y_fields if in_place else _field_views(new, ws.n_nodes)
-    fields[4][0] = 0.0
-    fields[5][0] = 0.0
+    add(y, acc, new)
+    new[3 * n] = 0.0                # ar(0) and ar_t(0)
+    new[7 * n] = 0.0
+    fields = ws.y_fields if in_place else _field_views(new, n)
     return FieldState(state.t + dt, *fields)
 
 

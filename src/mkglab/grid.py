@@ -5,6 +5,17 @@ Regularity at the origin is encoded through parity: even fields (phi, a0)
 satisfy f(-r) = f(r), the radial vector component ar is odd, ar(0) = 0.
 Stencils are 2nd-order centered in the interior, one-sided 2nd-order at
 r_max, and parity ghost values at r = 0.
+
+Both Laplacians' interior rows come from one coefficient table per grid over
+[even field, vector field] (2 n_nodes values), so that a0 and ar side by
+side are differenced by one stencil; its two junction rows are zero and are
+overwritten by boundary rows, and the even and vector tables are views of
+it.  The stencils and d_r are lists of ufunc calls on fixed operands
+(_three_point_ops, _d_r_ops), which the array functions here run once and
+evolution's RHS plan binds once per run.  Every boundary row is one _row_*
+function shared by both.  A row reads and returns Python floats, a complex
+value as its (re, im) pair, and spells out numpy's scalar rounding: a real
+factor x acts as x + 0j, and a division by a real x multiplies by 1/x.
 """
 from __future__ import annotations
 
@@ -41,24 +52,32 @@ class RadialGrid:
         if self.ghost_count < 2:
             raise ValueError(f"ghost_count must be >= 2, got {self.ghost_count}")
         h = self.h
-        r = np.arange(self.n_nodes) * h
+        n = self.n_nodes
+        r = np.arange(n) * h
         r.flags.writeable = False
         object.__setattr__(self, "_r", r)
         # interior rows c_- f_{i-1} + c_0 f_i + c_+ f_{i+1} of both Laplacians
         # in the nested form c_0 (f_i + (c_+/c_0) (f_{i+1} + (c_-/c_+) f_{i-1})),
-        # which _three_point evaluates in its output buffer alone
+        # which _three_point_ops evaluates in its output buffer alone.  Rows
+        # (c_-/c_+, c_+/c_0, c_0) over [even rows 1..n-2, 2 junction rows,
+        # vector rows 1..n-2]
         ri = r[1:-1]
         c_plus = 1.0 / (h * h) + 1.0 / (h * ri)
         c0_even = -2.0 / (h * h)
         c0_vec = c0_even - 2.0 / (ri * ri)
-        minus_over_plus = (ri - h) / (ri + h)
-        stencils = {"even": (minus_over_plus, c_plus / c0_even, c0_even),
-                    "vector": (minus_over_plus, c_plus / c0_vec, c0_vec)}
-        # per_node = 2: each array repeated for interleaved (re, im) values
+        coef = np.zeros((3, 2 * n - 2))
+        for col, c0 in ((slice(0, n - 2), c0_even), (slice(n, None), c0_vec)):
+            coef[0, col] = (ri - h) / (ri + h)
+            coef[1, col] = c_plus / c0
+            coef[2, col] = c0
+        object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_stencils", {
-            1: stencils,
-            2: {kind: tuple(c if np.isscalar(c) else np.repeat(c, 2) for c in cs)
-                for kind, cs in stencils.items()}})
+            "even": tuple(coef[:, :n - 2]), "vector": tuple(coef[:, n:])})
+        # complex fields are differenced as interleaved (re, im) values; the
+        # even table is repeated for them, with c_0 kept a scalar
+        object.__setattr__(self, "_even_interleaved", (
+            np.repeat(coef[0, :n - 2], 2), np.repeat(coef[1, :n - 2], 2),
+            np.array(c0_even)))
 
     @property
     def h(self) -> float:
@@ -88,23 +107,127 @@ def _out_like(f: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.nda
     return f, out
 
 
-def _three_point(f: np.ndarray, out: np.ndarray, grid: RadialGrid,
-                 kind: str) -> None:
-    """Interior rows of a Laplacian stencil, computed in out[1:-1] alone.
+def _three_point_ops(f: np.ndarray, out: np.ndarray, table: tuple,
+                     m: int = 1) -> list:
+    """Interior rows of a three-point stencil as ufunc calls (fn, args).
 
-    Complex arrays are differenced as interleaved (re, im) float64 values, so
-    every ufunc sees contiguous float64 operands and never casts.
+    f and out are float64 arrays of m values per node (m = 2 for interleaved
+    complex values); the rows are computed in out[m:-m] alone, from the
+    table's (c_-/c_+, c_+/c_0, c_0), each an array over those values or
+    a scalar.
     """
-    m = 1
-    if f.dtype == np.complex128:
-        f, out, m = f.view(np.float64), out.view(np.float64), 2
-    minus_over_plus, plus_over_c0, c0 = grid._stencils[m][kind]
+    minus_over_plus, plus_over_c0, c0 = table
     o = out[m:-m]
-    np.multiply(f[:-2 * m], minus_over_plus, out=o)
-    o += f[2 * m:]
-    o *= plus_over_c0
-    o += f[m:-m]
-    o *= c0
+    return [(np.multiply, (f[:-2 * m], minus_over_plus, o)),
+            (np.add, (o, f[2 * m:], o)),
+            (np.multiply, (o, plus_over_c0, o)),
+            (np.add, (o, f[m:-m], o)),
+            (np.multiply, (o, c0, o))]
+
+
+def _d_r_ops(f: np.ndarray, out: np.ndarray, h: float) -> list:
+    """Interior rows of d_r, (f_{i+1} - f_{i-1}) / (2h), as ufunc calls."""
+    o = out[1:-1]
+    if f.dtype == np.complex128:
+        # times 1/(2h) is bit for bit numpy's complex / real, and faster
+        scale = (np.multiply, (o, np.array(complex(1.0 / (2.0 * h))), o))
+    else:
+        scale = (np.true_divide, (o, np.array(2.0 * h), o))
+    return [(np.subtract, (f[2:], f[:-2], o)), scale]
+
+
+def _run(ops: list) -> None:
+    """Make the ufunc calls (fn, args) of ops in order."""
+    for fn, args in ops:
+        fn(*args)
+
+
+def _ends(out: np.ndarray, first: tuple, last: tuple) -> np.ndarray:
+    """Write the boundary rows first and last (Python floats) into out."""
+    o = out.view(np.float64)
+    o[:len(first)] = first
+    o[len(o) - len(last):] = last
+    return out
+
+
+# boundary rows: v holds the samples a row reads, as Python floats, one per
+# node of a real field and (re, im) per node of a complex one
+
+def _scale(x: float, a: float, b: float) -> tuple:
+    """x (a + ib) for a real x, rounded as numpy rounds (x + 0j)(a + ib)."""
+    return x * a - 0.0 * b, x * b + 0.0 * a
+
+
+def _over(a: float, b: float, x: float) -> tuple:
+    """(a + ib) / x for a real x > 0, as numpy divides: by the reciprocal."""
+    s = 1.0 / x
+    return (a + b * 0.0) * s, (b - a * 0.0) * s
+
+
+def _row_lap_origin(v: list, h: float) -> tuple:
+    """Row 0 of laplacian_even, 6 (f_1 - f_0) / h^2, from v = f_0, f_1."""
+    if len(v) == 2:
+        return (6.0 * (v[1] - v[0]) / (h * h),)
+    return _over(*_scale(6.0, v[2] - v[0], v[3] - v[1]), h * h)
+
+
+def _row_d_r_origin(v: list, parity: int, h: float) -> tuple:
+    """Row 0 of d_r through the parity ghost f_{-1} = parity f_1, v = f_1."""
+    if len(v) == 1:
+        return ((v[0] - parity * v[0]) / (2.0 * h),)
+    g = _scale(parity, *v)
+    return _over(v[0] - g[0], v[1] - g[1], 2.0 * h)
+
+
+def _one_sided(v: list) -> tuple:
+    """3 f_n - 4 f_{n-1} + f_{n-2} from v = f_{n-2}, f_{n-1}, f_n."""
+    if len(v) == 3:
+        return (3.0 * v[2] - 4.0 * v[1] + v[0],)
+    p, q = _scale(3.0, v[4], v[5]), _scale(4.0, v[2], v[3])
+    return p[0] - q[0] + v[0], p[1] - q[1] + v[1]
+
+
+def _row_d_r_outer(v: list, h: float) -> tuple:
+    """Row n of d_r, one-sided 2nd order, from v = f_{n-2}, f_{n-1}, f_n."""
+    num = _one_sided(v)
+    if len(num) == 1:
+        return (num[0] / (2.0 * h),)
+    return _over(*num, 2.0 * h)
+
+
+def _row_lap_outer(v: list, h: float, r: float, vector: bool) -> tuple:
+    """Row n of laplacian_even (vector False) or laplacian_radial_vector,
+    one-sided 2nd order, from v = f_{n-3}, ..., f_n and r = r_n."""
+    if len(v) == 4:
+        f4, f3, f2, f1 = v
+        row = (2.0 * f1 - 5.0 * f2 + 4.0 * f3 - f4) / (h * h) \
+            + _row_d_r_outer(v[1:], h)[0] * (2.0 / r)
+        return (row - 2.0 * f1 / (r * r),) if vector else (row,)
+    p, q, s = _scale(2.0, *v[6:]), _scale(5.0, *v[4:6]), _scale(4.0, *v[2:4])
+    dd = _over(p[0] - q[0] + s[0] - v[0], p[1] - q[1] + s[1] - v[1], h * h)
+    d1 = _scale(2.0 / r, *_row_d_r_outer(v[2:], h))
+    row = dd[0] + d1[0], dd[1] + d1[1]
+    if not vector:
+        return row
+    c = _over(*_scale(2.0, *v[6:]), r * r)
+    return row[0] - c[0], row[1] - c[1]
+
+
+def _row_sommerfeld(v: list, h: float, r_max: float) -> tuple:
+    """The outgoing-wave row u_tt = -d_r u_t - u_t / r at r_max, with the
+    one-sided d_r, from v = u_t at nodes n-2, n-1, n."""
+    num = _one_sided(v)
+    if len(num) == 1:
+        return (-num[0] / (2.0 * h) - v[2] / r_max,)
+    a, b = _over(-num[0], -num[1], 2.0 * h)
+    c = _over(v[4], v[5], r_max)
+    return a - c[0], b - c[1]
+
+
+def _tail(f: np.ndarray, k: int) -> list:
+    """The last k node values of f as a row's samples."""
+    v = f.view(np.float64)
+    return v[len(v) - k * (f.itemsize // 8):].tolist()
 
 
 def d_r(f: np.ndarray, grid: RadialGrid, parity: int,
@@ -115,16 +238,28 @@ def d_r(f: np.ndarray, grid: RadialGrid, parity: int,
     """
     f, out = _out_like(f, out)
     h = grid.h
-    o = out[1:-1]
-    np.subtract(f[2:], f[:-2], out=o)
-    if f.dtype == np.complex128:
-        o *= 1.0 / (2.0 * h)    # bit for bit numpy's complex / real, faster
-    else:
-        o /= 2.0 * h
-    # node 0 via parity ghost f[-1] = parity*f[1]
-    out[0] = (f[1] - parity * f[1]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
+    _run(_d_r_ops(f, out, h))
+    m = f.itemsize // 8
+    return _ends(out, _row_d_r_origin(f.view(np.float64)[m:2 * m].tolist(),
+                                      parity, h),
+                 _row_d_r_outer(_tail(f, 3), h))
+
+
+def _laplacian(f: np.ndarray, grid: RadialGrid, out: np.ndarray | None,
+               vector: bool) -> np.ndarray:
+    """laplacian_radial_vector of f when vector, else laplacian_even."""
+    f, out = _out_like(f, out)
+    m = f.itemsize // 8                 # float64 values per node
+    table = grid._stencils["vector" if vector else "even"]
+    if m == 2:
+        table = tuple(np.repeat(c, 2) for c in table) if vector \
+            else grid._even_interleaved
+    fv = f.view(np.float64)
+    _run(_three_point_ops(fv, out.view(np.float64), table, m))
+    first = (0.0,) * m if vector else _row_lap_origin(fv[:2 * m].tolist(),
+                                                      grid.h)
+    return _ends(out, first,
+                 _row_lap_outer(_tail(f, 4), grid.h, float(grid.r[-1]), vector))
 
 
 def laplacian_even(f: np.ndarray, grid: RadialGrid,
@@ -135,14 +270,7 @@ def laplacian_even(f: np.ndarray, grid: RadialGrid,
     Lap f(0) = 3 f''(0) = 6 (f_1 - f_0)/h^2 to 2nd order.  Writes into out
     when given (same dtype and shape as f) and returns it.
     """
-    f, out = _out_like(f, out)
-    h = grid.h
-    r = grid.r
-    _three_point(f, out, grid, "even")
-    out[0] = 6.0 * (f[1] - f[0]) / (h * h)
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h) \
-        + (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h) * (2.0 / r[-1])
-    return out
+    return _laplacian(f, grid, out, vector=False)
 
 
 def laplacian_radial_vector(f: np.ndarray, grid: RadialGrid,
@@ -153,15 +281,7 @@ def laplacian_radial_vector(f: np.ndarray, grid: RadialGrid,
     the whole expression vanishes at r = 0 (odd functions map to odd).
     Writes into out when given (same dtype and shape as f) and returns it.
     """
-    f, out = _out_like(f, out)
-    h = grid.h
-    r = grid.r
-    _three_point(f, out, grid, "vector")
-    out[0] = 0.0
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h) \
-        + (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h) * (2.0 / r[-1]) \
-        - 2.0 * f[-1] / (r[-1] * r[-1])
-    return out
+    return _laplacian(f, grid, out, vector=True)
 
 
 def divergence_radial(f: np.ndarray, grid: RadialGrid) -> np.ndarray:

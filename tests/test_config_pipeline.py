@@ -73,6 +73,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="causality shield"):
             parse_config(txt)
 
+    @pytest.mark.parametrize("text, key", [
+        ("[extraction]\nstencil_spacing_cells = 0\n",
+         "extraction.stencil_spacing_cells"),
+        ("[data]\nwidth = 0\n", "data.width"),
+        ("[extraction]\nt_fracs = 0.5\n", "extraction.t_fracs"),
+        ("[interior]\nt_list = -5, 100\n", "interior.t_list"),
+        ("[interior]\nt_list = 0\n", "interior.t_list"),
+    ])
+    def test_configs_that_cannot_run_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config(text)
+
+    def test_empty_t_list_accepted(self):
+        assert parse_config("[interior]\nt_list =\n").interior["t_list"] == []
+
     def test_line_numbers_reported(self):
         try:
             parse_config("[grid]\nr_max = ten\n")

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkglab.core import FieldState, GaugeFunction, gauge_transform
+from mkglab.core import (FieldState, GaugeFunction, current_density,
+                         gauge_transform)
 from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble_state
 from mkglab.evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
-                              Workspace, charge_monitor, energy_monitor, evolve,
-                              frame_identity_residual, lorenz_residual, rhs,
-                              step, time_grid)
-from mkglab.grid import (RadialGrid, d_r, laplacian_even,
+                              Workspace, _field_views, _rhs, charge_monitor,
+                              energy_monitor, evolve, frame_identity_residual,
+                              lorenz_residual, rhs, step, time_grid)
+from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
+                         _row_d_r_outer, _row_lap_origin, _row_lap_outer,
+                         _row_sommerfeld, d_r, laplacian_even,
                          laplacian_radial_vector, simpson_integral)
 from mkglab.wave_oracle import dalembert_free
 
@@ -76,6 +79,189 @@ def allocating_rk4_step(y, grid, dt):
     return new
 
 
+def reference_rhs(y, grid, boundary, linear):
+    """(phi_tt, a0_tt, ar_tt) of the fields y, as the kernel computed them
+    before its RHS plan: the public stencils and current_density, one field
+    at a time, with numpy-scalar boundary rows.  The plan must match it byte
+    for byte."""
+    phi, phi_t, a0, a0_t, ar, ar_t = y
+    n = grid.n_nodes
+    phi_tt, a0_tt, ar_tt = np.empty(n, complex), np.empty(n), np.empty(n)
+    laplacian_even(phi, grid, out=phi_tt)
+    laplacian_even(a0, grid, out=a0_tt)
+    laplacian_radial_vector(ar, grid, out=ar_tt)
+    if not linear:
+        w, s, t = np.empty(n), np.empty(n), np.empty(n)
+        drphi = d_r(phi, grid, EVEN)
+        j0, jr = current_density(phi, phi_t, drphi, a0, ar, work=(w, s))
+        a0_tt += j0
+        ar_tt += jr
+        np.multiply(a0, a0, out=w)
+        np.multiply(ar, ar, out=t)
+        w -= t
+        for part, sign, d_other, p_other, phi_part in (
+                (phi_tt.real, 2.0, drphi.imag, phi_t.imag, phi.real),
+                (phi_tt.imag, -2.0, drphi.real, phi_t.real, phi.imag)):
+            np.multiply(a0, p_other, out=s)
+            np.multiply(ar, d_other, out=t)
+            s -= t
+            s *= sign
+            part += s
+            np.multiply(w, phi_part, out=s)
+            part += s
+    ar_tt[0] = 0.0
+    if boundary == "sommerfeld":
+        h, rmax = grid.h, grid.r_max
+        for u_t, u_tt in ((phi_t, phi_tt), (a0_t, a0_tt), (ar_t, ar_tt)):
+            u_tt[-1] = -(3.0 * u_t[-1] - 4.0 * u_t[-2] + u_t[-3]) / (2.0 * h) \
+                - u_t[-1] / rmax
+    else:
+        phi_tt[-1] = 0.0
+        a0_tt[-1] = 0.0
+        ar_tt[-1] = 0.0
+    return phi_tt, a0_tt, ar_tt
+
+
+def reference_step(y, grid, dt, boundary, linear):
+    """The RK4 step around reference_rhs, in the kernel's order of rounding:
+    complex fields are combined as float64 (re, im) pairs, as in its blocks,
+    and the weights are summed as ((k1/2 + k2 + k3) * 2 + k4)."""
+    def flat(fields):
+        return [np.asarray(f).view(np.float64) for f in fields]
+
+    def deriv(pos, vel):
+        fields = [u for pair in zip(pos, vel) for u in pair]
+        fields[:2] = [u.view(complex) for u in fields[:2]]
+        return flat(reference_rhs(fields, grid, boundary, linear))
+
+    pos, vel = flat(y[0::2]), flat(y[1::2])
+    k = deriv(pos, vel)
+    acc = [0.5 * v for v in vel] + [0.5 * d for d in k]
+    z_vel = vel
+    for stage, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
+        z_pos = [c * v + p for p, v in zip(pos, z_vel)]
+        z_vel = [c * d + v for v, d in zip(vel, k)]
+        k = deriv(z_pos, z_vel)
+        if stage == 2:
+            acc = [2.0 * a for a in acc]
+        acc = [a + b for a, b in zip(acc, z_vel + k)]
+    acc = [a * (dt / 6.0) for a in acc]
+    new = [u + a for u, a in zip(pos + vel, acc)]
+    new[2][0] = 0.0                 # ar(0) and ar_t(0)
+    new[5][0] = 0.0
+    return [new[0].view(complex), new[3].view(complex), new[1], new[4],
+            new[2], new[5]]
+
+
+def same_bytes(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint8), np.asarray(b).view(np.uint8))
+
+
+def random_fields(rng, n, signed_zeros):
+    """Random fields; with signed_zeros, nine in ten of the float64 values
+    next to both boundaries are +0 or -0."""
+    y = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+         for _ in range(10)]
+    y = [y[0] + 1j * y[1], y[2] + 1j * y[3], *y[4:8]]
+    if signed_zeros:
+        for f in y:
+            v = f.view(np.float64)
+            for i in (*range(8), *range(len(v) - 8, len(v))):
+                if rng.random() < 0.9:
+                    v[i] = rng.choice([0.0, -0.0])
+    return y
+
+
+class TestRHSPlan:
+    @pytest.mark.parametrize("boundary", ["sommerfeld", "none"])
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    @pytest.mark.parametrize("r_max, n_cells", [(10.0, 16), (20, 37), (3.3, 200)])
+    def test_plan_matches_reference_bytewise(self, boundary, linear,
+                                             signed_zeros, r_max, n_cells):
+        grid = RadialGrid(r_max, n_cells)
+        ws = Workspace(grid)
+        rng = np.random.default_rng(n_cells)
+        for trial in range(40 if signed_zeros else 4):
+            y = random_fields(rng, grid.n_nodes, signed_zeros)
+            ref = reference_rhs(y, grid, boundary, linear)
+            for block, plan in zip((ws.y, ws.stage),
+                                   ws.plans(boundary, linear)):
+                for dst, src in zip(_field_views(block, grid.n_nodes), y):
+                    np.copyto(dst, src)
+                _rhs(plan)
+                for name, got, want in zip(("phi_tt", "a0_tt", "ar_tt"),
+                                           ws.dd, ref):
+                    assert same_bytes(got, want), (name, trial)
+
+    @pytest.mark.parametrize("boundary", ["sommerfeld", "none"])
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("data", ["gaussian", "signed_zeros"])
+    def test_steps_match_reference_bytewise(self, boundary, linear, data):
+        grid = RadialGrid(6.0, 40)
+        if data == "gaussian":
+            st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05),
+                                   grid)
+        else:
+            fields = random_fields(np.random.default_rng(1), grid.n_nodes, True)
+            st = FieldState(0.0, *(1e-3 * f for f in fields))
+        y = [getattr(st, name).copy() for name in FIELDS]
+        ws = Workspace(grid)
+        state = ws.load(st)
+        scheme = SchemeParams(cfl=0.5, boundary=boundary, linear=linear)
+        dt = 0.5 * grid.h
+        for _ in range(20 if data == "gaussian" else 3):
+            y = reference_step(y, grid, dt, boundary, linear)
+            state = step(state, grid, scheme, dt, work=ws)
+        for name, want in zip(FIELDS, y):
+            assert same_bytes(getattr(state, name), want), name
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("r_max", [10.0, 20, 3.3])
+    def test_boundary_rows_match_numpy_scalars(self, dtype, r_max):
+        # the rows written out with numpy scalars, as the stencils had them
+        grid = RadialGrid(r_max, 32)
+        h, r = grid.h, grid.r
+        rng = np.random.default_rng(3)
+        for trial in range(400):
+            f = random_fields(rng, grid.n_nodes, trial % 2 == 1)[
+                0 if dtype is complex else 2]
+            fv = f.view(np.float64)
+            m = len(fv) // len(f)
+            want = {
+                "lap_origin": 6.0 * (f[1] - f[0]) / (h * h),
+                "d_r_origin_even": (f[1] - EVEN * f[1]) / (2.0 * h),
+                "d_r_origin_odd": (f[1] - ODD * f[1]) / (2.0 * h),
+                "d_r_outer": (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h),
+                "lap_outer": (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4])
+                / (h * h) + (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+                * (2.0 / r[-1]),
+                "sommerfeld": -(3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+                - f[-1] / grid.r_max}
+            want["lap_outer_vector"] = want["lap_outer"] \
+                - 2.0 * f[-1] / (r[-1] * r[-1])
+            tail = lambda k: fv[len(fv) - k * m:].tolist()
+            got = {
+                "lap_origin": _row_lap_origin(fv[:2 * m].tolist(), h),
+                "d_r_origin_even": _row_d_r_origin(fv[m:2 * m].tolist(), EVEN, h),
+                "d_r_origin_odd": _row_d_r_origin(fv[m:2 * m].tolist(), ODD, h),
+                "d_r_outer": _row_d_r_outer(tail(3), h),
+                "lap_outer": _row_lap_outer(tail(4), h, float(r[-1]), False),
+                "lap_outer_vector": _row_lap_outer(tail(4), h, float(r[-1]), True),
+                "sommerfeld": _row_sommerfeld(tail(3), h, grid.r_max)}
+            arrays = {"lap_origin": laplacian_even(f, grid)[0],
+                      "d_r_origin_even": d_r(f, grid, EVEN)[0],
+                      "d_r_origin_odd": d_r(f, grid, ODD)[0],
+                      "d_r_outer": d_r(f, grid, EVEN)[-1],
+                      "lap_outer": laplacian_even(f, grid)[-1],
+                      "lap_outer_vector": laplacian_radial_vector(f, grid)[-1]}
+            for key, w in want.items():
+                w = np.array([w], dtype=dtype)
+                assert same_bytes(np.array(got[key]), w.view(np.float64)), key
+                if key in arrays:
+                    assert same_bytes(np.array([arrays[key]]), w), key
+
+
 class TestKernel:
     def test_parity_with_allocating_rk4(self):
         grid = RadialGrid(20.0, 400)
@@ -103,6 +289,13 @@ class TestKernel:
                     assert not np.shares_memory(getattr(out, name),
                                                 getattr(st, other))
             assert not np.iscomplexobj(out.a0) and not np.iscomplexobj(out.a0_t)
+
+    def test_workspace_of_another_grid_rejected(self):
+        grid = RadialGrid(10.0, 100)
+        st = FieldState.zeros(grid)
+        step(st, grid, SchemeParams(), work=Workspace(RadialGrid(10.0, 100)))
+        with pytest.raises(ValueError, match="workspace is for"):
+            step(st, grid, SchemeParams(), work=Workspace(RadialGrid(20.0, 100)))
 
     def test_workspace_state_steps_in_place(self):
         grid = RadialGrid(10.0, 100)
@@ -223,12 +416,16 @@ class TestRHS:
         assert np.max(np.abs(out.phi_t[1:-1].real - alt)) < 1e-10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_guard(self):
+    @pytest.mark.parametrize("field, linear, named", [
+        pytest.param("phi", False, "phi_tt", id="phi"),
+        pytest.param("a0", True, "a0_tt", id="a0_linear"),
+        pytest.param("ar", True, "ar_tt", id="ar_linear")])
+    def test_nan_guard(self, field, linear, named):
         grid = RadialGrid(10.0, 100)
         st = FieldState.zeros(grid)
-        st.phi[5] = np.inf
-        with pytest.raises(EvolutionUnstable):
-            rhs(st, grid)
+        getattr(st, field)[5] = np.inf
+        with pytest.raises(EvolutionUnstable, match=f"{named} .*node 4"):
+            rhs(st, grid, linear=linear)
 
 
 class TestStep:
