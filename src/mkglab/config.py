@@ -207,6 +207,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
         errs.append("extraction.q_min must be < q_max")
     if ext["q_spacing_cells"] < 1:
         errs.append("extraction.q_spacing_cells must be >= 1")
+    elif g["r_max"] > 0 and g["n_cells"] > 0:
+        dq = ext["q_spacing_cells"] * g["r_max"] / g["n_cells"]
+        if dq > ext["q_max"] - ext["q_min"]:
+            errs.append(f"extraction.q_spacing_cells * r_max / n_cells = {dq} "
+                        f"exceeds q_max - q_min = {ext['q_max'] - ext['q_min']} "
+                        "(the radiation table needs two q nodes)")
     if ext["stencil_spacing_cells"] < 1:
         errs.append("extraction.stencil_spacing_cells must be >= 1, got "
                     f"{ext['stencil_spacing_cells']}")

@@ -40,10 +40,6 @@ class Weights:
         if errs:
             raise ValueError("; ".join(errs))
 
-    @property
-    def s0p(self) -> float:
-        return self.s + self.gamma
-
 
 @dataclass
 class FieldState:
@@ -98,10 +94,6 @@ class NullFrameSample:
     A_Lbar: float
     A_S1: float = 0.0
     A_S2: float = 0.0
-
-    def reconstruct(self) -> tuple[float, float]:
-        """Invert the frame map back to (a0, ar)."""
-        return 0.5 * (self.A_L + self.A_Lbar), 0.5 * (self.A_L - self.A_Lbar)
 
 
 def jbracket(x):

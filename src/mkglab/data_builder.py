@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import FieldState
 from .grid import EVEN, RadialGrid, d_r, divergence_radial, simpson_integral
@@ -133,14 +132,6 @@ class FreeData:
 
     def charge_density(self) -> np.ndarray:
         return np.imag(self.phi0 * np.conj(self.phi0_dot))
-
-    def check_decay(self, grid: RadialGrid, s0: float) -> float:
-        """sup of |profile| * <r>^(s0 + 1/2) over the grid, all profiles."""
-        w = (1.0 + grid.r ** 2) ** (0.5 * s0 + 0.25)
-        sup = 0.0
-        for arr in (self.phi0, self.phi0_dot, self.ar0, self.ar0_dot):
-            sup = max(sup, float(np.max(np.abs(arr) * w)))
-        return sup
 
 
 @dataclass(frozen=True)
@@ -379,11 +370,3 @@ def coulomb_capped_profile(Q: float, r_cap: float = 1.0):
         out[~far] = a - b * r[~far] ** 2
         return out
     return f
-
-
-def quadrature_charge(phi0_func, phi0_dot_func, r_max: float = np.inf) -> float:
-    """Independent adaptive-quadrature charge oracle for analytic profiles."""
-    def integrand(r):
-        return np.imag(phi0_func(r) * np.conj(phi0_dot_func(r))) * r ** 2
-    val, _ = quad(integrand, 0.0, r_max, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return 4.0 * np.pi * val

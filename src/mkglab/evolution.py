@@ -387,8 +387,10 @@ def lorenz_residual(state: FieldState, grid: RadialGrid) -> float:
     return float(np.max(np.abs(res)))
 
 
-def charge_monitor(state: FieldState, grid: RadialGrid) -> float:
-    j0, _ = current(state, grid)
+def charge_monitor(state: FieldState, grid: RadialGrid, j0=None) -> float:
+    """Q = 4 pi int J_0 r^2 dr; j0, when given, is current(state, grid)[0]."""
+    if j0 is None:
+        j0, _ = current(state, grid)
     return 4.0 * np.pi * simpson_integral(j0 * grid.r ** 2, grid.h)
 
 
@@ -493,16 +495,14 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
             raise EvolutionUnstable(
                 f"instability detected at t={state.t:.6g}: sup={sup:.3e}, "
                 f"initial scale {guard0:.3e}")
+        j0, jr = current(state, grid)
         log.append(state.t, lorenz_residual(state, grid),
-                   charge_monitor(state, grid), energy_monitor(state, grid))
-        j0 = jr = None
+                   charge_monitor(state, grid, j0), energy_monitor(state, grid))
         for q, hist in rays.items():
             x = state.t + q
             pts = x + offsets
             if pts[0] <= 2.0 * dlt or pts[-1] >= plan.ray_domain_frac * grid.r_max:
                 continue
-            if j0 is None:
-                j0, jr = current(state, grid)
             hist.times.append(state.t)
             hist.r0.append(x)
             hist.a0.append(interp_values(state.a0, grid, pts))
@@ -512,8 +512,6 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
             hist.jr.append(interp_values(jr, grid, pts))
         if monitor_count % plan.snapshot_every == 0:
             k = plan.snapshot_subsample
-            if j0 is None:
-                j0, _ = current(state, grid)
             snapshots.append(Snapshot(
                 t=state.t, r=grid.r[::k].copy(), phi=state.phi[::k].copy(),
                 a0=state.a0[::k].copy(), ar=state.ar[::k].copy(),

@@ -12,18 +12,20 @@ reduce to closed forms through the identity (|x| < a)
     int_S2 dS(omega) / (a - <x, omega>) = (2 pi / |x|) ln((a+|x|)/(a-|x|)),
 
 and the explicit wave approximations A^ex (with cutoff chi0) and A^ex,inf
-bridge the exact potential to K_mu with quantified differences.
+bridge the exact potential to K_mu with quantified differences.  The q
+integral of A^ex runs on quadrature.adaptive_quad, both components in one
+array-valued call, with breakpoints at q = 0 and at the nodes of a
+tabulated source; the kernels above are elementwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .data_builder import smoothstep_quintic
 from .grid import RadialGrid, interp_values
-from .quadrature import sphere_integral_adaptive
+from .quadrature import adaptive_quad, sphere_integral_adaptive
 
 FOUR_PI = 4.0 * np.pi
 
@@ -55,11 +57,9 @@ class AsymSource:
         """M = int j dq."""
         return float(np.trapezoid(self.j, self.q_grid))
 
-    def decay_constant(self, s: float, gamma: float) -> float:
-        """C = sup |j| <q>^(2s) <q_+>^(2 gamma) over the table."""
-        q = self.q_grid
-        w = (1.0 + q ** 2) ** s * (1.0 + np.maximum(q, 0.0) ** 2) ** gamma
-        return float(np.max(np.abs(self.j) * w))
+    def breakpoints(self) -> np.ndarray:
+        """The q where j_of is not smooth: the nodes of its interpolant."""
+        return self.q_grid
 
     def support_bounds(self, rel: float = 1e-12) -> tuple[float, float]:
         big = np.abs(self.j) > rel * max(np.max(np.abs(self.j)), 1e-300)
@@ -88,38 +88,51 @@ class CallableSource(AsymSource):
         return np.where((q >= lo) & (q <= hi), self._func(q), 0.0)
 
     def mass(self) -> float:
-        val, _ = quad(self._func, self._support[0], self._support[1],
-                      epsabs=1e-13, epsrel=1e-12, limit=400)
-        return float(val)
+        return float(adaptive_quad(self._func, *self._support,
+                                   abs_tol=1e-13, rel_tol=1e-12))
+
+    def breakpoints(self) -> np.ndarray:
+        return np.empty(0)
 
     def support_bounds(self, rel: float = 1e-12) -> tuple[float, float]:
         return self._support
 
 
-def angular_kernel_integral(a: float, x_norm: float) -> float:
+def _kernel_domain(a, x_norm):
+    """(a, |x|) as arrays, once 0 <= |x| < a holds everywhere."""
+    a, x = np.asarray(a, dtype=float), np.asarray(x_norm, dtype=float)
+    if not np.all((0.0 <= x) & (x < a)):
+        raise ValueError(f"angular kernel needs 0 <= |x| < a, got |x|={x_norm}, a={a}")
+    return a, x
+
+
+def angular_kernel_integral(a, x_norm):
     """int_S2 dS(omega)/(a - <x, omega>) = (2 pi/|x|) ln((a+|x|)/(a-|x|)).
 
-    Valid for 0 <= |x| < a; the |x| -> 0 limit is 4 pi / a.
+    Valid for 0 <= |x| < a; the |x| -> 0 limit is 4 pi / a.  Elementwise
+    over arrays a and x_norm; scalars give a scalar.
     """
-    if not (0.0 <= x_norm < a):
-        raise ValueError(f"angular kernel needs 0 <= |x| < a, got |x|={x_norm}, a={a}")
-    if x_norm < 1e-6 * a:
-        return FOUR_PI / a * (1.0 + x_norm ** 2 / (3.0 * a ** 2))
-    return 2.0 * np.pi / x_norm * np.log((a + x_norm) / (a - x_norm))
+    a, x = _kernel_domain(a, x_norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.where(x < 1e-6 * a,
+                       FOUR_PI / a * (1.0 + x ** 2 / (3.0 * a ** 2)),
+                       2.0 * np.pi / x * np.log((a + x) / (a - x)))
+    return val[()]
 
 
-def angular_kernel_vector(a: float, x_norm: float) -> float:
+def angular_kernel_vector(a, x_norm):
     """int_S2 <xhat, omega>/(a - <x, omega>) dS, the spatial companion.
 
     Closed form 2 pi [ -2/|x| + (a/|x|^2) ln((a+|x|)/(a-|x|)) ]; the
-    |x| -> 0 limit vanishes like (4 pi/3) |x| / a^2.
+    |x| -> 0 limit vanishes like (4 pi/3) |x| / a^2.  Elementwise like
+    angular_kernel_integral.
     """
-    if not (0.0 <= x_norm < a):
-        raise ValueError(f"angular kernel needs 0 <= |x| < a, got |x|={x_norm}, a={a}")
-    if x_norm < 1e-6 * a:
-        return FOUR_PI / 3.0 * x_norm / a ** 2
-    return 2.0 * np.pi * (-2.0 / x_norm
-                          + a / x_norm ** 2 * np.log((a + x_norm) / (a - x_norm)))
+    a, x = _kernel_domain(a, x_norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.where(x < 1e-6 * a, FOUR_PI / 3.0 * x / a ** 2,
+                       2.0 * np.pi * (-2.0 / x
+                                      + a / x ** 2 * np.log((a + x) / (a - x))))
+    return val[()]
 
 
 def angular_kernel_quadrature(a: float, x_norm: float, abs_tol: float = 1e-8,
@@ -195,37 +208,23 @@ def eval_A_ex(t: float, x_norm: float, source: AsymSource,
         return 0.0, 0.0
     tx = t + x_norm
 
-    def guard_a(qv):
-        a = t + qv
-        if a <= x_norm:
-            raise ValueError(
-                f"angular closed form invalid at q={qv}: a=t+q={a} <= |x|={x_norm}")
-        return a
+    def integrand(q):
+        # the kernels raise where a = t + q <= |x|
+        w = source.j_of(q) * chi0(np.sqrt(1.0 + q * q) / tx) / FOUR_PI
+        return np.stack((-w * angular_kernel_integral(t + q, x_norm),
+                         w * angular_kernel_vector(t + q, x_norm)))
 
-    def f0(qv):
-        a = guard_a(qv)
-        return -source.j_of(qv) * angular_kernel_integral(a, x_norm) \
-            * chi0(np.sqrt(1.0 + qv * qv) / tx) / FOUR_PI
-
-    def fr(qv):
-        a = guard_a(qv)
-        return source.j_of(qv) * angular_kernel_vector(a, x_norm) \
-            * chi0(np.sqrt(1.0 + qv * qv) / tx) / FOUR_PI
-
-    pts = None
-    if lo < 0.0 < hi:
-        pts = [0.0]
+    points = [p for p in (0.0, *source.breakpoints()) if lo < p < hi]
     if abs(lo - q_lo) < 1e-12:
         # endpoint log singularity: integrate with the substitution
         # q = q_lo + u^2 which regularizes ln(q - q_lo)
-        def sub(fun):
-            umax = np.sqrt(hi - lo)
-            val, _ = quad(lambda u: 2.0 * u * fun(lo + u * u), 0.0, umax,
-                          epsabs=abs_tol, epsrel=1e-10, limit=400)
-            return val
-        return float(sub(f0)), float(sub(fr))
-    a0v, _ = quad(f0, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=400, points=pts)
-    arv, _ = quad(fr, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=400, points=pts)
+        a0v, arv = adaptive_quad(lambda u: 2.0 * u * integrand(lo + u * u),
+                                 0.0, np.sqrt(hi - lo),
+                                 points=[np.sqrt(p - lo) for p in points],
+                                 abs_tol=abs_tol, rel_tol=1e-12)
+    else:
+        a0v, arv = adaptive_quad(integrand, lo, hi, points=points,
+                                 abs_tol=abs_tol, rel_tol=1e-12)
     return float(a0v), float(arv)
 
 

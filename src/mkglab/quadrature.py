@@ -1,13 +1,17 @@
 """Shared quadrature helpers.
 
-Fixed-order Gauss-Legendre rules, a product quadrature on the
-unit sphere, and the exact integral of a tabulated source against the
-logarithmic null kernel ln((eta+t+r)/(eta+t-r)), whose lower endpoint
-eta = r - t is log-singular.  The source is a table read through its linear
-interpolant, so that integral is a sum of closed-form segment integrals of
-(a + b u) ln u; it is evaluated for many (t, r) points in one array call.
+Fixed-order Gauss-Legendre rules, the one adaptive rule of the package
+(globally adaptive Gauss-Legendre panels, used by the representation-formula
+oracles), a product quadrature on the unit sphere, and the exact integral of
+a tabulated source against the logarithmic null kernel
+ln((eta+t+r)/(eta+t-r)), whose lower endpoint eta = r - t is log-singular.
+The source is a table read through its linear interpolant, so that integral
+is a sum of closed-form segment integrals of (a + b u) ln u; it is evaluated
+for many (t, r) points in one array call.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -18,6 +22,91 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
+
+
+@functools.cache
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] of the n- and 2n-node Gauss-Legendre rules together,
+    and the (3n, 2) weight matrix whose columns give the two sums (the
+    rules share no node, so a panel costs 3n integrand values)."""
+    x1, w1 = gauss_legendre(n)
+    x2, w2 = gauss_legendre(2 * n)
+    weights = np.zeros((3 * n, 2))
+    weights[:n, 0], weights[n:, 1] = w1, w2
+    return np.concatenate((x1, x2)), weights
+
+
+# the panel rule of adaptive_quad: Gauss-Legendre with 8 and 16 nodes, built
+# on first use so that importing the package makes no LAPACK call
+_PANEL_ORDER = 8
+
+
+def _panels(f, lo: np.ndarray, hi: np.ndarray):
+    """Value and error of the rule pair on the panels [lo_k, hi_k].
+
+    Returns (value, error, shape): value is the 2n-node sum and error
+    |2n-node sum - n-node sum|, both (panels, components), and shape is the
+    shape of one value of f.
+    """
+    x, w = _panel_rule(_PANEL_ORDER)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+    y = np.asarray(f(nodes.ravel()))
+    if y.ndim == 0:
+        y = np.full(nodes.size, y)
+    sums = ((y.reshape(-1, *nodes.shape) @ w).transpose(1, 0, 2)
+            * half[:, None, None])
+    return sums[..., 1], np.abs(sums[..., 1] - sums[..., 0]), y.shape[:-1]
+
+
+def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
+                  rel_tol: float = 1e-10, limit: int = 400):
+    """int_a^b f(x) dx (a <= b finite) by globally adaptive Gauss-Legendre panels.
+
+    f takes a 1-D array of nodes and returns an array, real or complex,
+    whose last axis runs over the nodes; the result has the shape of the
+    other axes (a float or complex for a scalar integrand).  The breakpoints
+    in points that lie inside (a, b) start the panels; put every kink or
+    jump of f there.  Each panel is integrated with the n- and 2n-node
+    Gauss-Legendre rules; it contributes the 2n-node value and, as its
+    error, the difference of the two.  While the summed error of some
+    component exceeds max(abs_tol, rel_tol |integral|), the panel with the
+    largest error relative to that bound is bisected, both halves in one
+    call of f.  Raises RuntimeError on a non-finite integrand value and
+    when `limit` bisections do not reach the tolerance: it never returns a
+    result that missed it.
+    """
+    if not a <= b:
+        raise ValueError(f"adaptive_quad needs finite a <= b, got a={a}, b={b}")
+    inner = np.unique([p for p in points if a < p < b])
+    edges = np.concatenate(([a], inner, [b])).astype(float)
+    val, err, shape = _panels(f, edges[:-1], edges[1:])
+    n = len(edges) - 1
+    # panel k is [lo[k], hi[k]]; rows n and on are filled by bisections
+    lo = np.concatenate((edges[:-1], np.empty(limit)))
+    hi = np.concatenate((edges[1:], np.empty(limit)))
+    vals = np.concatenate((val, np.empty((limit, val.shape[1]), val.dtype)))
+    errs = np.concatenate((err, np.empty((limit, err.shape[1]))))
+    for bisections in range(limit + 1):
+        total = vals[:n].sum(axis=0)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        err = errs[:n].sum(axis=0)
+        if (err <= tol).all():
+            return total.reshape(shape)[()]
+        if not np.isfinite(err).all():
+            raise RuntimeError(f"adaptive_quad on [{a}, {b}]: non-finite "
+                               "integrand value")
+        if bisections == limit:
+            break
+        k = (errs[:n] / np.where(tol > 0.0, tol, 1.0)).max(axis=1).argmax()
+        mid = 0.5 * (lo[k] + hi[k])
+        lo[n], hi[n], hi[k] = mid, hi[k], mid
+        val, err, _ = _panels(f, lo[[k, n]], hi[[k, n]])
+        vals[[k, n]], errs[[k, n]] = val, err
+        n += 1
+    raise RuntimeError(
+        f"adaptive_quad on [{a}, {b}]: error estimate {np.max(err):.3e} above "
+        f"its tolerance {np.min(tol):.3e} after {limit} bisections")
 
 
 # Below d = L/u2 = 1/4 the closed forms of _log_hat_weights cancel, and

@@ -17,18 +17,20 @@ homogeneous data is propagated either by the d'Alembert formula for
 r phi or by Kirchhoff's sphere mean reduced to a 1-D integral; the two
 must agree, which is one of the standing cross checks.  The d'Alembert
 velocity term int lam h(lam) dlam uses h.lambda_antiderivative when h has
-one (data_builder.GaussianProfile does, in closed form) and adaptive
-quadrature otherwise.
+one (data_builder.GaussianProfile does, in closed form) and
+quadrature.adaptive_quad otherwise.  The adaptive paths (that velocity
+term, Kirchhoff without a fixed order, the double integral without
+fast=True) all run on quadrature.adaptive_quad; the double integral takes
+the eta integrals of all xi nodes of a panel pair in one array-valued call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import jbracket
-from .quadrature import gauss_legendre
+from .quadrature import adaptive_quad, gauss_legendre
 
 
 @dataclass
@@ -91,19 +93,18 @@ def solve_inhom_radial(source: RadialSource, t: float, r: float,
         return float(total / (4.0 * r))
 
     def inner(xi):
-        def f(eta):
-            s = 0.5 * (xi + eta)
-            rho = 0.5 * (xi - eta)
-            return rho * F(s, rho)
-        if lo <= -xi:
-            return 0.0
-        val, _ = quad(f, -xi, lo, epsabs=abs_tol, epsrel=1e-10, limit=200)
-        return val
+        # eta = -xi + length u, u in [0, 1]; zero where the triangle is empty
+        length = np.maximum(lo + xi, 0.0)[:, None]
 
-    val, err = quad(inner, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=200)
-    if not np.isfinite(val):
-        raise RuntimeError("inhomogeneous representation integral diverged; "
-                           "check the source decay specification")
+        def f(u):
+            eta = length * u - xi[:, None]
+            s = 0.5 * (xi[:, None] + eta)
+            rho = 0.5 * (xi[:, None] - eta)
+            return length * rho * F(s, rho)
+        return adaptive_quad(f, 0.0, 1.0, abs_tol=abs_tol, rel_tol=1e-10)
+
+    val = adaptive_quad(inner, lo, hi, points=[-lo], abs_tol=abs_tol,
+                        rel_tol=1e-10)
     return float(val / (4.0 * r))
 
 
@@ -125,15 +126,9 @@ def dalembert_free(g, h, t: float, r, g_prime=None):
             # analytic H(x) = int_0^x lam h(lam) dlam when available
             rphi += 0.5 * (hint(r_arr + t) - hint(np.abs(r_arr - t)))
         else:
-            vals = np.empty(len(r_arr), dtype=complex)
-            for i, ri in enumerate(r_arr):
-                a, b = abs(ri - t), ri + t
-                re, _ = quad(lambda lam: np.real(h(lam)) * lam, a, b,
-                             epsabs=1e-12, epsrel=1e-12, limit=200)
-                im, _ = quad(lambda lam: np.imag(h(lam)) * lam, a, b,
-                             epsabs=1e-12, epsrel=1e-12, limit=200)
-                vals[i] = re + 1j * im
-            rphi += 0.5 * vals
+            vals = [adaptive_quad(lambda lam: lam * h(lam), abs(ri - t), ri + t,
+                                  abs_tol=1e-12, rel_tol=1e-12) for ri in r_arr]
+            rphi += 0.5 * np.array(vals)
     out = rphi / r_arr
     if np.isscalar(r) or np.ndim(r) == 0:
         return complex(out[0])
@@ -148,8 +143,10 @@ def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None,
     w = (1/4pi) oint [ t w1(|x + t omega|) + t <grad w0, omega> + w0 ] dS.
     With rho = |x + t omega| = sqrt(r^2 + t^2 + 2 r t mu) the sphere mean
     collapses to (1/2) int_{-1}^{1} ... dmu.  w0_prime is required when
-    w0 is nonzero and carries no analytic derivative of its own.  order
-    switches to a fixed Gauss-Legendre rule (vectorized, smooth data only).
+    w0 is nonzero and carries no analytic derivative of its own.  w0, w1
+    and w0_prime take arrays of rho.  The mu integral is adaptive, with the
+    breakpoints points (put a jump of the data there); order switches to a
+    fixed Gauss-Legendre rule (smooth data only).
     """
     r = float(x_norm)
     if w0_prime is None and w0 is not None:
@@ -168,8 +165,8 @@ def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None,
     if order is not None:
         x, w = gauss_legendre(order)
         return float(0.5 * np.dot(w, integrand(x)))
-    val, _ = quad(integrand, -1.0, 1.0, epsabs=abs_tol, epsrel=1e-12,
-                  limit=300, points=points)
+    val = adaptive_quad(integrand, -1.0, 1.0, points=points or (),
+                        abs_tol=abs_tol, rel_tol=1e-12)
     return float(0.5 * val)
 
 

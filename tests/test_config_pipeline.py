@@ -80,6 +80,8 @@ class TestParseConfig:
         ("[extraction]\nt_fracs = 0.5\n", "extraction.t_fracs"),
         ("[interior]\nt_list = -5, 100\n", "interior.t_list"),
         ("[interior]\nt_list = 0\n", "interior.t_list"),
+        ("[extraction]\nq_min = -1\nq_max = 1\nq_spacing_cells = 21\n"
+         "[grid]\nr_max = 40\nn_cells = 400\n", "extraction.q_spacing_cells"),
     ])
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

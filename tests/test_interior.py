@@ -183,11 +183,6 @@ class TestSourceFrameConsistency:
             J = L_mu[:, None] * j[None, :]
             assert np.max(np.abs(contract_L(J, omega))) < 1e-12
 
-    def test_decay_constant(self):
-        src = gaussian_source()
-        c = src.decay_constant(0.9, 0.4)
-        assert np.isfinite(c) and c > 0
-
 
 class TestCutoffChi0:
     def test_plateaus(self):
