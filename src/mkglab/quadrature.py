@@ -24,21 +24,24 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
+# the panel rule of adaptive_quad: Gauss-Legendre with 8 and 16 nodes, built
+# on first use so that importing the package makes no LAPACK call
+_PANEL_ORDER = 8
+# bisections adaptive_quad makes before it gives up and raises
+_MAX_BISECTIONS = 400
+
+
 @functools.cache
-def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] of the n- and 2n-node Gauss-Legendre rules together,
-    and the (3n, 2) weight matrix whose columns give the two sums (the
-    rules share no node, so a panel costs 3n integrand values)."""
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] of the n- and 2n-node Gauss-Legendre rules together
+    (n = _PANEL_ORDER), and the (3n, 2) weight matrix whose columns give the
+    two sums (the rules share no node, so a panel costs 3n integrand values)."""
+    n = _PANEL_ORDER
     x1, w1 = gauss_legendre(n)
     x2, w2 = gauss_legendre(2 * n)
     weights = np.zeros((3 * n, 2))
     weights[:n, 0], weights[n:, 1] = w1, w2
     return np.concatenate((x1, x2)), weights
-
-
-# the panel rule of adaptive_quad: Gauss-Legendre with 8 and 16 nodes, built
-# on first use so that importing the package makes no LAPACK call
-_PANEL_ORDER = 8
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray):
@@ -48,7 +51,7 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray):
     |2n-node sum - n-node sum|, both (panels, components), and shape is the
     shape of one value of f.
     """
-    x, w = _panel_rule(_PANEL_ORDER)
+    x, w = _panel_rule()
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
     y = np.asarray(f(nodes.ravel()))
@@ -60,7 +63,7 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray):
 
 
 def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
-                  rel_tol: float = 1e-10, limit: int = 400):
+                  rel_tol: float = 1e-10):
     """int_a^b f(x) dx (a <= b finite) by globally adaptive Gauss-Legendre panels.
 
     f takes a 1-D array of nodes and returns an array, real or complex,
@@ -73,8 +76,8 @@ def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
     component exceeds max(abs_tol, rel_tol |integral|), the panel with the
     largest error relative to that bound is bisected, both halves in one
     call of f.  Raises RuntimeError on a non-finite integrand value and
-    when `limit` bisections do not reach the tolerance: it never returns a
-    result that missed it.
+    when _MAX_BISECTIONS bisections do not reach the tolerance: it never
+    returns a result that missed it.
     """
     if not a <= b:
         raise ValueError(f"adaptive_quad needs finite a <= b, got a={a}, b={b}")
@@ -83,11 +86,12 @@ def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
     val, err, shape = _panels(f, edges[:-1], edges[1:])
     n = len(edges) - 1
     # panel k is [lo[k], hi[k]]; rows n and on are filled by bisections
-    lo = np.concatenate((edges[:-1], np.empty(limit)))
-    hi = np.concatenate((edges[1:], np.empty(limit)))
-    vals = np.concatenate((val, np.empty((limit, val.shape[1]), val.dtype)))
-    errs = np.concatenate((err, np.empty((limit, err.shape[1]))))
-    for bisections in range(limit + 1):
+    lo = np.concatenate((edges[:-1], np.empty(_MAX_BISECTIONS)))
+    hi = np.concatenate((edges[1:], np.empty(_MAX_BISECTIONS)))
+    spare = (_MAX_BISECTIONS, val.shape[1])
+    vals = np.concatenate((val, np.empty(spare, val.dtype)))
+    errs = np.concatenate((err, np.empty(spare)))
+    for bisections in range(_MAX_BISECTIONS + 1):
         total = vals[:n].sum(axis=0)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         err = errs[:n].sum(axis=0)
@@ -96,7 +100,7 @@ def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
         if not np.isfinite(err).all():
             raise RuntimeError(f"adaptive_quad on [{a}, {b}]: non-finite "
                                "integrand value")
-        if bisections == limit:
+        if bisections == _MAX_BISECTIONS:
             break
         k = (errs[:n] / np.where(tol > 0.0, tol, 1.0)).max(axis=1).argmax()
         mid = 0.5 * (lo[k] + hi[k])
@@ -106,7 +110,7 @@ def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
         n += 1
     raise RuntimeError(
         f"adaptive_quad on [{a}, {b}]: error estimate {np.max(err):.3e} above "
-        f"its tolerance {np.min(tol):.3e} after {limit} bisections")
+        f"its tolerance {np.min(tol):.3e} after {_MAX_BISECTIONS} bisections")
 
 
 # Below d = L/u2 = 1/4 the closed forms of _log_hat_weights cancel, and

@@ -165,7 +165,7 @@ def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None,
     if order is not None:
         x, w = gauss_legendre(order)
         return float(0.5 * np.dot(w, integrand(x)))
-    val = adaptive_quad(integrand, -1.0, 1.0, points=points or (),
+    val = adaptive_quad(integrand, -1.0, 1.0, points=() if points is None else points,
                         abs_tol=abs_tol, rel_tol=1e-12)
     return float(0.5 * val)
 
