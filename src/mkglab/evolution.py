@@ -28,10 +28,12 @@ views its boundary rows (grid's _row_* functions) read and write; _rhs()
 runs it.  a0 and ar sit side by side in a block, so both Laplacians are one
 stencil, and J_0, J_r are added in one call.  step() and rhs() go through
 the plan; a linear plan has no current and no couplings.  The state
-advances in place.  The caller's initial state, the slices, the snapshots
-and the final state are copies and never share memory with a workspace.  A
-bare step() without a workspace leaves its input untouched and returns
-fresh arrays.  The run takes n_steps = ceil(t_end / (cfl h)) steps of
+advances in place.  The caller's initial state, the slices and the final
+state are copies and never share memory with a workspace.  A snapshot holds
+t, a strided view of the grid's read-only radii (shared by every snapshot)
+and copies of phi and J_0 on those nodes; the envelope checks read nothing
+else.  A bare step() without a workspace leaves its input untouched and
+returns fresh arrays.  The run takes n_steps = ceil(t_end / (cfl h)) steps of
 dt = t_end / n_steps, so it ends at t_end (time_grid).
 """
 from __future__ import annotations
@@ -133,11 +135,15 @@ class RayHistory:
 
 @dataclass
 class Snapshot:
+    """Every snapshot_subsample-th node of phi and J_0 at time t.
+
+    r is a view of the grid's read-only radii, shared by every snapshot of
+    the run; phi and j0 are copies.
+    """
+
     t: float
     r: np.ndarray
     phi: np.ndarray
-    a0: np.ndarray
-    ar: np.ndarray
     j0: np.ndarray
 
 
@@ -512,10 +518,9 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
             hist.jr.append(interp_values(jr, grid, pts))
         if monitor_count % plan.snapshot_every == 0:
             k = plan.snapshot_subsample
-            snapshots.append(Snapshot(
-                t=state.t, r=grid.r[::k].copy(), phi=state.phi[::k].copy(),
-                a0=state.a0[::k].copy(), ar=state.ar[::k].copy(),
-                j0=j0[::k].copy()))
+            snapshots.append(Snapshot(t=state.t, r=grid.r[::k],
+                                      phi=state.phi[::k].copy(),
+                                      j0=j0[::k].copy()))
         monitor_count += 1
 
     next_slice = 0

@@ -333,7 +333,7 @@ def envelope_check(snapshots, spec: EnvelopeSpec, quantity: str,
                    t_min: float = 1.0) -> tuple[float, tuple]:
     """sup of |quantity| / envelope over stored snapshots.
 
-    quantity: attribute name on Snapshot objects ('phi', 'j0', 'a0', 'ar').
+    quantity: attribute name on Snapshot objects ('phi' or 'j0').
     Returns (sup_weighted, (t, r) argmax).  Snapshots earlier than t_min
     are skipped (degenerate weights at t = 0).
     """

@@ -81,8 +81,8 @@ def adaptive_quad(f, a: float, b: float, points=(), abs_tol: float = 1e-10,
     """
     if not a <= b:
         raise ValueError(f"adaptive_quad needs finite a <= b, got a={a}, b={b}")
-    inner = np.unique([p for p in points if a < p < b])
-    edges = np.concatenate(([a], inner, [b])).astype(float)
+    inner = sorted({float(p) for p in points if a < p < b})
+    edges = np.array([a, *inner, b], dtype=float)
     val, err, shape = _panels(f, edges[:-1], edges[1:])
     n = len(edges) - 1
     # panel k is [lo[k], hi[k]]; rows n and on are filled by bisections
@@ -123,6 +123,18 @@ _S_SERIES = np.concatenate(([0.0], -1.0 / (_M * (_M + 1.0) * (_M + 2.0))))
 _BLOCK = 4096
 
 
+def _polyval(x, c):
+    """sum_m c[m] x^m by Horner's rule.
+
+    The operations of numpy.polynomial.polynomial.polyval, one for one, so
+    the result is bitwise the same, without importing numpy.polynomial.
+    """
+    c0 = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        c0 = ci + c0 * x
+    return c0
+
+
 def _log_hat_weights(u1, u2, length):
     """Integrals of ln u against the two hat functions of segments [u1, u2].
 
@@ -140,8 +152,8 @@ def _log_hat_weights(u1, u2, length):
     from 0; the segment length itself is known to rounding.
     """
     d = length / u2
-    p = np.polynomial.polynomial.polyval(d, _P_SERIES)
-    s = np.polynomial.polynomial.polyval(d, _S_SERIES)
+    p = _polyval(d, _P_SERIES)
+    s = _polyval(d, _S_SERIES)
     near = d >= _SERIES_BELOW     # the few segments next to the log zero
     if np.any(near):
         dn = d[near]
@@ -204,17 +216,12 @@ def sphere_quadrature(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     mu, wmu = gauss_legendre(n_mu)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     wphi = 2.0 * np.pi / n_phi
-    smu = np.sqrt(1.0 - mu ** 2)
-    omega = np.empty((n_mu * n_phi, 3))
-    weights = np.empty(n_mu * n_phi)
-    k = 0
-    for i in range(n_mu):
-        omega[k:k + n_phi, 0] = smu[i] * np.cos(phi)
-        omega[k:k + n_phi, 1] = smu[i] * np.sin(phi)
-        omega[k:k + n_phi, 2] = mu[i]
-        weights[k:k + n_phi] = wmu[i] * wphi
-        k += n_phi
-    return omega, weights
+    smu = np.sqrt(1.0 - mu ** 2)[:, None]
+    omega = np.empty((n_mu, n_phi, 3))
+    omega[..., 0] = smu * np.cos(phi)
+    omega[..., 1] = smu * np.sin(phi)
+    omega[..., 2] = mu[:, None]
+    return omega.reshape(-1, 3), np.repeat(wmu * wphi, n_phi)
 
 
 def sphere_integral_adaptive(f, abs_tol: float = 1e-8, n_start: int = 16,

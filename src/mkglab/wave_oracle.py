@@ -80,17 +80,16 @@ def solve_inhom_radial(source: RadialSource, t: float, r: float,
         xi = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         wxi = 0.5 * (hi - lo) * wx
         y, wy = gauss_legendre(ne)
-        total = 0.0
-        for k in range(nx):
-            e_lo, e_hi = -xi[k], lo
-            if e_hi <= e_lo:
-                continue
-            eta = 0.5 * (e_hi + e_lo) + 0.5 * (e_hi - e_lo) * y
-            weta = 0.5 * (e_hi - e_lo) * wy
-            s = 0.5 * (xi[k] + eta)
-            rho = 0.5 * (xi[k] - eta)
-            total += wxi[k] * np.dot(weta, rho * F(s, rho))
-        return float(total / (4.0 * r))
+        # one (xi, eta) node grid over the xi nodes whose eta range
+        # [-xi, t - r] is not empty; F is evaluated on it in one call
+        keep = lo > -xi
+        xk = xi[keep, None]
+        half = 0.5 * (lo + xk)
+        eta = 0.5 * (lo - xk) + half * y
+        s = 0.5 * (xk + eta)
+        rho = 0.5 * (xk - eta)
+        rows = (half * wy * (rho * F(s, rho))).sum(axis=1)
+        return float(np.dot(wxi[keep], rows) / (4.0 * r))
 
     def inner(xi):
         # eta = -xi + length u, u in [0, 1]; zero where the triangle is empty

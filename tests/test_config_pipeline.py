@@ -181,6 +181,42 @@ class TestRunPipeline:
         assert mon["charge_drift_max"] == 0.0
 
 
+# a short run on which every check can run
+PROBE = (SMALL.replace("r_max = 60.0", "r_max = 40.0")
+         .replace("n_cells = 600", "n_cells = 400")
+         .replace("t_end = 48.0", "t_end = 20.0")
+         .replace("t_list = 15, 30, 45", "t_list = 5, 10, 15"))
+
+
+class TestChecksThatCannotRun:
+    @pytest.fixture(scope="class")
+    def probe_ids(self, tmp_path_factory):
+        report = run_pipeline(parse_config(PROBE), module_checks=False,
+                              out_dir=str(tmp_path_factory.mktemp("probe")))
+        assert not any(c.detail.startswith("cannot run") for c in report.checks)
+        return [c.id for c in report.checks]
+
+    @pytest.mark.parametrize("old, new, ids, reason", [
+        ("t_list = 5, 10, 15", "t_list =", {"interior_limit"},
+         "interior.t_list is empty"),
+        ("q_rays = -5, 0, 5", "q_rays =",
+         {"charge_phase_slope", "albar_log_correlation", "albar_mod_cauchy"},
+         "extraction.q_rays is empty"),
+    ])
+    def test_reported_failed_with_reason(self, probe_ids, tmp_path, old, new,
+                                         ids, reason):
+        assert old in PROBE
+        report = run_pipeline(parse_config(PROBE.replace(old, new)),
+                              out_dir=str(tmp_path), module_checks=False)
+        assert [c.id for c in report.checks] == probe_ids
+        for c in report.checks:
+            if c.id in ids:
+                assert not c.passed
+                assert c.detail == f"cannot run: {reason}"
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert not rep["all_passed"]
+
+
 class TestConvergenceStudy:
     def test_orders_and_flags(self):
         cfg = parse_config(SMALL)

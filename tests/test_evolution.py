@@ -318,10 +318,22 @@ class TestKernel:
         assert len(states) == 5
         arrays = [getattr(s, name) for s in states for name in FIELDS]
         arrays += [getattr(snap, name) for snap in res.snapshots
-                   for name in ("phi", "a0", "ar", "j0")]
+                   for name in ("phi", "j0")]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    def test_snapshot_radii_are_shared_read_only_views(self):
+        grid = RadialGrid(10.0, 100)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        scheme = SchemeParams(cfl=0.5, t_end=1.0, monitor_stride=4)
+        res = evolve(st, grid, scheme, ObservationPlan(snapshot_subsample=3))
+        assert len(res.snapshots) > 1
+        for snap in res.snapshots:
+            assert snap.r.base is grid.r
+            assert not snap.r.flags.writeable
+            assert np.array_equal(snap.r, grid.r[::3])
+            assert snap.phi.shape == snap.j0.shape == snap.r.shape
 
     @pytest.mark.parametrize("fn", [laplacian_even, laplacian_radial_vector])
     @pytest.mark.parametrize("dtype", [float, complex])

@@ -3,7 +3,9 @@
 scipy's QUADPACK `quad` is the independent reference: every integral that
 mkglab computes with adaptive_quad is recomputed here with `quad` on the
 scalar integrand, at tolerances near rounding, and the two must agree to
-1e-12 relative or 1e-14 absolute.
+1e-12 relative or 1e-14 absolute.  The log-kernel series and the sphere
+rule are held bitwise to numpy's polyval and to a node-by-node build, and
+fresh interpreters check which modules a run leaves unloaded.
 """
 import os
 import subprocess
@@ -17,7 +19,8 @@ from mkglab.data_builder import GaussianProfile
 from mkglab.interior import (AsymSource, CallableSource, CutoffChi0,
                              angular_kernel_integral, angular_kernel_vector,
                              eval_A_ex)
-from mkglab.quadrature import adaptive_quad
+from mkglab.quadrature import (_P_SERIES, _S_SERIES, _polyval, adaptive_quad,
+                               gauss_legendre, sphere_quadrature)
 from mkglab.wave_oracle import (RadialSource, dalembert_free, kirchhoff_eval,
                                 solve_inhom_radial)
 
@@ -185,6 +188,36 @@ class TestAgainstQuadpack:
                           0.25)
 
 
+class TestSeriesAndSphere:
+    @pytest.mark.parametrize("shape", [(257,), (33, 17)])
+    def test_polyval_is_numpys_bit_for_bit(self, shape):
+        d = np.random.default_rng(3).uniform(0.0, 0.3, size=shape)
+        d.flat[:3] = (0.0, 0.25, 1.0)
+        for c in (_P_SERIES, _S_SERIES):
+            ref = np.polynomial.polynomial.polyval(d, c)
+            got = _polyval(d, c)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("n_mu, n_phi", [(1, 4), (16, 8), (128, 64)])
+    def test_sphere_rule_matches_node_by_node_build(self, n_mu, n_phi):
+        mu, wmu = gauss_legendre(n_mu)
+        phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+        wphi = 2.0 * np.pi / n_phi
+        smu = np.sqrt(1.0 - mu ** 2)
+        omega = np.empty((n_mu * n_phi, 3))
+        weights = np.empty(n_mu * n_phi)
+        for i in range(n_mu):
+            k = slice(i * n_phi, (i + 1) * n_phi)
+            omega[k, 0] = smu[i] * np.cos(phi)
+            omega[k, 1] = smu[i] * np.sin(phi)
+            omega[k, 2] = mu[i]
+            weights[k] = wmu[i] * wphi
+        got_omega, got_weights = sphere_quadrature(n_mu, n_phi)
+        assert np.array_equal(got_omega.view(np.uint64), omega.view(np.uint64))
+        assert np.array_equal(got_weights.view(np.uint64), weights.view(np.uint64))
+
+
 def _run(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
     return subprocess.run([sys.executable, "-c", code], env=env,
@@ -197,6 +230,22 @@ class TestNoScipy:
                     "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_run_without_module_checks_loads_no_unused_numpy_parts(self, tmp_path):
+        # only the seeded module checks draw random numbers, only the
+        # oracles' Gauss-Legendre rules need numpy.polynomial, and numpy.ma
+        # comes with np.unique
+        proc = _run("import sys\n"
+                    "from test_config_pipeline import SMALL\n"
+                    "from mkglab.config import parse_config\n"
+                    "from mkglab.pipeline import run_pipeline\n"
+                    "run_pipeline(parse_config(SMALL), "
+                    f"out_dir={str(tmp_path)!r}, module_checks=False)\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                    "(['numpy', 'random'], ['numpy', 'polynomial'], ['numpy', 'ma'])))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "report.json").exists()
 
     def test_pipeline_with_module_checks_runs_without_scipy(self, tmp_path):
         proc = _run("import sys\n"
