@@ -90,9 +90,6 @@ class AsymState:
     def B_L(self):
         return contract_L(self.B, self.omega)
 
-    def B_Lbar(self):
-        return contract_Lbar(self.B, self.omega)
-
 
 def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
     """g(q) = -int_q^{q_max} f dq' by the trapezoid rule, g(q_max) = 0.

@@ -3,7 +3,7 @@
 Subcommands:
     run <config>              full pipeline, outputs + report
     converge <config> -N     refinement study
-    oracle <case>             wave-oracle self tests
+    oracle <case>             wave-oracle self tests (mms|agreement|positivity|all)
     asys <config>             asymptotic-system run + weak-null certificate
     report <dir>              re-render a stored report
 
@@ -19,8 +19,10 @@ import sys
 import numpy as np
 
 from . import asymptotic_system as asys_mod
-from .config import ConfigError, parse_config, run_config_hash
-from .pipeline import convergence_study, run_pipeline, write_failed_marker
+from .config import ConfigError, default_config, parse_config, run_config_hash
+from .pipeline import (Check, agreement_check, convergence_study, mms_check,
+                       run_pipeline, write_failed_marker)
+from .wave_oracle import RadialSource, solve_inhom_radial
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
@@ -61,42 +63,30 @@ def cmd_converge(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _positivity_check() -> Check:
+    """Duhamel solution of a positive source stays >= 0 at nine points."""
+    src = RadialSource(F=lambda t, r: np.exp(-((t - 1) ** 2) - (r - 2.0) ** 2))
+    neg = min(solve_inhom_radial(src, t, r, fast=True)
+              for t in (1.0, 3.0, 6.0) for r in (0.5, 2.0, 5.0))
+    return Check("oracle_positivity", "positive source gives a solution >= -1e-12",
+                 neg, -1e-12, neg >= -1e-12)
+
+
+# mms and agreement are the pipeline's checks, agreement on its seeded draws
+ORACLES = {
+    "mms": mms_check,
+    "agreement": lambda: agreement_check(
+        np.random.default_rng(default_config().output["seed"])),
+    "positivity": _positivity_check,
+}
+
+
 def cmd_oracle(args) -> int:
-    from .data_builder import GaussianProfile
-    from .wave_oracle import (RadialSource, dalembert_free, kirchhoff_eval,
-                              solve_inhom_radial)
-    case = args.case
-    ok = True
-    if case in ("mms", "all"):
-        src = RadialSource(F=lambda t, r: np.exp(-t - r * r) * (7.0 - 4.0 * r * r))
-        inhom = solve_inhom_radial(src, 1.0, 1.0, abs_tol=1e-10)
-        hom = dalembert_free(GaussianProfile(), lambda x: -np.exp(-x * x), 1.0, 1.0).real
-        err = abs(inhom + hom - np.exp(-2.0))
-        ok &= err < 1e-6
-        print(f"mms: |error| = {err:.3e}  {'PASS' if err < 1e-6 else 'FAIL'}")
-    if case in ("agreement", "all"):
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(200):
-            g = GaussianProfile(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2)))
-            h = GaussianProfile(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2)))
-            t, r = float(rng.uniform(0.2, 6)), float(rng.uniform(0.1, 8))
-            worst = max(worst, abs(dalembert_free(g, h, t, r).real
-                                   - kirchhoff_eval(g, h, t, r, order=160)))
-        ok &= worst < 1e-8
-        print(f"agreement: worst = {worst:.3e}  {'PASS' if worst < 1e-8 else 'FAIL'}")
-    if case in ("positivity", "all"):
-        src = RadialSource(F=lambda t, r: np.exp(-((t - 1) ** 2) - (r - 2.0) ** 2))
-        vals = [solve_inhom_radial(src, t, r, fast=True)
-                for t in (1.0, 3.0, 6.0) for r in (0.5, 2.0, 5.0)]
-        neg = min(vals)
-        ok &= neg >= -1e-12
-        print(f"positivity: min value = {neg:.3e}  {'PASS' if neg >= -1e-12 else 'FAIL'}")
-    if case not in ("mms", "agreement", "positivity", "all"):
-        print(f"unknown oracle case {case!r} (mms|agreement|positivity|all)",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_PASS if ok else EXIT_FAIL
+    rows = [check().row() for name, check in ORACLES.items()
+            if args.case in (name, "all")]
+    for row in rows:
+        _print_check(row)
+    return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
 
 
 def cmd_asys(args) -> int:
@@ -146,10 +136,14 @@ def _print_report(rep: dict) -> None:
     print(f"config hash: {rep['config_hash']}")
     print(f"charge Q = {rep['charge_Q']:.10e}")
     for c in rep["checks"]:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['id']}: measured {c['measured']:.6g} "
-              f"(tolerance {c['tolerance']:.6g}) - {c['description']}")
+        _print_check(c)
     print("ALL PASSED" if rep.get("all_passed") else "SOME CHECKS FAILED")
+
+
+def _print_check(c: dict) -> None:
+    status = "PASS" if c["passed"] else "FAIL"
+    print(f"[{status}] {c['id']}: measured {c['measured']:.6g} "
+          f"(tolerance {c['tolerance']:.6g}) - {c['description']}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_converge)
 
     po = sub.add_parser("oracle", help="wave-oracle self tests")
-    po.add_argument("case", nargs="?", default="all")
+    po.add_argument("case", nargs="?", default="all", choices=(*ORACLES, "all"))
     po.set_defaults(func=cmd_oracle)
 
     pa = sub.add_parser("asys", help="asymptotic-system run")

@@ -22,9 +22,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from .core import Weights
+from .evolution import SchemeParams
+from .grid import RadialGrid
+
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration; message lists every problem."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid configuration:\n  " + "\n  ".join(problems))
 
 
 _SCHEMA = {
@@ -72,8 +79,6 @@ _SCHEMA = {
         "t_list": (list, [100.0, 200.0, 300.0]),
     },
     "tolerances": {
-        "quad_abs": (float, 1e-8),
-        "tail_rel": (float, 1e-8),
         "al_limit_rel": (float, 0.05),
         "interior_rel": (float, 0.10),
     },
@@ -111,15 +116,8 @@ def _coerce(sec: str, key: str, raw: str, lineno: int, errors: list):
     raw = raw.strip()
     try:
         if typ is list:
-            if not raw:
-                return []
             return [float(tok) for tok in raw.replace(",", " ").split()]
-        if typ is int:
-            v = int(raw)
-            return v
-        if typ is float:
-            return float(raw)
-        return raw
+        return typ(raw)
     except ValueError:
         errors.append(f"line {lineno}: cannot parse {sec}.{key} = {raw!r} as {typ.__name__}")
         return None
@@ -160,39 +158,22 @@ def parse_config(text: str) -> RunConfig:
             cfg.section(section)[key] = val
     errors.extend(validate_config(cfg))
     if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+        raise ConfigError(errors)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
-    """Every constraint violation, exhaustively."""
-    errs = []
-    g, w, sch = cfg.grid, cfg.weights, cfg.scheme
-    if g["r_max"] <= 0:
-        errs.append(f"grid.r_max must be positive, got {g['r_max']}")
-    if g["n_cells"] < 16:
-        errs.append(f"grid.n_cells must be >= 16, got {g['n_cells']}")
-    if g["ghost_count"] < 2:
-        errs.append(f"grid.ghost_count must be >= 2, got {g['ghost_count']}")
-    if not (0.5 < w["s"] < 1.0):
-        errs.append(f"weights.s must satisfy 1/2 < s < 1, got {w['s']}")
-    if not (0.0 < w["gamma"]):
-        errs.append(f"weights.gamma must be positive, got {w['gamma']}")
-    elif not (w["s"] + w["gamma"] < 1.5):
-        errs.append(
-            f"weights must satisfy s + gamma < 3/2, got {w['s'] + w['gamma']}")
-    if not (0.0 < sch["cfl"] <= 0.9):
-        errs.append(f"scheme.cfl must satisfy 0 < cfl <= 0.9, got {sch['cfl']}")
-    if sch["boundary"] not in ("sommerfeld", "none"):
-        errs.append(f"scheme.boundary must be sommerfeld or none, got {sch['boundary']!r}")
-    if sch["boundary"] == "none" and sch["t_end"] > 0.9 * g["r_max"]:
-        errs.append(
-            f"causality shield: t_end = {sch['t_end']} > 0.9 r_max = "
-            f"{0.9 * g['r_max']} requires a boundary condition")
-    if sch["t_end"] <= 0:
-        errs.append(f"scheme.t_end must be positive, got {sch['t_end']}")
-    if sch["monitor_stride"] < 1:
-        errs.append("scheme.monitor_stride must be >= 1")
+    """Every constraint violation, exhaustively, each naming its key.
+
+    The grid, weights and scheme bounds are those of RadialGrid, Weights
+    and SchemeParams; the rules below them are the config's own.
+    """
+    g, sch = cfg.grid, cfg.scheme
+    errs = [f"grid.{e}" for e in RadialGrid.problems(**g)]
+    errs += [f"weights.{e}" for e in Weights.problems(**cfg.weights)]
+    errs += [f"scheme.{e}" for e in SchemeParams(**sch).validate(g["r_max"])]
+    if sch["cfl"] > 0.9:
+        errs.append(f"scheme.cfl must be <= 0.9, got {sch['cfl']}")
     fam = cfg.data["family"]
     if fam not in ("gaussian", "bump", "polygauss", "file"):
         errs.append(f"data.family must be gaussian|bump|polygauss|file, got {fam!r}")
@@ -202,6 +183,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
         errs.append(f"data.width must be positive, got {cfg.data['width']}")
     if cfg.data["ar_family"] not in ("none", "polygauss", "file"):
         errs.append(f"data.ar_family must be none|polygauss|file, got {cfg.data['ar_family']!r}")
+    elif cfg.data["ar_family"] == "polygauss" and cfg.data["ar_power"] % 2 == 0:
+        errs.append(f"data.ar_power must be odd (ar is an odd profile), got "
+                    f"{cfg.data['ar_power']}")
     ext = cfg.extraction
     if ext["q_min"] >= ext["q_max"]:
         errs.append("extraction.q_min must be < q_max")

@@ -29,14 +29,20 @@ class Weights:
     s: float
     gamma: float
 
-    def __post_init__(self):
+    @staticmethod
+    def problems(s: float, gamma: float) -> list[str]:
+        """Every bound these values break, each message led by its field."""
         errs = []
-        if not (0.5 < self.s < 1.0):
-            errs.append(f"s must satisfy 1/2 < s < 1, got {self.s}")
-        if not (self.gamma > 0.0):
-            errs.append(f"gamma must be positive, got {self.gamma}")
-        if not (self.s + self.gamma < 1.5):
-            errs.append(f"s + gamma must be < 3/2, got {self.s + self.gamma}")
+        if not (0.5 < s < 1.0):
+            errs.append(f"s must satisfy 1/2 < s < 1, got {s}")
+        if not (gamma > 0.0):
+            errs.append(f"gamma must be positive, got {gamma}")
+        if not (s + gamma < 1.5):
+            errs.append(f"gamma must satisfy s + gamma < 3/2, got s + gamma = {s + gamma}")
+        return errs
+
+    def __post_init__(self):
+        errs = self.problems(self.s, self.gamma)
         if errs:
             raise ValueError("; ".join(errs))
 

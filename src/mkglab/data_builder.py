@@ -231,25 +231,12 @@ def _cumulative_moment(rho: np.ndarray, r: np.ndarray, power: int) -> np.ndarray
     n = len(rho) - 1
     h = r[1] - r[0]
     incr = np.zeros(n)
-
-    def pair_increments(i0):
-        # quadratic through nodes i0, i0+1, i0+2 in xi = s - r[i0]
-        a = rho[i0]
-        b = (-3.0 * rho[i0] + 4.0 * rho[i0 + 1] - rho[i0 + 2]) / (2.0 * h)
-        c = (rho[i0] - 2.0 * rho[i0 + 1] + rho[i0 + 2]) / (2.0 * h * h)
-        x = r[i0]
-
-        def seg(xi0, xi1):
-            m = [(xi1 ** (k + 1) - xi0 ** (k + 1)) / (k + 1) for k in range(5)]
-            s0 = a * m[0] + b * m[1] + c * m[2]
-            s1 = a * m[1] + b * m[2] + c * m[3]
-            s2 = a * m[2] + b * m[3] + c * m[4]
-            if power == 1:
-                return x * s0 + s1
-            return x * x * s0 + 2.0 * x * s1 + s2
-        return seg(0.0, h), seg(h, 2.0 * h)
-
+    # quadratics through nodes i0, i0+1, i0+2 in xi = s - r[i0], one per node
+    # pair; an odd interval count takes its last interval from the quadratic
+    # through the last three nodes
     i0 = np.arange(0, n - 1, 2)
+    if n % 2 == 1:
+        i0 = np.append(i0, n - 2)
     a = rho[i0]
     b = (-3.0 * rho[i0] + 4.0 * rho[i0 + 1] - rho[i0 + 2]) / (2.0 * h)
     c = (rho[i0] - 2.0 * rho[i0 + 1] + rho[i0 + 2]) / (2.0 * h * h)
@@ -264,12 +251,9 @@ def _cumulative_moment(rho: np.ndarray, r: np.ndarray, power: int) -> np.ndarray
             return x * s0 + s1
         return x * x * s0 + 2.0 * x * s1 + s2
 
-    incr[i0] = seg(0.0, h)
+    pairs = n // 2
+    incr[i0[:pairs]] = seg(0.0, h)[:pairs]
     incr[i0 + 1] = seg(h, 2.0 * h)
-    if n % 2 == 1:
-        # odd interval count: quadratic through the last three nodes
-        lo, hi = pair_increments(n - 2)
-        incr[n - 1] = hi
     out = np.empty_like(rho)
     out[0] = 0.0
     np.cumsum(incr, out=out[1:])
@@ -352,21 +336,3 @@ def weighted_norm(f: np.ndarray, grid: RadialGrid, k: int, s0: float,
         g = d_r(g, grid, par)
         par = -par
     return float(np.sqrt(total))
-
-
-def coulomb_capped_profile(Q: float, r_cap: float = 1.0):
-    """Static potential Q/(4 pi r) smoothly capped inside r < r_cap.
-
-    Used for pure-Coulomb validation states: quadratic match keeps a0 C^1.
-    """
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        far = r >= r_cap
-        out[far] = Q / (4.0 * np.pi * r[far])
-        # parabola a - b r^2 matched to value and slope at r_cap
-        a = 3.0 * Q / (8.0 * np.pi * r_cap)
-        b = Q / (8.0 * np.pi * r_cap ** 3)
-        out[~far] = a - b * r[~far] ** 2
-        return out
-    return f

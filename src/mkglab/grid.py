@@ -44,13 +44,22 @@ class RadialGrid:
     n_cells: int
     ghost_count: int = 2
 
+    @staticmethod
+    def problems(r_max: float, n_cells: int, ghost_count: int = 2) -> list[str]:
+        """Every bound these values break, each message led by its field."""
+        errs = []
+        if not r_max > 0:
+            errs.append(f"r_max must be positive, got {r_max}")
+        if n_cells < 16:
+            errs.append(f"n_cells must be >= 16, got {n_cells}")
+        if ghost_count < 2:
+            errs.append(f"ghost_count must be >= 2, got {ghost_count}")
+        return errs
+
     def __post_init__(self):
-        if self.n_cells < 16:
-            raise ValueError(f"n_cells must be >= 16, got {self.n_cells}")
-        if self.r_max <= 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if self.ghost_count < 2:
-            raise ValueError(f"ghost_count must be >= 2, got {self.ghost_count}")
+        errs = self.problems(self.r_max, self.n_cells, self.ghost_count)
+        if errs:
+            raise ValueError("; ".join(errs))
         h = self.h
         n = self.n_nodes
         r = np.arange(n) * h

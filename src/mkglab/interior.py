@@ -19,7 +19,7 @@ tabulated source; the kernels above are elementwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class AsymSource:
 
     q_grid: np.ndarray
     j: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def j_of(self, q):
         return np.interp(q, self.q_grid, self.j, left=0.0, right=0.0)

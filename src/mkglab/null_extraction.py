@@ -17,7 +17,7 @@ the log kernel exactly (quadrature.integrate_log_kernel).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class RaySample:
     A_Lbar: np.ndarray
     phi: np.ndarray       # complex
     rphi: np.ndarray      # complex
-    interp_err: float = 0.0
 
     def __post_init__(self):
         drift = np.max(np.abs((self.r - self.t) - self.q)) if len(self.t) else 0.0
@@ -67,7 +66,6 @@ class RadiationTable:
     A_L_err: float
     A_Lbar_mod: np.ndarray
     Phi0_err: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def check_identity(self) -> float:
         """max |J_Lbar + 2 Im(Phi0 conj dPhi0)| (definitional, ~0)."""
@@ -105,12 +103,9 @@ def sample_ray(slices: dict, grid: RadialGrid, q: float,
         als.append(a0 + ar)
         albs.append(a0 - ar)
         phis.append(ph)
-    ts = np.array(ts)
-    rs = np.array(rs)
-    phis = np.array(phis)
+    ts, rs, phis = np.array(ts), np.array(rs), np.array(phis)
     return RaySample(q=q, t=ts, r=rs, A_L=np.array(als), A_Lbar=np.array(albs),
-                     phi=phis, rphi=rs * phis,
-                     interp_err=grid.h ** 4)
+                     phi=phis, rphi=rs * phis)
 
 
 def charge_phase(Q: float, r):
@@ -118,11 +113,15 @@ def charge_phase(Q: float, r):
     return np.exp(1j * (Q / (4.0 * np.pi)) * np.log1p(np.asarray(r, dtype=float)))
 
 
-def _limit_from_sequence(values: np.ndarray, rate_hint=None) -> LimitEstimate:
+# samples a limit estimate needs: two Cauchy increments
+LIMIT_SAMPLES = 3
+
+
+def _limit_from_sequence(values: np.ndarray) -> LimitEstimate:
     """Last-value limit with Cauchy increments as the error estimate."""
     values = np.asarray(values)
-    if len(values) < 3:
-        raise ValueError("limit estimation needs at least 3 samples")
+    if len(values) < LIMIT_SAMPLES:
+        raise ValueError(f"limit estimation needs at least {LIMIT_SAMPLES} samples")
     inc = np.abs(np.diff(values))
     err = float(inc[-1])
     converged = bool(inc[-1] <= inc[0] + 1e-300) and not np.any(np.isnan(inc))
@@ -141,8 +140,6 @@ def extract_phi0(ray: RaySample, Q: ChargeValue) -> LimitEstimate:
     returned so callers can test it.  A non-decreasing increment sequence
     is flagged in the diagnostic, never silently dropped.
     """
-    if len(ray.t) < 3:
-        raise ValueError("extract_phi0 needs >= 3 ray samples")
     corrected = ray.rphi * charge_phase(Q.Q, ray.r)
     return _limit_from_sequence(corrected)
 
@@ -154,17 +151,15 @@ def extract_AL_limit(ray: RaySample, Q: ChargeValue) -> LimitEstimate:
     return est
 
 
-def phase_slope_fit(ray_r: np.ndarray, rphi: np.ndarray,
-                    min_amplitude: float = 0.0) -> tuple[float, float]:
+def phase_slope_fit(ray_r: np.ndarray, rphi: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of unwrapped arg(r phi) against ln(1+r).
 
-    Returns (slope, r2).  The slope estimates -Q/(4 pi).  Raises when the
-    amplitude pre-condition fails or the phase is undersampled (a jump of
-    more than pi between consecutive samples).
+    Returns (slope, r2).  The slope estimates -Q/(4 pi).  Raises when r phi
+    vanishes on the window or the phase is undersampled (a jump of more
+    than pi between consecutive samples).
     """
     rphi = np.asarray(rphi)
-    amp = np.abs(rphi)
-    if np.any(amp <= min_amplitude) or np.any(amp == 0.0):
+    if np.any(np.abs(rphi) == 0.0):
         raise ValueError("phase_slope_fit: |r phi| not bounded away from 0 "
                          "on the fit window")
     raw = np.angle(rphi)
@@ -266,18 +261,12 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
     jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
     # A_L limit along the central extraction ray
     q_al = 0.0 if not ray_qs else sorted(ray_qs, key=abs)[0]
-    ral = []
-    for st in states:
-        x = st.t + q_al
-        if _in_domain(x, grid, domain_frac):
-            a0 = float(interp_values(st.a0, grid, x)[0])
-            ar = float(interp_values(st.ar, grid, x)[0])
-            ral.append(x * (a0 + ar))
-    if len(ral) >= 3:
-        est = _limit_from_sequence(np.array(ral))
-        al, alerr = est.value.real, est.err_est
+    ray = sample_ray(slices, grid, q_al, domain_frac)
+    if len(ray.t) >= LIMIT_SAMPLES:
+        est = extract_AL_limit(ray, Q)
+        al, alerr = est.value, est.err_est
     else:
-        al, alerr = (ral[-1] if ral else 0.0), np.inf
+        al, alerr = (float(ray.r[-1] * ray.A_L[-1]) if len(ray.t) else 0.0), np.inf
     # modified A_Lbar at the last slice, on the q grid
     x = last.t + q_grid
     ok = _in_domain(x, grid, domain_frac)
@@ -287,8 +276,7 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
                                 q_min=q_grid[0])
     return RadiationTable(q=q_grid.copy(), Phi0=Phi0, dPhi0_dq=dPhi0,
                           J_Lbar=jlbar, A_L_limit=al, A_L_err=alerr,
-                          A_Lbar_mod=mod, Phi0_err=Phi0_err,
-                          meta={"t_last": last.t, "t_prev": prev.t})
+                          A_Lbar_mod=mod, Phi0_err=Phi0_err)
 
 
 # ---------------------------------------------------------------------------

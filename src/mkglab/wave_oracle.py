@@ -107,7 +107,7 @@ def solve_inhom_radial(source: RadialSource, t: float, r: float,
     return float(val / (4.0 * r))
 
 
-def dalembert_free(g, h, t: float, r, g_prime=None):
+def dalembert_free(g, h, t: float, r):
     """Radial d'Alembert solution with data phi(0) = g, d_t phi(0) = h.
 
     r phi = ((r-t) g(|r-t|) + (r+t) g(r+t))/2 + (1/2) int_{|r-t|}^{r+t}

@@ -1,11 +1,19 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from mkglab import pipeline
 from mkglab.cli import main as cli_main
 from mkglab.config import (ConfigError, default_config, dump_config,
                            parse_config, run_config_hash)
-from mkglab.pipeline import convergence_study, run_pipeline
+from mkglab.core import Weights
+from mkglab.evolution import EvolutionUnstable, SchemeParams
+from mkglab.grid import RadialGrid
+from mkglab.pipeline import (RunReport, agreement_check, convergence_study,
+                             mms_check, run_pipeline)
 
 SMALL = """
 [grid]
@@ -86,6 +94,54 @@ class TestParseConfig:
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r_max=hst.integers(-2, 200).map(lambda k: k / 4),
+           n_cells=hst.integers(-1, 40), ghost_count=hst.integers(0, 4),
+           s=hst.integers(3, 12).map(lambda k: k / 10),
+           gamma=hst.integers(-3, 12).map(lambda k: k / 10),
+           cfl=hst.integers(-3, 15).map(lambda k: k / 10),
+           t_end=hst.integers(-4, 60).map(float),
+           boundary=hst.sampled_from(["sommerfeld", "none", "dirichlet"]),
+           monitor_stride=hst.integers(-1, 3))
+    def test_bounds_are_the_objects(self, r_max, n_cells, ghost_count, s, gamma,
+                                    cfl, t_end, boundary, monitor_stride):
+        """A grid, weights or scheme section is rejected exactly when its
+        object objects (plus the config's own cap cfl <= 0.9), and every
+        message names a key of its section."""
+        text = (f"[grid]\nr_max = {r_max!r}\nn_cells = {n_cells}\n"
+                f"ghost_count = {ghost_count}\n"
+                f"[weights]\ns = {s!r}\ngamma = {gamma!r}\n"
+                f"[scheme]\ncfl = {cfl!r}\nt_end = {t_end!r}\n"
+                f"boundary = {boundary}\nmonitor_stride = {monitor_stride}\n"
+                "[interior]\nt_list =\n")
+        try:
+            parse_config(text)
+            lines = []
+        except ConfigError as exc:
+            lines = [ln.strip() for ln in str(exc).splitlines()[1:]]
+
+        def objects(build) -> bool:
+            try:
+                build()
+            except ValueError:
+                return True
+            return False
+
+        expected = {
+            "grid": objects(lambda: RadialGrid(r_max, n_cells, ghost_count)),
+            "weights": objects(lambda: Weights(s, gamma)),
+            "scheme": bool(SchemeParams(cfl, t_end, boundary,
+                                        monitor_stride).validate(r_max))
+            or cfl > 0.9,
+        }
+        schema = default_config()
+        for section, rejected in expected.items():
+            msgs = [ln for ln in lines if ln.startswith(section + ".")]
+            assert bool(msgs) == rejected, (section, lines)
+            for msg in msgs:
+                key = msg[len(section) + 1:].split()[0]
+                assert key in schema.section(section), msg
 
     def test_empty_t_list_accepted(self):
         assert parse_config("[interior]\nt_list =\n").interior["t_list"] == []
@@ -171,6 +227,14 @@ class TestRunPipeline:
                      "envelopes.csv", "report.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_hand_built_config_validated(self, tmp_path):
+        cfg = parse_config(SMALL)
+        cfg.scheme["cfl"] = 1.5
+        cfg.interior["t_list"] = [100.0]
+        with pytest.raises(ConfigError, match=r"scheme\.cfl(.|\n)*interior\.t_list"):
+            run_pipeline(cfg, out_dir=str(tmp_path / "bad"), module_checks=False)
+        assert not (tmp_path / "bad").exists()
+
     def test_zero_amplitude_data(self, tmp_path):
         cfg = parse_config(SMALL.replace("amplitude = 0.05", "amplitude = 0.0"))
         report = run_pipeline(cfg, out_dir=str(tmp_path / "zero"),
@@ -202,6 +266,8 @@ class TestChecksThatCannotRun:
         ("q_rays = -5, 0, 5", "q_rays =",
          {"charge_phase_slope", "albar_log_correlation", "albar_mod_cauchy"},
          "extraction.q_rays is empty"),
+        ("q_rays = -5, 0, 5", "q_rays = -5, 0, 39", {"AL_limit", "phi0_cauchy"},
+         "ray q=39 has 0 samples, needs >= 3"),
     ])
     def test_reported_failed_with_reason(self, probe_ids, tmp_path, old, new,
                                          ids, reason):
@@ -237,6 +303,23 @@ class TestConvergenceStudy:
         assert any("unstable" in info["status"] for info in study["levels"])
 
 
+class TestRefinementOrdersCheck:
+    def test_coupled_ladder_runs_no_linear_evolve(self, monkeypatch):
+        linear = []
+
+        def evolve(initial, grid, scheme, plan=None):
+            linear.append(scheme.linear)
+            raise EvolutionUnstable("stopped once the scheme is recorded")
+
+        monkeypatch.setattr(pipeline, "evolve", evolve)
+        report = RunReport(config_hash="", charge_Q=0.0)
+        pipeline._refinement_orders_check(report, parse_config(SMALL),
+                                          lambda msg: None)
+        assert linear == [False, False, False]
+        assert [c.id for c in report.checks] == ["lorenz_order", "charge_order"]
+        assert not any(c.passed for c in report.checks)
+
+
 class TestCLI:
     def test_run_and_report(self, tmp_path):
         cfgfile = tmp_path / "small.cfg"
@@ -258,6 +341,17 @@ class TestCLI:
 
     def test_oracle_subcommand(self):
         assert cli_main(["oracle", "mms"]) == 0
+
+    @pytest.mark.parametrize("case, check", [
+        ("mms", mms_check),
+        ("agreement", lambda: agreement_check(
+            np.random.default_rng(default_config().output["seed"]))),
+    ])
+    def test_oracle_prints_the_pipeline_check(self, capsys, case, check):
+        assert cli_main(["oracle", case]) == 0
+        row = check().row()
+        out = capsys.readouterr().out
+        assert f"[PASS] {row['id']}: measured {row['measured']:.6g} " in out
 
     def test_asys_subcommand(self, tmp_path):
         cfgfile = tmp_path / "small.cfg"

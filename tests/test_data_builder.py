@@ -5,7 +5,8 @@ from scipy.integrate import quad
 from mkglab.core import FieldState, current
 from mkglab.data_builder import (BumpProfile, ChargeValue, CutoffChi, FreeData,
                                  GaussianProfile, PolyGaussianProfile,
-                                 TableProfile, assemble_state, build_admissible,
+                                 TableProfile, _cumulative_moment,
+                                 assemble_state, build_admissible,
                                  compute_charge, solve_a0,
                                  subtract_charge_tail, weighted_norm)
 from mkglab.grid import RadialGrid, divergence_radial, simpson_integral
@@ -107,6 +108,50 @@ class TestSolveA0:
         Q = compute_charge(data, grid).Q
         mask = r > 2.5
         assert np.allclose(a0[mask], Q / (4 * np.pi * r[mask]), rtol=1e-10)
+
+
+def scalar_cumulative_moment(rho, r, power):
+    """_cumulative_moment one node pair at a time, with the scalar formula
+    the odd-count tail used to have: the bitwise reference."""
+    n = len(rho) - 1
+    h = r[1] - r[0]
+    incr = np.zeros(n)
+
+    def pair_increments(i0):
+        # quadratic through nodes i0, i0+1, i0+2 in xi = s - r[i0]
+        a = rho[i0]
+        b = (-3.0 * rho[i0] + 4.0 * rho[i0 + 1] - rho[i0 + 2]) / (2.0 * h)
+        c = (rho[i0] - 2.0 * rho[i0 + 1] + rho[i0 + 2]) / (2.0 * h * h)
+        x = r[i0]
+
+        def seg(xi0, xi1):
+            m = [(xi1 ** (k + 1) - xi0 ** (k + 1)) / (k + 1) for k in range(5)]
+            s0 = a * m[0] + b * m[1] + c * m[2]
+            s1 = a * m[1] + b * m[2] + c * m[3]
+            s2 = a * m[2] + b * m[3] + c * m[4]
+            if power == 1:
+                return x * s0 + s1
+            return x * x * s0 + 2.0 * x * s1 + s2
+        return seg(0.0, h), seg(h, 2.0 * h)
+
+    for i0 in range(0, n - 1, 2):
+        incr[i0], incr[i0 + 1] = pair_increments(i0)
+    if n % 2 == 1:
+        incr[n - 1] = pair_increments(n - 2)[1]
+    out = np.empty_like(rho)
+    out[0] = 0.0
+    np.cumsum(incr, out=out[1:])
+    return out
+
+
+class TestCumulativeMoment:
+    @pytest.mark.parametrize("n_cells", [16, 17, 1500, 1501])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_matches_scalar_formula_bitwise(self, n_cells, power):
+        g = RadialGrid(7.0, n_cells)
+        rho = np.exp(-g.r ** 2) * np.cos(3.0 * g.r)
+        assert np.array_equal(_cumulative_moment(rho, g.r, power),
+                              scalar_cumulative_moment(rho, g.r, power))
 
 
 class TestBuildAdmissible:

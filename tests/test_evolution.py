@@ -519,7 +519,7 @@ class TestMonitors:
         assert energy_monitor(FieldState.zeros(grid), grid) == 0.0
 
     def test_energy_static_coulomb(self):
-        from mkglab.data_builder import coulomb_capped_profile
+        from conftest import coulomb_capped_profile
         grid = RadialGrid(40.0, 2000)
         st = FieldState.zeros(grid)
         Q = 2.0

@@ -218,7 +218,7 @@ class TestInteriorLimitCheck:
         # compare against a point-mass source with M = -Q/4pi... instead
         # verify that the reported simulated values are read correctly
         from mkglab.core import FieldState
-        from mkglab.data_builder import coulomb_capped_profile
+        from conftest import coulomb_capped_profile
         from mkglab.grid import RadialGrid
         grid = RadialGrid(200.0, 1000)
         Q = 2.0

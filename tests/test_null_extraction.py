@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.core import FieldState
-from mkglab.data_builder import ChargeValue, coulomb_capped_profile
+from conftest import coulomb_capped_profile
+from mkglab.data_builder import ChargeValue
 from mkglab.grid import RadialGrid, interp_values
 from mkglab.null_extraction import (EnvelopeSpec, RaySample,
                                     build_radiation_table, charge_phase,
