@@ -20,21 +20,41 @@ measured along outgoing rays (the angular term vanishes here).
 
 The RK4 kernel allocates nothing per step.  evolve() builds one Workspace
 per run, which holds the state being stepped, the stage, the running
-derivative sum, the second derivatives, the RHS scratch, and one RHS plan
-per field block (state and stage) for the run's boundary and coupling.  A
-plan binds once the ufunc calls of the stencils, of the current (core) and
-of the phi couplings on fixed views, with their scalar factors, and the
-views its boundary rows (grid's _row_* functions) read and write; _rhs()
-runs it.  a0 and ar sit side by side in a block, so both Laplacians are one
-stencil, and J_0, J_r are added in one call.  step() and rhs() go through
-the plan; a linear plan has no current and no couplings.  The state
-advances in place.  The caller's initial state, the slices and the final
-state are copies and never share memory with a workspace.  A snapshot holds
-t, a strided view of the grid's read-only radii (shared by every snapshot)
-and copies of phi and J_0 on those nodes; the envelope checks read nothing
-else.  A bare step() without a workspace leaves its input untouched and
-returns fresh arrays.  The run takes n_steps = ceil(t_end / (cfl h)) steps of
-dt = t_end / n_steps, so it ends at t_end (time_grid).
+derivative sum, the second derivatives, the RHS scratch, and the RHS plans
+of both field blocks (state and stage) for the run's boundary, coupling and
+window.  A plan binds once the ufunc calls of the stencils, of the current
+(core) and of the phi couplings on fixed views, with their scalar factors,
+and the views its boundary rows (grid's _row_* functions) read and write;
+_rhs() runs it.  a0 and ar sit side by side in a block, so both Laplacians
+are one stencil, and J_0, J_r are added in one call.  step() and rhs() go
+through the plan; a linear plan has no current and no couplings.
+
+phi travels along outgoing light cones, so compact data stays exactly zero
+outside a front, while a0 carries the charge tail everywhere.  step() does
+phi's work only on the nodes [0, W) of the workspace's window W: phi's
+Laplacian and d_r phi, the current and a0^2 - ar^2, the phi couplings and
+phi's part of every RK4 combination.  a0 and ar stay on the full grid.  The
+invariant: before each step, every bit of phi and phi_t in the state is
+zero from node W - 2 on (-0.0 counts as set), and one step widens phi's
+support by at most 2 nodes.  Workspace.cover() checks it at every step and,
+when a bit is set, grows W past the last set node + 3, in whole chunks of
+_WINDOW_CHUNK nodes, capped at n; W never shrinks.  The buffers start
+zeroed and nothing at or beyond W is written, and the full computation
+gives exactly +0 there: J_0 = J_r = +0 (so the J add over all of a0 and ar
+is exact), stage values and the new state +0 + (+-0) = +0; only phi_tt is
++-0, and nothing reads it.  So every step is byte-identical to the
+full-grid step.  phi's outer boundary row runs only when W = n, which is
+reached by data with no exact-zero tail or once the front reaches r_max;
+then the step is the full-grid plan.  rhs() always uses W = n.
+
+The state advances in place.  The caller's initial state, the slices and
+the final state are copies and never share memory with a workspace.  A
+snapshot holds t, a strided view of the grid's read-only radii (shared by
+every snapshot) and copies of phi and J_0 on those nodes; the envelope
+checks read nothing else.  A bare step() without a workspace leaves its
+input untouched and returns fresh arrays.  The run takes n_steps =
+ceil(t_end / (cfl h)) steps of dt = t_end / n_steps, so it ends at t_end
+(time_grid).
 """
 from __future__ import annotations
 
@@ -172,17 +192,23 @@ def _evolved(state: FieldState) -> tuple:
             np.real(a0), np.real(a0_t), np.real(ar), np.real(ar_t))
 
 
+# phi's window grows in whole chunks of this many nodes; each growth rebuilds
+# the workspace's plans
+_WINDOW_CHUNK = 64
+
+
 def _field_views(block: np.ndarray, n: int) -> tuple:
     """(phi, phi_t, a0, a0_t, ar, ar_t) laid out in one float64 block.
 
-    The block holds the positions [phi (re, im interleaved), a0, ar] and
-    then the velocities [phi_t, a0_t, ar_t] in the same layout, so that the
-    derivative of the block is [velocity half, (phi_tt, a0_tt, ar_tt)].
+    The block holds the positions [a0, ar, phi (re, im interleaved)] and
+    then the velocities [a0_t, ar_t, phi_t] in the same layout, so that the
+    derivative of the block is [velocity half, (a0_tt, ar_tt, phi_tt)], and
+    the first 2 n + 2 W values of a half are its fields on a window of W
+    nodes.
     """
     m = 4 * n
-    return (block[:2 * n].view(complex), block[m:m + 2 * n].view(complex),
-            block[2 * n:3 * n], block[m + 2 * n:m + 3 * n],
-            block[3 * n:m], block[m + 3 * n:])
+    return (block[2 * n:m].view(complex), block[m + 2 * n:].view(complex),
+            block[:n], block[m:m + n], block[n:2 * n], block[m + n:m + 2 * n])
 
 
 class Workspace:
@@ -190,30 +216,54 @@ class Workspace:
 
     y: the state being stepped; stage: the fields at the current RK4 stage;
     acc: the running weighted sum of the stage derivatives; each is one
-    contiguous block laid out by _field_views, so that an RK4 combination
-    of all six fields is one ufunc call.  dd: (phi_tt, a0_tt, ar_tt) of one
-    RHS evaluation, in the layout of a velocity half.  drphi, j (J_0 then
-    J_r) and scratch serve the RHS.  plans() gives the RHS plans at y and at
-    the stage.  load() is the only way a caller sees a buffer.
+    contiguous block laid out by _field_views.  dd: (phi_tt, a0_tt, ar_tt)
+    of one RHS evaluation, in the layout of a velocity half.  drphi, j (J_0
+    then J_r) and scratch serve the RHS.  window is the W of phi's window
+    (module docstring); halves, dd_window, y_window and acc_window are the
+    blocks' views on it, so that an RK4 combination is one ufunc call.
+    cover() grows the window over y; plans() gives the RHS plans at y and
+    at the stage.  load() is the only way a caller sees a buffer.
     """
 
     def __init__(self, grid: RadialGrid):
         n = self.n_nodes = grid.n_nodes
         self.grid = grid
-        self.y, self.stage, self.acc = (np.empty(8 * n) for _ in range(3))
+        # zeroed, as dd and j are: nothing at or beyond the window is written
+        self.y, self.stage, self.acc = (np.zeros(8 * n) for _ in range(3))
         self.y_fields = _field_views(self.y, n)
-        m = 4 * n
-        self.halves = (self.y[:m], self.y[m:], self.stage[:m],
-                       self.stage[m:], self.acc[:m], self.acc[m:])
-        # zeroed: no RHS writes phi_tt[-1] or d_r phi[-1] before reading them
-        # (their values only reach rows the outer boundary row overwrites)
-        self.dd_block = np.zeros(m)
-        self.dd = (self.dd_block[:2 * n].view(complex),
-                   self.dd_block[2 * n:3 * n], self.dd_block[3 * n:])
+        self.dd_block = np.zeros(4 * n)
+        self.dd = (self.dd_block[2 * n:].view(complex),
+                   self.dd_block[:n], self.dd_block[n:2 * n])
+        # zeroed: with W = n no RHS writes d_r phi[-1] before reading it (its
+        # values only reach rows the outer boundary row overwrites)
         self.drphi = np.zeros(n, dtype=complex)
-        self.j = np.empty(2 * n)
+        self.j = np.zeros(2 * n)
         self.scratch = (np.empty(n), np.empty(n), np.empty(n))
-        self._plans: dict = {}
+        self._set_window(min(_WINDOW_CHUNK, n))
+
+    def _set_window(self, w: int) -> None:
+        n = self.n_nodes
+        self.window = w
+        k = 2 * n + 2 * w           # a0, ar and phi on nodes [0, w) of a half
+        self.y_window, stage, self.acc_window = (
+            b.reshape(2, 4 * n)[:, :k] for b in (self.y, self.stage, self.acc))
+        self.halves = (*self.y_window, *stage, *self.acc_window)
+        self.dd_window = self.dd_block[:k]
+        self._tails = tuple(f[w - 2:].view(np.uint64)
+                            for f in self.y_fields[:2])
+        self._plans = None          # (boundary, linear, plans) of this window
+
+    def cover(self) -> None:
+        """Grow the window until phi and phi_t in y are zero, bit for bit,
+        from node window - 2 on."""
+        if self.window == self.n_nodes or not (
+                self._tails[0].any() or self._tails[1].any()):
+            return
+        # two uint64 words per complex node
+        last = self.window - 2 + max(int(np.flatnonzero(t)[-1]) // 2
+                                     for t in self._tails if t.any())
+        chunks = -(-(last + 3) // _WINDOW_CHUNK)
+        self._set_window(min(chunks * _WINDOW_CHUNK, self.n_nodes))
 
     def holds(self, state: FieldState) -> bool:
         """True when state's arrays are this workspace's y fields."""
@@ -226,46 +276,55 @@ class Workspace:
         return FieldState(state.t, *self.y_fields)
 
     def plans(self, boundary: str, linear: bool) -> tuple:
-        """The RHS plans at y and at the stage, built on first use."""
-        key = (boundary, linear)
-        if key not in self._plans:
-            self._plans[key] = tuple(_RHSPlan(b, self, boundary, linear)
-                                     for b in (self.y, self.stage))
-        return self._plans[key]
+        """The RHS plans at y and at the stage on the current window, built
+        on first use; only the last pair built is kept."""
+        if self._plans is None or self._plans[:2] != (boundary, linear):
+            self._plans = (boundary, linear,
+                           tuple(_RHSPlan(b, self, boundary, linear)
+                                 for b in (self.y, self.stage)))
+        return self._plans[2]
 
 
 class _RHSPlan:
-    """One RHS evaluation on one field block of a Workspace, bound once.
+    """One RHS evaluation on one field block of a Workspace, bound once for
+    the workspace's window W.
 
-    stencils: the ufunc calls (fn, args) of phi's Laplacian interior, of the
-    one stencil over [a0, ar] and, when coupled, of d_r phi's interior.
-    couplings (empty when linear): the current into ws.j, one add of J into
-    (a0_tt, ar_tt), and phi_tt += 2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2)
-    phi by parts.  The other slots are what the boundary rows read and write.
+    stencils: the ufunc calls (fn, args) of the one stencil over [a0, ar],
+    and of phi's Laplacian interior and, when coupled, d_r phi's interior on
+    the window.  couplings (empty when linear): the current into ws.j on the
+    window, one add of J into (a0_tt, ar_tt) over the whole grid, and phi_tt
+    += 2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2) phi by parts on the
+    window.  The other slots are what the boundary rows read and write;
+    phi_t_tail is None unless W = n, and phi's outer row is skipped then.
     """
 
     __slots__ = ("stencils", "couplings", "dd", "drphi", "h", "r_max",
-                 "sommerfeld", "n2", "ar0", "phi_head", "a0_head",
-                 "phi_t_tail", "a0_t_tail", "ar_t_tail")
+                 "sommerfeld", "n", "phi_head", "a0_head", "phi_t_tail",
+                 "a0_t_tail", "ar_t_tail")
 
     def __init__(self, block: np.ndarray, ws: Workspace, boundary: str,
                  linear: bool):
-        grid, n, dd = ws.grid, ws.n_nodes, ws.dd_block
+        grid, n, dd, w = ws.grid, ws.n_nodes, ws.dd_block, ws.window
         m = 4 * n
+        span = min(w + 1, n)        # phi's stencils read the nodes [0, span)
         phi, phi_t, a0, _, ar, _ = _field_views(block, n)
         self.stencils = _three_point_ops(block[:2 * n], dd[:2 * n],
-                                         grid._even_interleaved, 2)
-        self.stencils += _three_point_ops(block[2 * n:m], dd[2 * n:],
-                                          tuple(grid._coef))
+                                         tuple(grid._coef))
+        minus_over_plus, plus_over_c0, c0 = grid._even_interleaved
+        self.stencils += _three_point_ops(
+            block[2 * n:2 * n + 2 * span], dd[2 * n:2 * n + 2 * span],
+            (minus_over_plus[:2 * span - 4], plus_over_c0[:2 * span - 4], c0), 2)
         self.couplings = []
         if not linear:
-            drphi, j, (w, s, t) = ws.drphi, ws.j, ws.scratch
-            phi_tt = ws.dd[0]
-            self.stencils += _d_r_ops(phi, drphi, grid.h)
-            c = _current_ops(phi, phi_t, drphi, a0, ar, j[:n], j[n:], w, s)
-            c += [(np.add, (dd[2 * n:], j, dd[2 * n:])),
-                  (np.multiply, (a0, a0, w)), (np.multiply, (ar, ar, t)),
-                  (np.subtract, (w, t, w))]
+            drphi, j = ws.drphi, ws.j
+            self.stencils += _d_r_ops(phi[:span], drphi[:span], grid.h)
+            phi, phi_t, drphi, a0, ar, phi_tt = (
+                f[:w] for f in (phi, phi_t, drphi, a0, ar, ws.dd[0]))
+            v, s, t = (f[:w] for f in ws.scratch)
+            c = _current_ops(phi, phi_t, drphi, a0, ar, j[:w], j[n:n + w], v, s)
+            c += [(np.add, (dd[:2 * n], j, dd[:2 * n])),
+                  (np.multiply, (a0, a0, v)), (np.multiply, (ar, ar, t)),
+                  (np.subtract, (v, t, v))]
             for part, sign, d_other, p_other, phi_part in (
                     (phi_tt.real, 2.0, drphi.imag, phi_t.imag, phi.real),
                     (phi_tt.imag, -2.0, drphi.real, phi_t.real, phi.imag)):
@@ -273,16 +332,16 @@ class _RHSPlan:
                       (np.multiply, (ar, d_other, t)), (np.subtract, (s, t, s)),
                       (np.multiply, (s, np.array(sign), s)),
                       (np.add, (part, s, part)),
-                      (np.multiply, (w, phi_part, s)), (np.add, (part, s, part))]
+                      (np.multiply, (v, phi_part, s)), (np.add, (part, s, part))]
             self.couplings = c
         self.dd, self.drphi = dd, ws.drphi.view(np.float64)
         self.h, self.r_max = grid.h, grid.r_max
         self.sommerfeld = boundary == "sommerfeld"
-        self.n2, self.ar0 = 2 * n, 3 * n
-        self.phi_head, self.a0_head = block[:4], block[2 * n:2 * n + 2]
-        self.phi_t_tail = block[m + 2 * n - 6:m + 2 * n]
-        self.a0_t_tail = block[m + 3 * n - 3:m + 3 * n]
-        self.ar_t_tail = block[2 * m - 3:]
+        self.n = n
+        self.phi_head, self.a0_head = block[2 * n:2 * n + 4], block[:2]
+        self.phi_t_tail = block[2 * m - 6:] if w == n else None
+        self.a0_t_tail = block[m + n - 3:m + n]
+        self.ar_t_tail = block[m + 2 * n - 3:m + 2 * n]
 
 
 def _rhs(p: _RHSPlan) -> None:
@@ -293,38 +352,40 @@ def _rhs(p: _RHSPlan) -> None:
     """
     for fn, args in p.stencils:
         fn(*args)
-    dd, h, n2 = p.dd, p.h, p.n2
+    dd, h, n = p.dd, p.h, p.n
     phi01 = p.phi_head.tolist()
-    dd[0], dd[1] = _row_lap_origin(phi01, h)
-    dd[n2], = _row_lap_origin(p.a0_head.tolist(), h)
+    dd[2 * n], dd[2 * n + 1] = _row_lap_origin(phi01, h)
+    dd[0], = _row_lap_origin(p.a0_head.tolist(), h)
     if p.couplings:
         p.drphi[0], p.drphi[1] = _row_d_r_origin(phi01[2:], EVEN, h)
         for fn, args in p.couplings:
             fn(*args)
-    ar0 = p.ar0
-    dd[ar0] = 0.0
+    dd[n] = 0.0                     # ar_tt(0)
+    outer_phi = p.phi_t_tail is not None
     if p.sommerfeld:
         r_max = p.r_max
-        dd[n2 - 2], dd[n2 - 1] = _row_sommerfeld(p.phi_t_tail.tolist(), h, r_max)
-        dd[ar0 - 1], = _row_sommerfeld(p.a0_t_tail.tolist(), h, r_max)
-        dd[-1], = _row_sommerfeld(p.ar_t_tail.tolist(), h, r_max)
+        dd[n - 1], = _row_sommerfeld(p.a0_t_tail.tolist(), h, r_max)
+        dd[2 * n - 1], = _row_sommerfeld(p.ar_t_tail.tolist(), h, r_max)
+        if outer_phi:
+            dd[-2], dd[-1] = _row_sommerfeld(p.phi_t_tail.tolist(), h, r_max)
     else:  # frozen outer node; the causality shield keeps it irrelevant
-        dd[n2 - 2] = dd[n2 - 1] = dd[ar0 - 1] = dd[-1] = 0.0
+        dd[n - 1] = dd[2 * n - 1] = 0.0
+        if outer_phi:
+            dd[-2] = dd[-1] = 0.0
 
 
 def rhs(state: FieldState, grid: RadialGrid, boundary: str = "sommerfeld",
         linear: bool = False):
-    """Time derivative of every evolved field (NaN-guarded)."""
+    """Time derivative of every evolved field on the whole grid (NaN-guarded)."""
     ws = Workspace(grid)
     ws.load(state)
+    ws._set_window(ws.n_nodes)
     _rhs(ws.plans(boundary, linear)[0])
-    finite = np.isfinite(ws.dd_block)
-    if not finite.all():
-        i, n = int(np.argmin(finite)), ws.n_nodes
-        name, node = (("phi_tt", i // 2) if i < 2 * n else
-                      ("a0_tt", i - 2 * n) if i < 3 * n else ("ar_tt", i - 3 * n))
-        raise EvolutionUnstable(
-            f"non-finite {name} at t={state.t}, node {node}")
+    for name, f in zip(("phi_tt", "a0_tt", "ar_tt"), ws.dd):
+        finite = np.isfinite(f)
+        if not finite.all():
+            raise EvolutionUnstable(
+                f"non-finite {name} at t={state.t}, node {int(np.argmin(finite))}")
     y = _evolved(state)
     phi_tt, a0_tt, ar_tt = ws.dd
     return FieldState(state.t, y[1], phi_tt, y[3], a0_tt, y[5], ar_tt)
@@ -341,7 +402,8 @@ def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
     work is a Workspace for this grid (ValueError otherwise), built here
     when None.  A state returned by work.load() (or by a step on it)
     advances in place, and the result holds the same arrays.  Any other
-    state is left untouched and the result gets fresh arrays.
+    state is left untouched and the result gets fresh arrays.  phi's work
+    runs on the workspace's window, grown first to cover the state.
     """
     if dt is None:
         dt = scheme.cfl * grid.h
@@ -351,12 +413,13 @@ def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
     in_place = ws.holds(state)
     if not in_place:
         ws.load(state)
+    ws.cover()
     at_y, at_stage = ws.plans(scheme.boundary, scheme.linear)
     # 0-d arrays: a ufunc takes them faster than Python floats
     half, full, sixth = (np.array(c, dtype=np.float64)
                          for c in (0.5 * dt, dt, dt / 6.0))
     yp, yv, zp, zv, ap, av = ws.halves   # positions and velocities
-    dd, acc = ws.dd_block, ws.acc
+    dd, acc = ws.dd_window, ws.acc_window
     mul, add = np.multiply, np.add
 
     # the stage-s derivative is [v's velocities, dd], with v the block its
@@ -378,10 +441,13 @@ def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
         add(av, dd, av)
     mul(acc, sixth, acc)
     y, n = ws.y, ws.n_nodes
-    new = y if in_place else np.empty_like(y)
-    add(y, acc, new)
-    new[3 * n] = 0.0                # ar(0) and ar_t(0)
-    new[7 * n] = 0.0
+    if in_place:
+        new = y
+        add(ws.y_window, acc, ws.y_window)
+    else:                           # +0 + +0 beyond the window
+        new = add(y, ws.acc)
+    new[n] = 0.0                    # ar(0) and ar_t(0)
+    new[5 * n] = 0.0
     fields = ws.y_fields if in_place else _field_views(new, n)
     return FieldState(state.t + dt, *fields)
 

@@ -62,7 +62,6 @@ class RadiationTable:
     Phi0: np.ndarray
     dPhi0_dq: np.ndarray
     J_Lbar: np.ndarray
-    A_L_limit: float
     A_L_err: float
     A_Lbar_mod: np.ndarray
     Phi0_err: np.ndarray
@@ -259,14 +258,11 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
     Phi0_err = np.where(inside[0] & inside[1], np.hypot(change.real, change.imag),
                         np.where(inside[0] | inside[1], np.inf, 0.0))
     jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
-    # A_L limit along the central extraction ray
+    # error estimate of the A_L limit along the central extraction ray
     q_al = 0.0 if not ray_qs else sorted(ray_qs, key=abs)[0]
     ray = sample_ray(slices, grid, q_al, domain_frac)
-    if len(ray.t) >= LIMIT_SAMPLES:
-        est = extract_AL_limit(ray, Q)
-        al, alerr = est.value, est.err_est
-    else:
-        al, alerr = (float(ray.r[-1] * ray.A_L[-1]) if len(ray.t) else 0.0), np.inf
+    alerr = (extract_AL_limit(ray, Q).err_est if len(ray.t) >= LIMIT_SAMPLES
+             else np.inf)
     # modified A_Lbar at the last slice, on the q grid
     x = last.t + q_grid
     ok = _in_domain(x, grid, domain_frac)
@@ -275,7 +271,7 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
     mod[ok] = x[ok] * mod_ALbar(albar, q_grid, -0.5 * jlbar, last.t, x[ok],
                                 q_min=q_grid[0])
     return RadiationTable(q=q_grid.copy(), Phi0=Phi0, dPhi0_dq=dPhi0,
-                          J_Lbar=jlbar, A_L_limit=al, A_L_err=alerr,
+                          J_Lbar=jlbar, A_L_err=alerr,
                           A_Lbar_mod=mod, Phi0_err=Phi0_err)
 
 

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from mkglab.core import (FieldState, GaugeFunction, current_density,
                          gauge_transform)
 from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble_state
-from mkglab.evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
-                              Workspace, _field_views, _rhs, charge_monitor,
-                              energy_monitor, evolve, frame_identity_residual,
-                              lorenz_residual, rhs, step, time_grid)
+from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
+                              SchemeParams, Workspace, _field_views, _rhs,
+                              charge_monitor, energy_monitor, evolve,
+                              frame_identity_residual, lorenz_residual, rhs,
+                              step, time_grid)
 from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
                          _row_d_r_outer, _row_lap_origin, _row_lap_outer,
                          _row_sommerfeld, d_r, laplacian_even,
@@ -181,6 +182,7 @@ class TestRHSPlan:
                                              signed_zeros, r_max, n_cells):
         grid = RadialGrid(r_max, n_cells)
         ws = Workspace(grid)
+        ws._set_window(grid.n_nodes)    # the fields fill the grid
         rng = np.random.default_rng(n_cells)
         for trial in range(40 if signed_zeros else 4):
             y = random_fields(rng, grid.n_nodes, signed_zeros)
@@ -260,6 +262,104 @@ class TestRHSPlan:
                 assert same_bytes(np.array(got[key]), w.view(np.float64)), key
                 if key in arrays:
                     assert same_bytes(np.array([arrays[key]]), w), key
+
+
+def last_set_node(*fields):
+    """The last node where any of the complex fields has a set bit."""
+    return max(int(np.flatnonzero(f.view(np.uint64))[-1]) // 2 for f in fields)
+
+
+class TestPhiWindow:
+    """step() does phi's work on the window only; every case must match the
+    full-grid reference_step byte for byte."""
+
+    GRID = RadialGrid(40.0, 400)    # eps exp(-r^2) is exactly 0 past r ~ 27
+
+    def compact(self):
+        st, _ = assemble_state(gaussian_data(self.GRID, eps=0.1, ar_amp=0.05),
+                               self.GRID)
+        return st
+
+    def check(self, state, y):
+        for name, want in zip(FIELDS, y):
+            assert same_bytes(getattr(state, name), want), name
+
+    @pytest.mark.parametrize("boundary", ["sommerfeld", "none"])
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_compact_data_until_front_reaches_r_max(self, boundary, linear):
+        grid, st = self.GRID, self.compact()
+        assert 250 < last_set_node(st.phi, st.phi_t) < 300
+        y = [getattr(st, name).copy() for name in FIELDS]
+        ws = Workspace(grid)
+        state = ws.load(st)
+        scheme = SchemeParams(cfl=0.5, boundary=boundary, linear=linear)
+        dt = 0.5 * grid.h
+        windows = []
+        for _ in range(320):
+            y = reference_step(y, grid, dt, boundary, linear)
+            state = step(state, grid, scheme, dt, work=ws)
+            windows.append(ws.window)
+            self.check(state, y)
+        assert windows[0] < grid.n_nodes and windows[-1] == grid.n_nodes
+        assert len(set(windows)) > 2 and windows == sorted(windows)
+
+    def test_signed_zeros_beyond_support(self):
+        grid, st = self.GRID, self.compact()
+        st.phi[330] = complex(-0.0, 0.0)
+        st.phi_t.view(np.float64)[2 * 340 + 1] = -0.0
+        y = [getattr(st, name).copy() for name in FIELDS]
+        ws = Workspace(grid)
+        state = ws.load(st)
+        for _ in range(3):
+            y = reference_step(y, grid, 0.5 * grid.h, "sommerfeld", False)
+            state = step(state, grid, SchemeParams(cfl=0.5), work=ws)
+            assert 340 < ws.window < grid.n_nodes
+            self.check(state, y)
+
+    def test_held_state_written_beyond_window(self):
+        grid, st = self.GRID, self.compact()
+        y = [getattr(st, name).copy() for name in FIELDS]
+        ws = Workspace(grid)
+        state = ws.load(st)
+        scheme, dt = SchemeParams(cfl=0.5), 0.5 * grid.h
+        for k in range(12):
+            if k == 4:
+                # the last node the window, grown by 2 fewer, would leave
+                # outside; its stencil reaches 2 nodes further in one step
+                node = ws.window + _WINDOW_CHUNK - 2
+                for f in (state.phi, y[0]):
+                    f[node] = 1e-3 + 2e-3j
+                for f in (state.phi_t, y[1]):
+                    f[node - 5] = -1e-3
+            y = reference_step(y, grid, dt, "sommerfeld", False)
+            state = step(state, grid, scheme, dt, work=ws)
+            self.check(state, y)
+
+    def test_workspace_reused_for_smaller_support(self):
+        grid, wide = self.GRID, self.compact()
+        wide.phi[390] = 1e-3
+        ws = Workspace(grid)
+        scheme, dt = SchemeParams(cfl=0.5), 0.5 * grid.h
+        step(ws.load(wide), grid, scheme, dt, work=ws)
+        st = self.compact()
+        st.phi[:] = np.where(grid.r < 10.0, st.phi, 0.0)
+        st.phi_t[:] = np.where(grid.r < 10.0, st.phi_t, 0.0)
+        y = [getattr(st, name).copy() for name in FIELDS]
+        state = ws.load(st)
+        for _ in range(5):
+            y = reference_step(y, grid, dt, "sommerfeld", False)
+            state = step(state, grid, scheme, dt, work=ws)
+            assert ws.window == grid.n_nodes    # a window never shrinks
+            self.check(state, y)
+
+    def test_bare_step_on_compact_data(self):
+        grid, st = self.GRID, self.compact()
+        y = [getattr(st, name).copy() for name in FIELDS]
+        scheme = SchemeParams(cfl=0.5, boundary="none")
+        for _ in range(10):
+            y = reference_step(y, grid, 0.5 * grid.h, "none", False)
+            st = step(st, grid, scheme)
+            self.check(st, y)
 
 
 class TestKernel:
