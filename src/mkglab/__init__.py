@@ -17,7 +17,7 @@ from .data_builder import (BumpProfile, ChargeValue, CutoffChi, FreeData,
                            solve_a0, subtract_charge_tail, weighted_norm)
 from .evolution import (EvolutionUnstable, MonitorLog, ObservationPlan,
                         SchemeParams, charge_monitor, energy_monitor, evolve,
-                        frame_identity_residual, lorenz_residual, rhs, step)
+                        frame_identity_residual, lorenz_residual, step)
 from .grid import RadialGrid
 from .interior import (AsymSource, CutoffChi0, K_mu, angular_kernel_integral,
                        chain_difference_report, eval_A_ex, eval_A_ex_infty,

@@ -223,15 +223,19 @@ def Albar_profile(states: list) -> dict:
             "max_residual": resid, "predicted_slopes": predicted}
 
 
-def weak_null_certificate(states: list, ds: float,
-                          modulus_tol: float = 1e-10,
-                          affine_tol: float = 1e-6) -> dict:
+# weak_null_certificate's bounds on the drift of |P| and on the residual of
+# the affine fit of sup_q |A_Lbar| in s
+_MODULUS_TOL = 1e-10
+_AFFINE_TOL = 1e-6
+
+
+def weak_null_certificate(states: list, ds: float) -> dict:
     """Certify the weak-null behaviour over a recorded s history.
 
     Checks: (1) sup_q |P| drifts from its initial value by less than
-    modulus_tol (exact invariant of the analytic flow, so drift is pure
+    _MODULUS_TOL (exact invariant of the analytic flow, so drift is pure
     integrator error); (2) sup_q |A_Lbar| fits an affine function of s
-    with residual below affine_tol; (3) the good components B_L (and the
+    with residual below _AFFINE_TOL; (3) the good components B_L (and the
     tangential ones, identically zero here) are s-independent; (4) no
     blow-up: sup |P| stays bounded by twice its initial value.
     """
@@ -248,7 +252,7 @@ def weak_null_certificate(states: list, ds: float,
     affine_resid = float(np.max(np.abs(alb_sup - A @ coef)))
     bl = np.stack([st.B_L() for st in states])
     bl_drift = float(np.max(np.abs(bl - bl[0])))
-    passed = (mod_drift < modulus_tol and affine_resid < affine_tol
+    passed = (mod_drift < _MODULUS_TOL and affine_resid < _AFFINE_TOL
               and not blow_up)
     return {
         "passed": bool(passed),

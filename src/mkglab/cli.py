@@ -72,11 +72,10 @@ def _positivity_check() -> Check:
                  neg, -1e-12, neg >= -1e-12)
 
 
-# mms and agreement are the pipeline's checks, agreement on its seeded draws
+# mms and agreement are the pipeline's checks, agreement with its seed
 ORACLES = {
     "mms": mms_check,
-    "agreement": lambda: agreement_check(
-        np.random.default_rng(default_config().output["seed"])),
+    "agreement": lambda: agreement_check(default_config().output["seed"]),
     "positivity": _positivity_check,
 }
 

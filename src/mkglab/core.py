@@ -152,19 +152,16 @@ def _current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp) -> list:
     return ops
 
 
-def current_density(phi, phi_t, drphi, a0, ar, out=None, work=None):
+def current_density(phi, phi_t, drphi, a0, ar):
     """(J_0, J_r) from phi, phi_t, d_r phi and the potentials (a0, ar).
 
         J_0 = -Im(conj(phi) phi_t) - a0 |phi|^2,
         J_r = -Im(conj(phi) d_r phi) - ar |phi|^2.
 
-    phi, phi_t and drphi are complex128 arrays, a0 and ar float64.  out =
-    (j0, jr) and work = (abs2, tmp) are float64 buffers of the same length;
-    each pair is allocated when not given.  Returns (j0, jr).
+    phi, phi_t and drphi are complex128 arrays, a0 and ar float64 arrays of
+    the same length.  Returns (j0, jr).
     """
-    n = len(phi)
-    j0, jr = out if out is not None else (np.empty(n), np.empty(n))
-    abs2, tmp = work if work is not None else (np.empty(n), np.empty(n))
+    j0, jr, abs2, tmp = (np.empty(len(phi)) for _ in range(4))
     _run(_current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp))
     return j0, jr
 

@@ -157,6 +157,11 @@ class CutoffChi:
         return smoothstep_quintic((np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo))
 
 
+# the cutoff of the Coulomb tail that subtract_charge_tail removes and the
+# frame identity's A^1_Lbar subtracts
+_CHI = CutoffChi()
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -187,8 +192,11 @@ def _tail_estimate(g: np.ndarray, grid: RadialGrid) -> float:
     return float(g2 * r2 / (p - 1.0))
 
 
-def solve_a0(data: FreeData, grid: RadialGrid, tail_rel_tol: float = 1e-8
-             ) -> tuple[np.ndarray, np.ndarray]:
+# largest truncated exterior tail of a0 that solve_a0 accepts, relative to max|a0|
+_A0_TAIL_REL_TOL = 1e-8
+
+
+def solve_a0(data: FreeData, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Temporal potential data from the constraints.
 
     With rho = Im(phi0 conj phi0_dot) - div(omega ar0_dot), the decaying
@@ -198,7 +206,7 @@ def solve_a0(data: FreeData, grid: RadialGrid, tail_rel_tol: float = 1e-8
 
     with the exterior integral truncated at r_max; a0_dot = div(omega ar0)
     evaluated with the discrete divergence.  The truncated tail must be
-    below tail_rel_tol relative to max|a0|, otherwise the domain is too
+    below _A0_TAIL_REL_TOL relative to max|a0|, otherwise the domain is too
     small.
     """
     r, h = grid.r, grid.h
@@ -211,10 +219,10 @@ def solve_a0(data: FreeData, grid: RadialGrid, tail_rel_tol: float = 1e-8
     a0[0] = m1_tail[0]
     tail = _tail_estimate(np.abs(rho * r), grid)
     scale = max(np.max(np.abs(a0)), 1e-300)
-    if not (tail <= tail_rel_tol * scale):
+    if not (tail <= _A0_TAIL_REL_TOL * scale):
         raise ValueError(
             f"domain too small: exterior tail of a0 is {tail:.3e}, "
-            f"tolerance {tail_rel_tol * scale:.3e}; increase r_max")
+            f"tolerance {_A0_TAIL_REL_TOL * scale:.3e}; increase r_max")
     a0_dot = divergence_radial(data.ar0, grid)
     return a0, a0_dot
 
@@ -295,17 +303,17 @@ def assemble_state(data: FreeData, grid: RadialGrid) -> tuple[FieldState, Charge
     return state, compute_charge(data, grid)
 
 
-def subtract_charge_tail(state: FieldState, grid: RadialGrid, Q: ChargeValue,
-                         chi: CutoffChi = CutoffChi()) -> FieldState:
+def subtract_charge_tail(state: FieldState, grid: RadialGrid,
+                         Q: ChargeValue) -> FieldState:
     """Remove the cut-off Coulomb potential chi(r - t) Q/(4 pi r) from a0.
 
-    chi vanishes for r - t < 1/2, so the subtraction is regular at r = 0
-    for all t >= 0.
+    chi = _CHI vanishes for r - t < 1/2, so the subtraction is regular at
+    r = 0 for all t >= 0.
     """
     r = grid.r
     coul = np.zeros_like(state.a0)
-    mask = r - state.t > chi.lo
-    coul[mask] = chi(r[mask] - state.t) * Q.Q / (4.0 * np.pi * r[mask])
+    mask = r - state.t > _CHI.lo
+    coul[mask] = _CHI(r[mask] - state.t) * Q.Q / (4.0 * np.pi * r[mask])
     return replace(state, a0=state.a0 - coul)
 
 

@@ -26,8 +26,8 @@ window.  A plan binds once the ufunc calls of the stencils, of the current
 (core) and of the phi couplings on fixed views, with their scalar factors,
 and the views its boundary rows (grid's _row_* functions) read and write;
 _rhs() runs it.  a0 and ar sit side by side in a block, so both Laplacians
-are one stencil, and J_0, J_r are added in one call.  step() and rhs() go
-through the plan; a linear plan has no current and no couplings.
+are one stencil, and J_0, J_r are added in one call.  A linear plan has no
+current and no couplings.
 
 phi travels along outgoing light cones, so compact data stays exactly zero
 outside a front, while a0 carries the charge tail everywhere.  step() does
@@ -45,16 +45,15 @@ is exact), stage values and the new state +0 + (+-0) = +0; only phi_tt is
 +-0, and nothing reads it.  So every step is byte-identical to the
 full-grid step.  phi's outer boundary row runs only when W = n, which is
 reached by data with no exact-zero tail or once the front reaches r_max;
-then the step is the full-grid plan.  rhs() always uses W = n.
+then the step is the full-grid plan.
 
-The state advances in place.  The caller's initial state, the slices and
-the final state are copies and never share memory with a workspace.  A
-snapshot holds t, a strided view of the grid's read-only radii (shared by
-every snapshot) and copies of phi and J_0 on those nodes; the envelope
-checks read nothing else.  A bare step() without a workspace leaves its
-input untouched and returns fresh arrays.  The run takes n_steps =
-ceil(t_end / (cfl h)) steps of dt = t_end / n_steps, so it ends at t_end
-(time_grid).
+step() advances the state that Workspace.load() returned, in place, and
+refuses any other.  The caller's initial state, the slices and the final
+state are copies and never share memory with a workspace.  A snapshot
+holds t, a strided view of the grid's read-only radii (shared by every
+snapshot) and copies of phi and J_0 on those nodes; the envelope checks
+read nothing else.  The run takes n_steps = ceil(t_end / (cfl h)) steps of
+dt = t_end / n_steps, so it ends at t_end (time_grid).
 """
 from __future__ import annotations
 
@@ -63,15 +62,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FieldState, _current_ops, current
-from .data_builder import ChargeValue, CutoffChi
+from .core import FieldState, _current_ops, current, field_strength
+from .data_builder import _CHI, ChargeValue
 from .grid import (EVEN, RadialGrid, _d_r_ops, _row_d_r_origin, _row_lap_origin,
                    _row_sommerfeld, _three_point_ops, d_r, divergence_radial,
                    interp_values, simpson_integral)
 
+# evolve() stops when a field's sup norm exceeds this factor times its
+# initial scale (plus 1, to tolerate zero data)
+_GUARD_FACTOR = 1e6
+# each ray is sampled on 2 * _RAY_HALF + 1 radii; the outermost offsets,
+# +-_RAY_HALF stencil spacings, decide which samples fit in the domain
+_RAY_HALF = 2
+
 
 class EvolutionUnstable(RuntimeError):
-    """Raised by the blow-up / NaN guard with the offending time and node."""
+    """Raised by evolve's blow-up / NaN guard with the offending time."""
 
 
 @dataclass
@@ -107,7 +113,6 @@ class ObservationPlan:
 
     ray_qs: tuple = ()            # retarded coordinates of sampled rays
     stencil_spacing_cells: int = 2
-    stencil_half: int = 2         # 2 -> 5-point radial stencil per ray
     snapshot_every: int = 1       # snapshots every this many monitor events
     snapshot_subsample: int = 4   # keep every k-th node in snapshots
     slice_times: tuple = ()       # full-resolution FieldState copies
@@ -374,52 +379,31 @@ def _rhs(p: _RHSPlan) -> None:
             dd[-2] = dd[-1] = 0.0
 
 
-def rhs(state: FieldState, grid: RadialGrid, boundary: str = "sommerfeld",
-        linear: bool = False):
-    """Time derivative of every evolved field on the whole grid (NaN-guarded)."""
-    ws = Workspace(grid)
-    ws.load(state)
-    ws._set_window(ws.n_nodes)
-    _rhs(ws.plans(boundary, linear)[0])
-    for name, f in zip(("phi_tt", "a0_tt", "ar_tt"), ws.dd):
-        finite = np.isfinite(f)
-        if not finite.all():
-            raise EvolutionUnstable(
-                f"non-finite {name} at t={state.t}, node {int(np.argmin(finite))}")
-    y = _evolved(state)
-    phi_tt, a0_tt, ar_tt = ws.dd
-    return FieldState(state.t, y[1], phi_tt, y[3], a0_tt, y[5], ar_tt)
-
-
 _HALF, _TWO = np.array(0.5), np.array(2.0)
 _HALF.flags.writeable = _TWO.flags.writeable = False
 
 
 def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
-         dt: float | None = None, work: Workspace | None = None) -> FieldState:
+         dt: float, work: Workspace) -> FieldState:
     """One classical RK4 step; parity is re-pinned at r = 0 afterwards.
 
-    work is a Workspace for this grid (ValueError otherwise), built here
-    when None.  A state returned by work.load() (or by a step on it)
-    advances in place, and the result holds the same arrays.  Any other
-    state is left untouched and the result gets fresh arrays.  phi's work
-    runs on the workspace's window, grown first to cover the state.
+    work is a Workspace for this grid, and state the one work.load()
+    returned (or a step on it); it advances in place, and the result holds
+    the same arrays.  Anything else raises ValueError.  phi's work runs on
+    the workspace's window, grown first to cover the state.
     """
-    if dt is None:
-        dt = scheme.cfl * grid.h
-    ws = work if work is not None else Workspace(grid)
-    if ws.grid is not grid and ws.grid != grid:
-        raise ValueError(f"workspace is for {ws.grid}, not {grid}")
-    in_place = ws.holds(state)
-    if not in_place:
-        ws.load(state)
-    ws.cover()
-    at_y, at_stage = ws.plans(scheme.boundary, scheme.linear)
+    if work.grid is not grid and work.grid != grid:
+        raise ValueError(f"workspace is for {work.grid}, not {grid}")
+    if not work.holds(state):
+        raise ValueError("step() advances only the state its workspace's "
+                         "load() returned")
+    work.cover()
+    at_y, at_stage = work.plans(scheme.boundary, scheme.linear)
     # 0-d arrays: a ufunc takes them faster than Python floats
     half, full, sixth = (np.array(c, dtype=np.float64)
                          for c in (0.5 * dt, dt, dt / 6.0))
-    yp, yv, zp, zv, ap, av = ws.halves   # positions and velocities
-    dd, acc = ws.dd_window, ws.acc_window
+    yp, yv, zp, zv, ap, av = work.halves   # positions and velocities
+    dd, acc = work.dd_window, work.acc_window
     mul, add = np.multiply, np.add
 
     # the stage-s derivative is [v's velocities, dd], with v the block its
@@ -440,16 +424,11 @@ def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
         add(ap, zv, ap)
         add(av, dd, av)
     mul(acc, sixth, acc)
-    y, n = ws.y, ws.n_nodes
-    if in_place:
-        new = y
-        add(ws.y_window, acc, ws.y_window)
-    else:                           # +0 + +0 beyond the window
-        new = add(y, ws.acc)
-    new[n] = 0.0                    # ar(0) and ar_t(0)
-    new[5 * n] = 0.0
-    fields = ws.y_fields if in_place else _field_views(new, n)
-    return FieldState(state.t + dt, *fields)
+    add(work.y_window, acc, work.y_window)
+    y, n = work.y, work.n_nodes
+    y[n] = 0.0                      # ar(0) and ar_t(0)
+    y[5 * n] = 0.0
+    return FieldState(state.t + dt, *work.y_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +451,13 @@ def energy_monitor(state: FieldState, grid: RadialGrid) -> float:
     """E = 4 pi int [ |D_t phi|^2 + |D_r phi|^2 + E_r^2 ] / 2 * r^2 dr."""
     dtphi = state.phi_t + 1j * state.a0 * state.phi
     drphi = d_r(state.phi, grid, EVEN) + 1j * state.ar * state.phi
-    er = state.ar_t - d_r(state.a0, grid, EVEN)
+    er = field_strength(state, grid)
     dens = 0.5 * (np.abs(dtphi) ** 2 + np.abs(drphi) ** 2 + er ** 2)
     return 4.0 * np.pi * simpson_integral(dens * grid.r ** 2, grid.h)
 
 
-def frame_identity_residual(history: RayHistory, Q: ChargeValue,
-                            chi: CutoffChi = CutoffChi()) -> tuple[float, np.ndarray, np.ndarray]:
+def frame_identity_residual(history: RayHistory,
+                            Q: ChargeValue) -> tuple[float, np.ndarray, np.ndarray]:
     """Residual of L(r Lbar(r A_L)) + L(r A^1_Lbar) - r^2 J_L along the ray.
 
     Along a fixed ray, d/dt of a sampled series is exactly L applied to the
@@ -509,7 +488,7 @@ def frame_identity_residual(history: RayHistory, Q: ChargeValue,
 
     rA_L = rmat * (a0 + ar)
     u = along(rA_L[:, c]) - 2.0 * ddr(rA_L)          # Lbar(r A_L)
-    a1_lbar = (a0[:, c] - chi(rmat[:, c] - times) * Q.Q / (4.0 * np.pi * rmat[:, c])
+    a1_lbar = (a0[:, c] - _CHI(rmat[:, c] - times) * Q.Q / (4.0 * np.pi * rmat[:, c])
                - ar[:, c])
     y = r0 * u + rmat[:, c] * a1_lbar
     resid = along(y) - rmat[:, c] ** 2 * (j0[:, c] + jr[:, c])
@@ -532,12 +511,11 @@ def time_grid(t_end: float, dt_max: float) -> tuple[int, float]:
 
 
 def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
-           plan: ObservationPlan | None = None,
-           guard_factor: float = 1e6) -> EvolveResult:
+           plan: ObservationPlan | None = None) -> EvolveResult:
     """Run RK4 to t_end, recording monitors, ray samples, and snapshots.
 
     The instability guard aborts when the sup norm of any field exceeds
-    guard_factor times its initial scale (plus 1 to tolerate zero data).
+    _GUARD_FACTOR times its initial scale (plus 1 to tolerate zero data).
     """
     plan = plan or ObservationPlan()
     errs = scheme.validate(grid.r_max)
@@ -548,7 +526,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     state = ws.load(initial)        # stepped in place; copied out below
     log = MonitorLog()
     dlt = plan.stencil_spacing_cells * grid.h
-    offsets = dlt * np.arange(-plan.stencil_half, plan.stencil_half + 1)
+    offsets = dlt * np.arange(-_RAY_HALF, _RAY_HALF + 1)
     rays = {q: RayHistory(q=q, offsets=offsets) for q in plan.ray_qs}
     snapshots: list[Snapshot] = []
     slices: dict[float, FieldState] = {}
@@ -561,7 +539,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         nonlocal monitor_count
         sup = max(np.max(np.abs(state.phi)), np.max(np.abs(state.a0)),
                   np.max(np.abs(state.ar)))
-        if not np.isfinite(sup) or sup > guard_factor * (guard0 + 1.0):
+        if not np.isfinite(sup) or sup > _GUARD_FACTOR * (guard0 + 1.0):
             raise EvolutionUnstable(
                 f"instability detected at t={state.t:.6g}: sup={sup:.3e}, "
                 f"initial scale {guard0:.3e}")
@@ -595,7 +573,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
                 state.t >= slice_times[next_slice] - 0.5 * dt:
             slices[slice_times[next_slice]] = state.copy()
             next_slice += 1
-        state = step(state, grid, scheme, dt, work=ws)
+        state = step(state, grid, scheme, dt, ws)
     observe()
     while next_slice < len(slice_times) and \
             state.t >= slice_times[next_slice] - 0.5 * dt:

@@ -105,17 +105,6 @@ class RadialGrid:
         return 0.0 <= x <= self.r_max
 
 
-def _out_like(f: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """f as a contiguous float64/complex128 array, and the output buffer."""
-    f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
-    if out is None:
-        out = np.empty_like(f)
-    elif out.dtype != f.dtype or out.shape != f.shape:
-        raise ValueError(f"out must be a {f.dtype} array of shape {f.shape}, "
-                         f"got {out.dtype} {out.shape}")
-    return f, out
-
-
 def _three_point_ops(f: np.ndarray, out: np.ndarray, table: tuple,
                      m: int = 1) -> list:
     """Interior rows of a three-point stencil as ufunc calls (fn, args).
@@ -239,13 +228,10 @@ def _tail(f: np.ndarray, k: int) -> list:
     return v[len(v) - k * (f.itemsize // 8):].tolist()
 
 
-def d_r(f: np.ndarray, grid: RadialGrid, parity: int,
-        out: np.ndarray | None = None) -> np.ndarray:
-    """First radial derivative, 2nd order (centered interior, one-sided at r_max).
-
-    Writes into out when given (same dtype and shape as f) and returns it.
-    """
-    f, out = _out_like(f, out)
+def d_r(f: np.ndarray, grid: RadialGrid, parity: int) -> np.ndarray:
+    """First radial derivative, 2nd order (centered interior, one-sided at r_max)."""
+    f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
+    out = np.empty_like(f)
     h = grid.h
     _run(_d_r_ops(f, out, h))
     m = f.itemsize // 8
@@ -254,10 +240,10 @@ def d_r(f: np.ndarray, grid: RadialGrid, parity: int,
                  _row_d_r_outer(_tail(f, 3), h))
 
 
-def _laplacian(f: np.ndarray, grid: RadialGrid, out: np.ndarray | None,
-               vector: bool) -> np.ndarray:
+def _laplacian(f: np.ndarray, grid: RadialGrid, vector: bool) -> np.ndarray:
     """laplacian_radial_vector of f when vector, else laplacian_even."""
-    f, out = _out_like(f, out)
+    f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
+    out = np.empty_like(f)
     m = f.itemsize // 8                 # float64 values per node
     table = grid._stencils["vector" if vector else "even"]
     if m == 2:
@@ -271,26 +257,22 @@ def _laplacian(f: np.ndarray, grid: RadialGrid, out: np.ndarray | None,
                  _row_lap_outer(_tail(f, 4), grid.h, float(grid.r[-1]), vector))
 
 
-def laplacian_even(f: np.ndarray, grid: RadialGrid,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def laplacian_even(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """3-D radial Laplacian d_rr + (2/r) d_r of an even scalar field.
 
     At r = 0 the l'Hopital limit (2/r) d_r f -> 2 d_rr f gives
-    Lap f(0) = 3 f''(0) = 6 (f_1 - f_0)/h^2 to 2nd order.  Writes into out
-    when given (same dtype and shape as f) and returns it.
+    Lap f(0) = 3 f''(0) = 6 (f_1 - f_0)/h^2 to 2nd order.
     """
-    return _laplacian(f, grid, out, vector=False)
+    return _laplacian(f, grid, vector=False)
 
 
-def laplacian_radial_vector(f: np.ndarray, grid: RadialGrid,
-                            out: np.ndarray | None = None) -> np.ndarray:
+def laplacian_radial_vector(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Radial component of the vector Laplacian acting on A_j = omega_j f(r).
 
     Equals d_rr f + (2/r) d_r f - 2 f / r^2; odd parity forces f(0) = 0 and
     the whole expression vanishes at r = 0 (odd functions map to odd).
-    Writes into out when given (same dtype and shape as f) and returns it.
     """
-    return _laplacian(f, grid, out, vector=True)
+    return _laplacian(f, grid, vector=True)
 
 
 def divergence_radial(f: np.ndarray, grid: RadialGrid) -> np.ndarray:

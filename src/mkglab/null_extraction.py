@@ -298,10 +298,6 @@ class EnvelopeSpec:
         return env
 
 
-PHI_PEELING = EnvelopeSpec(a=-1.0, b=0.5, c=0.0, label="phi_peeling4")
-J0_ENVELOPE = EnvelopeSpec(a=-2.0, b=0.0, c=0.0, label="J0_estimate")
-
-
 def phi_peeling_spec(w) -> EnvelopeSpec:
     """|phi| envelope <t+r>^-1 <t-r>^(1/2-s) <(r-t)_+>^-gamma."""
     return EnvelopeSpec(a=-1.0, b=0.5 - w.s, c=-w.gamma, label="phi_peeling4")
@@ -313,17 +309,21 @@ def j0_envelope_spec(w) -> EnvelopeSpec:
                         label="J0_estimate")
 
 
-def envelope_check(snapshots, spec: EnvelopeSpec, quantity: str,
-                   t_min: float = 1.0) -> tuple[float, tuple]:
+# envelope_check skips the snapshots before this time (degenerate weights at t = 0)
+_ENVELOPE_T_MIN = 1.0
+
+
+def envelope_check(snapshots, spec: EnvelopeSpec,
+                   quantity: str) -> tuple[float, tuple]:
     """sup of |quantity| / envelope over stored snapshots.
 
     quantity: attribute name on Snapshot objects ('phi' or 'j0').
-    Returns (sup_weighted, (t, r) argmax).  Snapshots earlier than t_min
-    are skipped (degenerate weights at t = 0).
+    Returns (sup_weighted, (t, r) argmax).  Snapshots earlier than
+    _ENVELOPE_T_MIN are skipped.
     """
     sup, arg = 0.0, (np.nan, np.nan)
     for snap in snapshots:
-        if snap.t < t_min:
+        if snap.t < _ENVELOPE_T_MIN:
             continue
         vals = np.abs(getattr(snap, quantity))
         env = spec(snap.t, snap.r)

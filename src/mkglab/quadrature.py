@@ -224,16 +224,21 @@ def sphere_quadrature(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     return omega.reshape(-1, 3), np.repeat(wmu * wphi, n_phi)
 
 
-def sphere_integral_adaptive(f, abs_tol: float = 1e-8, n_start: int = 16,
-                             n_max: int = 1024) -> float:
+# sphere_integral_adaptive's first mu-order, and the order past which it
+# stops doubling
+_SPHERE_N_START = 16
+_SPHERE_N_MAX = 1024
+
+
+def sphere_integral_adaptive(f, abs_tol: float = 1e-8) -> float:
     """Integrate f(omega) over S^2, doubling the mu-order until stable.
 
     f takes an (m, 3) array of unit vectors and returns m values.
     """
-    n = n_start
+    n = _SPHERE_N_START
     omega, w = sphere_quadrature(n, max(4, n // 2))
     prev = float(np.dot(w, f(omega)))
-    while n <= n_max:
+    while n <= _SPHERE_N_MAX:
         n *= 2
         omega, w = sphere_quadrature(n, max(4, n // 2))
         cur = float(np.dot(w, f(omega)))
@@ -241,4 +246,4 @@ def sphere_integral_adaptive(f, abs_tol: float = 1e-8, n_start: int = 16,
             return cur
         prev = cur
     raise RuntimeError(
-        f"sphere quadrature did not reach {abs_tol} by mu-order {n_max}")
+        f"sphere quadrature did not reach {abs_tol} by mu-order {_SPHERE_N_MAX}")

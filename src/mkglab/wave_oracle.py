@@ -35,29 +35,9 @@ from .quadrature import adaptive_quad, gauss_legendre
 
 @dataclass
 class RadialSource:
-    """Source F(t, r) with a declared decay envelope.
-
-    decay_C, decay_delta declare |F| <= C / ((1+r)(1+t+r)(1+|t-r|)^(1+delta)).
-    verify_envelope samples the claim; callers may skip it for manufactured
-    sources that only live on a compact window.
-    """
+    """Radial source F(t, r) of -Box phi = F; F takes arrays."""
 
     F: callable
-    decay_C: float = 1.0
-    decay_delta: float = 1.0
-
-    def envelope(self, t, r):
-        return self.decay_C / ((1.0 + r) * (1.0 + t + r)
-                               * (1.0 + np.abs(t - r)) ** (1.0 + self.decay_delta))
-
-    def verify_envelope(self, t_max: float = 50.0, r_max: float = 50.0,
-                        n: int = 40) -> float:
-        """Max of |F|/envelope over a sample grid (should be <= 1)."""
-        ts = np.linspace(0.0, t_max, n)
-        rs = np.linspace(1e-3, r_max, n)
-        T, R = np.meshgrid(ts, rs, indexing="ij")
-        vals = np.abs(self.F(T, R)) / self.envelope(T, R)
-        return float(np.max(vals))
 
 
 def solve_inhom_radial(source: RadialSource, t: float, r: float,

@@ -1,11 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from mkglab import pipeline
+from mkglab import cli, pipeline
 from mkglab.cli import main as cli_main
 from mkglab.config import (ConfigError, default_config, dump_config,
                            parse_config, run_config_hash)
@@ -344,14 +343,28 @@ class TestCLI:
 
     @pytest.mark.parametrize("case, check", [
         ("mms", mms_check),
-        ("agreement", lambda: agreement_check(
-            np.random.default_rng(default_config().output["seed"]))),
+        ("agreement", lambda: agreement_check(default_config().output["seed"])),
     ])
     def test_oracle_prints_the_pipeline_check(self, capsys, case, check):
         assert cli_main(["oracle", case]) == 0
         row = check().row()
         out = capsys.readouterr().out
         assert f"[PASS] {row['id']}: measured {row['measured']:.6g} " in out
+
+    def test_report_agreement_row_is_what_the_cli_prints(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # the kernel checks draw before the agreement check; the stubbed
+        # ladder, free-wave and asymptotic-system checks draw nothing
+        for name in ("_free_wave_order_check", "_refinement_orders_check",
+                     "_asys_checks"):
+            monkeypatch.setattr(pipeline, name, lambda *args: None)
+        report = run_pipeline(parse_config(SMALL), out_dir=str(tmp_path))
+        row = next(c.row() for c in report.checks if c.id == "oracle_agreement")
+        capsys.readouterr()
+        assert cli_main(["oracle", "agreement"]) == 0
+        printed = capsys.readouterr().out
+        cli._print_check(row)
+        assert printed == capsys.readouterr().out
 
     def test_asys_subcommand(self, tmp_path):
         cfgfile = tmp_path / "small.cfg"

@@ -9,8 +9,8 @@ from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble
 from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
                               SchemeParams, Workspace, _field_views, _rhs,
                               charge_monitor, energy_monitor, evolve,
-                              frame_identity_residual, lorenz_residual, rhs,
-                              step, time_grid)
+                              frame_identity_residual, lorenz_residual, step,
+                              time_grid)
 from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
                          _row_d_r_outer, _row_lap_origin, _row_lap_outer,
                          _row_sommerfeld, d_r, laplacian_even,
@@ -87,14 +87,13 @@ def reference_rhs(y, grid, boundary, linear):
     for byte."""
     phi, phi_t, a0, a0_t, ar, ar_t = y
     n = grid.n_nodes
-    phi_tt, a0_tt, ar_tt = np.empty(n, complex), np.empty(n), np.empty(n)
-    laplacian_even(phi, grid, out=phi_tt)
-    laplacian_even(a0, grid, out=a0_tt)
-    laplacian_radial_vector(ar, grid, out=ar_tt)
+    phi_tt = laplacian_even(phi, grid)
+    a0_tt = laplacian_even(a0, grid)
+    ar_tt = laplacian_radial_vector(ar, grid)
     if not linear:
         w, s, t = np.empty(n), np.empty(n), np.empty(n)
         drphi = d_r(phi, grid, EVEN)
-        j0, jr = current_density(phi, phi_t, drphi, a0, ar, work=(w, s))
+        j0, jr = current_density(phi, phi_t, drphi, a0, ar)
         a0_tt += j0
         ar_tt += jr
         np.multiply(a0, a0, out=w)
@@ -312,7 +311,7 @@ class TestPhiWindow:
         state = ws.load(st)
         for _ in range(3):
             y = reference_step(y, grid, 0.5 * grid.h, "sommerfeld", False)
-            state = step(state, grid, SchemeParams(cfl=0.5), work=ws)
+            state = step(state, grid, SchemeParams(cfl=0.5), 0.5 * grid.h, ws)
             assert 340 < ws.window < grid.n_nodes
             self.check(state, y)
 
@@ -353,12 +352,16 @@ class TestPhiWindow:
             self.check(state, y)
 
     def test_bare_step_on_compact_data(self):
+        # a fresh workspace each step: its first window must grow to cover
+        # the state it loads
         grid, st = self.GRID, self.compact()
         y = [getattr(st, name).copy() for name in FIELDS]
-        scheme = SchemeParams(cfl=0.5, boundary="none")
+        scheme, dt = SchemeParams(cfl=0.5, boundary="none"), 0.5 * grid.h
         for _ in range(10):
-            y = reference_step(y, grid, 0.5 * grid.h, "none", False)
-            st = step(st, grid, scheme)
+            y = reference_step(y, grid, dt, "none", False)
+            ws = Workspace(grid)
+            st = step(ws.load(st), grid, scheme, dt, ws)
+            assert 250 < ws.window < grid.n_nodes
             self.check(st, y)
 
 
@@ -378,35 +381,53 @@ class TestKernel:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
     def test_step_leaves_input_untouched(self):
+        # load() copies: the caller's state never shares memory with a step
         grid = RadialGrid(10.0, 100)
         st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05), grid)
         before = st.copy()
-        for work in (None, Workspace(grid)):
-            out = step(st, grid, SchemeParams(cfl=0.5), work=work)
-            for name in FIELDS:
-                assert np.array_equal(getattr(st, name), getattr(before, name))
-                for other in FIELDS:
-                    assert not np.shares_memory(getattr(out, name),
-                                                getattr(st, other))
-            assert not np.iscomplexobj(out.a0) and not np.iscomplexobj(out.a0_t)
+        ws = Workspace(grid)
+        out = step(ws.load(st), grid, SchemeParams(cfl=0.5), 0.5 * grid.h, ws)
+        for name in FIELDS:
+            assert np.array_equal(getattr(st, name), getattr(before, name))
+            for other in FIELDS:
+                assert not np.shares_memory(getattr(out, name),
+                                            getattr(st, other))
+        assert not np.iscomplexobj(out.a0) and not np.iscomplexobj(out.a0_t)
 
     def test_workspace_of_another_grid_rejected(self):
         grid = RadialGrid(10.0, 100)
         st = FieldState.zeros(grid)
-        step(st, grid, SchemeParams(), work=Workspace(RadialGrid(10.0, 100)))
+        ws = Workspace(RadialGrid(10.0, 100))
+        step(ws.load(st), grid, SchemeParams(), 0.5 * grid.h, ws)
+        ws = Workspace(RadialGrid(20.0, 100))
         with pytest.raises(ValueError, match="workspace is for"):
-            step(st, grid, SchemeParams(), work=Workspace(RadialGrid(20.0, 100)))
+            step(ws.load(st), grid, SchemeParams(), 0.5 * grid.h, ws)
+
+    def test_state_not_loaded_by_the_workspace_rejected(self):
+        grid = RadialGrid(10.0, 100)
+        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        ws, other = Workspace(grid), Workspace(grid)
+        loaded = ws.load(st)
+        for foreign in (st, loaded.copy(), other.load(st)):
+            with pytest.raises(ValueError, match="load"):
+                step(foreign, grid, SchemeParams(cfl=0.5), 0.5 * grid.h, ws)
+        assert np.array_equal(loaded.phi, st.phi)   # nothing was stepped
 
     def test_workspace_state_steps_in_place(self):
         grid = RadialGrid(10.0, 100)
         st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        scheme, dt = SchemeParams(cfl=0.5), 0.5 * grid.h
         ws = Workspace(grid)
         loaded = ws.load(st)
-        fresh = step(st, grid, SchemeParams(cfl=0.5))
-        stepped = step(loaded, grid, SchemeParams(cfl=0.5), work=ws)
-        for name in FIELDS:
+        stepped = step(loaded, grid, scheme, dt, ws)
+        again = step(stepped, grid, scheme, dt, ws)
+        y = [getattr(st, name).copy() for name in FIELDS]
+        for _ in range(2):
+            y = reference_step(y, grid, dt, "sommerfeld", False)
+        for name, want in zip(FIELDS, y):
             assert getattr(stepped, name) is getattr(loaded, name)
-            assert np.array_equal(getattr(stepped, name), getattr(fresh, name))
+            assert getattr(again, name) is getattr(loaded, name)
+            assert same_bytes(getattr(again, name), want), name
 
     def test_evolve_outputs_share_no_memory(self):
         grid = RadialGrid(10.0, 100)
@@ -434,19 +455,6 @@ class TestKernel:
             assert not snap.r.flags.writeable
             assert np.array_equal(snap.r, grid.r[::3])
             assert snap.phi.shape == snap.j0.shape == snap.r.shape
-
-    @pytest.mark.parametrize("fn", [laplacian_even, laplacian_radial_vector])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_stencil_out_buffer(self, fn, dtype):
-        grid = RadialGrid(10.0, 100)
-        f = (np.exp(-grid.r ** 2) * (1.0 + (0.5j if dtype is complex else 0.0))
-             ).astype(dtype)
-        buf = np.empty_like(f)
-        assert fn(f, grid, out=buf) is buf
-        assert np.array_equal(buf, fn(f, grid))
-        assert d_r(f, grid, 1, out=buf) is buf
-        with pytest.raises(ValueError, match="out must be"):
-            fn(f, grid, out=np.empty(grid.n_nodes + 1, dtype=dtype))
 
     def test_grid_radii_read_only(self):
         grid = RadialGrid(10.0, 100)
@@ -508,43 +516,25 @@ class TestTimeGrid:
 
 
 class TestRHS:
-    def test_zero_state(self):
-        grid = RadialGrid(10.0, 100)
-        out = rhs(FieldState.zeros(grid), grid)
-        for name in ("phi", "phi_t", "a0", "a0_t", "ar", "ar_t"):
-            assert np.max(np.abs(getattr(out, name))) == 0.0
-
     def test_linear_radial_wave_identity(self):
-        # A = 0, phi real: the discrete Laplacian stencil coincides with
-        # (1/r) d_rr(r phi) algebraically, so the two agree to roundoff
+        # A = 0, phi real: the discrete Laplacian stencil, phi_tt of the
+        # free wave, coincides with (1/r) d_rr(r phi) algebraically, so the
+        # two agree to roundoff
         grid = RadialGrid(10.0, 400)
-        st = FieldState.zeros(grid)
-        st.phi = np.exp(-grid.r ** 2) + 0j
-        out = rhs(st, grid, boundary="none")
+        lap = laplacian_even(np.exp(-grid.r ** 2) + 0j, grid)
         r = grid.r[1:-1]
         u = grid.r * np.exp(-grid.r ** 2)
         h = grid.h
         alt = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2 / r
-        assert np.max(np.abs(out.phi_t[1:-1].real - alt)) < 1e-10
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("field, linear, named", [
-        pytest.param("phi", False, "phi_tt", id="phi"),
-        pytest.param("a0", True, "a0_tt", id="a0_linear"),
-        pytest.param("ar", True, "ar_tt", id="ar_linear")])
-    def test_nan_guard(self, field, linear, named):
-        grid = RadialGrid(10.0, 100)
-        st = FieldState.zeros(grid)
-        getattr(st, field)[5] = np.inf
-        with pytest.raises(EvolutionUnstable, match=f"{named} .*node 4"):
-            rhs(st, grid, linear=linear)
+        assert np.max(np.abs(lap[1:-1].real - alt)) < 1e-10
 
 
 class TestStep:
     def test_zero_stays_zero(self):
         grid = RadialGrid(10.0, 100)
-        st = FieldState.zeros(grid)
-        out = step(st, grid, SchemeParams(cfl=0.5))
+        ws = Workspace(grid)
+        out = step(ws.load(FieldState.zeros(grid)), grid, SchemeParams(cfl=0.5),
+                   0.5 * grid.h, ws)
         assert np.max(np.abs(out.phi)) == 0.0
         assert out.t == pytest.approx(0.5 * grid.h)
 
@@ -555,9 +545,10 @@ class TestStep:
         scheme = SchemeParams(cfl=0.5, boundary="none")
         dts = [0.5 * grid.h, 0.25 * grid.h]
         errs = []
+        ws = Workspace(grid)
         for dt in dts:
-            fwd = step(st, grid, scheme, dt)
-            back = step(fwd, grid, scheme, -dt)
+            fwd = step(ws.load(st), grid, scheme, dt, ws)
+            back = step(fwd, grid, scheme, -dt, ws)
             errs.append(np.max(np.abs(back.phi - st.phi)))
         order = np.log2(errs[0] / errs[1])
         assert order > 4.5  # O(dt^5) per pair

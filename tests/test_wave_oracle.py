@@ -238,9 +238,3 @@ class TestDecayBounds:
         v3 = bound_envelope("logest3", 3.0, 5.0,
                             {"delta_minus": 0.6, "delta_plus": 0.9, "mu": 0.5})
         assert v2 > 0 and v3 > 0
-
-    def test_envelope_source_spec(self):
-        src = RadialSource(F=lambda t, r: 0.5 / ((1.0 + r) * (1.0 + t + r)
-                                                 * (1.0 + np.abs(t - r)) ** 2),
-                           decay_C=0.5, decay_delta=1.0)
-        assert src.verify_envelope() <= 1.0 + 1e-12
