@@ -11,8 +11,7 @@ from .config import RunConfig, default_config, parse_config, run_config_hash
 from .core import (FieldState, GaugeFunction, NullFrameSample, Weights,
                    current, field_strength, gauge_transform, jbracket,
                    null_decompose, s0_weight)
-from .data_builder import (BumpProfile, ChargeValue, CutoffChi, FreeData,
-                           GaussianProfile, PolyGaussianProfile, TableProfile,
+from .data_builder import (ChargeValue, CutoffChi, FreeData, GaussianProfile,
                            assemble_state, build_admissible, compute_charge,
                            solve_a0, subtract_charge_tail, weighted_norm)
 from .evolution import (EvolutionUnstable, MonitorLog, ObservationPlan,

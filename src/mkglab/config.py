@@ -14,6 +14,10 @@ reports all violations at once.
     amplitude = 0.01
     ...
 
+[data] has one family, the charged Gaussian phi0 = amplitude *
+exp(-(r/width)^2) with phi0_dot = i * phidot_scale * phi0 and
+ar = ar_dot = 0; family names it and accepts only gaussian.
+
 run_config_hash gives the reproducibility hash embedded in every output
 file header.
 """
@@ -41,19 +45,10 @@ _SCHEMA = {
         "ghost_count": (int, 2),
     },
     "data": {
-        "family": (str, "gaussian"),          # gaussian | bump | polygauss | file
+        "family": (str, "gaussian"),          # the only family
         "amplitude": (float, 0.01),
         "width": (float, 1.0),
-        "power": (int, 2),                     # polygauss even power
-        "phi0_file": (str, ""),
-        "phidot_file": (str, ""),
-        "phidot_scale": (float, 1.0),          # phi0_dot = i * scale * profile
-        "ar_family": (str, "none"),            # none | polygauss | file
-        "ar_amplitude": (float, 0.0),
-        "ar_width": (float, 1.0),
-        "ar_power": (int, 1),                  # odd power keeps ar odd
-        "ar_file": (str, ""),
-        "ardot_amplitude": (float, 0.0),
+        "phidot_scale": (float, 1.0),          # phi0_dot = i * scale * phi0
     },
     "weights": {
         "s": (float, 0.9),
@@ -174,18 +169,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
     errs += [f"scheme.{e}" for e in SchemeParams(**sch).validate(g["r_max"])]
     if sch["cfl"] > 0.9:
         errs.append(f"scheme.cfl must be <= 0.9, got {sch['cfl']}")
-    fam = cfg.data["family"]
-    if fam not in ("gaussian", "bump", "polygauss", "file"):
-        errs.append(f"data.family must be gaussian|bump|polygauss|file, got {fam!r}")
-    if fam == "file" and not cfg.data["phi0_file"]:
-        errs.append("data.family = file requires data.phi0_file")
+    if cfg.data["family"] != "gaussian":
+        errs.append(f"data.family must be gaussian, got {cfg.data['family']!r}")
     if not cfg.data["width"] > 0.0:
         errs.append(f"data.width must be positive, got {cfg.data['width']}")
-    if cfg.data["ar_family"] not in ("none", "polygauss", "file"):
-        errs.append(f"data.ar_family must be none|polygauss|file, got {cfg.data['ar_family']!r}")
-    elif cfg.data["ar_family"] == "polygauss" and cfg.data["ar_power"] % 2 == 0:
-        errs.append(f"data.ar_power must be odd (ar is an odd profile), got "
-                    f"{cfg.data['ar_power']}")
     ext = cfg.extraction
     if ext["q_min"] >= ext["q_max"]:
         errs.append("extraction.q_min must be < q_max")

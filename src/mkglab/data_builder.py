@@ -12,6 +12,9 @@ solved as the decaying radial Newtonian potential.  The conserved charge is
 which also fixes the Coulomb tail a0 ~ Q/(4*pi*r).  The charge-tail
 subtraction removes chi(r - t) * Q/(4*pi*r) from a0, restoring r^-2 decay
 of the data in the exterior.
+
+GaussianProfile is the one data profile: the pipeline builds phi0 from it,
+and the wave oracles take it as closed-form d'Alembert and Kirchhoff data.
 """
 from __future__ import annotations
 
@@ -25,22 +28,12 @@ from .grid import EVEN, RadialGrid, d_r, divergence_radial, simpson_integral
 
 
 # ---------------------------------------------------------------------------
-# profiles
+# the data profile
 
-class Profile:
-    """Radial profile with an optional analytic derivative."""
+class GaussianProfile:
+    """amplitude * exp(-(r/width)^2), with its derivative and the closed-form
+    lambda-weighted antiderivative."""
 
-    def __call__(self, r):
-        raise NotImplementedError
-
-    def d(self, r):
-        """Derivative; default is the 2nd-order two-point central difference."""
-        r = np.asarray(r, dtype=float)
-        eps = 1e-5 * max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
-        return (self(r + eps) - self(r - eps)) / (2.0 * eps)
-
-
-class GaussianProfile(Profile):
     def __init__(self, amplitude=1.0, width=1.0):
         self.amplitude = amplitude
         self.width = width
@@ -58,67 +51,6 @@ class GaussianProfile(Profile):
         x = np.asarray(x, dtype=float)
         w2 = self.width ** 2
         return self.amplitude * 0.5 * w2 * (1.0 - np.exp(-(x ** 2) / w2))
-
-
-class PolyGaussianProfile(Profile):
-    """amplitude * r^m * exp(-(r/width)^2); odd m gives an odd profile."""
-
-    def __init__(self, amplitude=1.0, power=1, width=1.0):
-        self.amplitude = amplitude
-        self.power = power
-        self.width = width
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.amplitude * r ** self.power * np.exp(-((r / self.width) ** 2))
-
-    def d(self, r):
-        r = np.asarray(r, dtype=float)
-        g = np.exp(-((r / self.width) ** 2))
-        m = self.power
-        if m == 0:
-            poly = -2.0 * r / self.width ** 2
-        else:
-            poly = m * r ** (m - 1) - 2.0 * r ** (m + 1) / self.width ** 2
-        return self.amplitude * poly * g
-
-
-class BumpProfile(Profile):
-    """Compactly supported C^inf bump on [0, radius)."""
-
-    def __init__(self, amplitude=1.0, radius=1.0):
-        self.amplitude = amplitude
-        self.radius = radius
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        x = r / self.radius
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - x[inside] ** 2) + 1.0)
-        return out
-
-
-class TableProfile(Profile):
-    """Two-column (r, value) table with linear interpolation, zero outside."""
-
-    def __init__(self, r, values):
-        self.r_tab = np.asarray(r, dtype=float)
-        self.v_tab = np.asarray(values, dtype=float)
-        if self.r_tab.ndim != 1 or self.r_tab.shape != self.v_tab.shape:
-            raise ValueError("table profile wants matching 1-D columns")
-
-    @staticmethod
-    def from_file(path) -> "TableProfile":
-        data = np.loadtxt(path)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError(f"profile file {path} must have two columns (r, value)")
-        return TableProfile(data[:, 0], data[:, 1])
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.interp(r, self.r_tab, self.v_tab, left=0.0, right=0.0)
 
 
 @dataclass

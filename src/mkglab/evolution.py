@@ -566,18 +566,14 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         monitor_count += 1
 
     next_slice = 0
-    for k_step in range(n_steps):
-        if k_step % scheme.monitor_stride == 0:
+    for k_step in range(n_steps + 1):
+        if k_step % scheme.monitor_stride == 0 or k_step == n_steps:
             observe()
         while next_slice < len(slice_times) and \
                 state.t >= slice_times[next_slice] - 0.5 * dt:
             slices[slice_times[next_slice]] = state.copy()
             next_slice += 1
-        state = step(state, grid, scheme, dt, ws)
-    observe()
-    while next_slice < len(slice_times) and \
-            state.t >= slice_times[next_slice] - 0.5 * dt:
-        slices[slice_times[next_slice]] = state.copy()
-        next_slice += 1
+        if k_step < n_steps:
+            state = step(state, grid, scheme, dt, ws)
     return EvolveResult(final=state.copy(), log=log, rays=rays, snapshots=snapshots,
                         slices=slices)

@@ -20,8 +20,7 @@ from . import asymptotic_system as asys
 from .config import (ConfigError, RunConfig, dump_config, run_config_hash,
                      validate_config)
 from .core import FieldState, Weights
-from .data_builder import (BumpProfile, FreeData, GaussianProfile,
-                           PolyGaussianProfile, TableProfile, assemble_state)
+from .data_builder import FreeData, GaussianProfile, assemble_state
 from .evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
                         evolve, frame_identity_residual, time_grid)
 from .grid import RadialGrid
@@ -77,43 +76,16 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # data construction from config
 
-def _even_profile(cfg_data: dict):
-    fam = cfg_data["family"]
-    amp, width = cfg_data["amplitude"], cfg_data["width"]
-    if fam == "gaussian":
-        return GaussianProfile(amp, width)
-    if fam == "bump":
-        return BumpProfile(amp, width)
-    if fam == "polygauss":
-        return PolyGaussianProfile(amp, cfg_data["power"], width)
-    if fam == "file":
-        return TableProfile.from_file(cfg_data["phi0_file"])
-    raise ValueError(f"unknown data family {fam!r}")
-
-
 def build_free_data(cfg: RunConfig, grid: RadialGrid) -> FreeData:
-    """FreeData per the [data] section.
-
-    The reference family is phi0 = amp * exp(-r^2) with the covariant datum
-    phi0_dot = i * phidot_scale * phi0 (nonzero charge for phidot_scale != 0).
+    """FreeData per the [data] section: phi0 = amp * exp(-(r/width)^2) with
+    the covariant datum phi0_dot = i * phidot_scale * phi0 (nonzero charge
+    for phidot_scale != 0), and ar0 = ar0_dot = 0.
     """
     d = cfg.data
     r = grid.r
-    prof = _even_profile(d)
-    phi0 = prof(r).astype(complex)
-    if d["phidot_file"]:
-        phi0_dot = 1j * d["phidot_scale"] * TableProfile.from_file(d["phidot_file"])(r)
-    else:
-        phi0_dot = 1j * d["phidot_scale"] * prof(r)
-    if d["ar_family"] == "none":
-        ar0 = np.zeros_like(r)
-    elif d["ar_family"] == "polygauss":
-        ar0 = PolyGaussianProfile(d["ar_amplitude"], d["ar_power"], d["ar_width"])(r)
-    else:
-        ar0 = TableProfile.from_file(d["ar_file"])(r)
-    ar0_dot = d["ardot_amplitude"] * np.where(r > 0, r, 0.0) * np.exp(-r ** 2)
-    return FreeData(phi0=phi0, phi0_dot=phi0_dot.astype(complex),
-                    ar0=ar0, ar0_dot=ar0_dot)
+    prof = GaussianProfile(d["amplitude"], d["width"])(r)
+    return FreeData(phi0=prof.astype(complex), phi0_dot=1j * d["phidot_scale"] * prof,
+                    ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +687,7 @@ def _orders(errors: dict) -> tuple[dict, list]:
 def _free_wave_error(cfg: RunConfig, grid: RadialGrid, scheme: SchemeParams) -> float:
     """Sup error of the linear (A = 0) run against the d'Alembert oracle."""
     d = cfg.data
-    prof = _even_profile(d)
+    prof = GaussianProfile(d["amplitude"], d["width"])
     state0 = FieldState.zeros(grid)
     state0.phi = prof(grid.r).astype(complex)
     state0.phi_t = 1j * d["phidot_scale"] * prof(grid.r)
@@ -723,13 +695,9 @@ def _free_wave_error(cfg: RunConfig, grid: RadialGrid, scheme: SchemeParams) -> 
                  ObservationPlan(snapshot_every=10 ** 9))
     t_fin = res.final.t
     r = grid.r[1:]
-    if d["family"] == "gaussian":
-        lam = GaussianProfile(d["phidot_scale"] * d["amplitude"], d["width"])
-        exact_re = dalembert_free(prof, None, t_fin, r)
-        exact = exact_re + 1j * np.asarray(
-            0.5 * (lam.lambda_antiderivative(r + t_fin)
-                   - lam.lambda_antiderivative(np.abs(r - t_fin))) / r)
-    else:
-        hfun = lambda x: 1j * d["phidot_scale"] * prof(x)
-        exact = dalembert_free(prof, hfun, t_fin, r)
+    lam = GaussianProfile(d["phidot_scale"] * d["amplitude"], d["width"])
+    exact_re = dalembert_free(prof, None, t_fin, r)
+    exact = exact_re + 1j * np.asarray(
+        0.5 * (lam.lambda_antiderivative(r + t_fin)
+               - lam.lambda_antiderivative(np.abs(r - t_fin))) / r)
     return float(np.max(np.abs(res.final.phi[1:] - exact)))

@@ -89,6 +89,10 @@ class TestParseConfig:
         ("[interior]\nt_list = 0\n", "interior.t_list"),
         ("[extraction]\nq_min = -1\nq_max = 1\nq_spacing_cells = 21\n"
          "[grid]\nr_max = 40\nn_cells = 400\n", "extraction.q_spacing_cells"),
+        ("[data]\nar_family = file\n", "data.ar_family"),
+        ("[data]\nfamily = file\nphi0_file = /nonexistent\n", "data.family"),
+        ("[data]\nphidot_file = /nonexistent\n", "data.phidot_file"),
+        ("[data]\nfamily = polygauss\npower = 1\n", "data.family"),
     ])
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

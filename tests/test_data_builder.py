@@ -3,11 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.core import FieldState, current
-from mkglab.data_builder import (BumpProfile, ChargeValue, CutoffChi, FreeData,
-                                 GaussianProfile, PolyGaussianProfile,
-                                 TableProfile, _cumulative_moment,
-                                 assemble_state, build_admissible,
-                                 compute_charge, solve_a0,
+from mkglab.data_builder import (ChargeValue, CutoffChi, FreeData,
+                                 _cumulative_moment, assemble_state,
+                                 build_admissible, compute_charge, solve_a0,
                                  subtract_charge_tail, weighted_norm)
 from mkglab.grid import RadialGrid, divergence_radial, simpson_integral
 
@@ -100,8 +98,11 @@ class TestSolveA0:
     def test_coulomb_tail_outside_support(self, grid):
         # compactly supported rho: a0 = Q/(4 pi r) exactly outside support
         r = grid.r
-        bump = BumpProfile(1.0, 2.0)
-        phi0 = np.sqrt(bump(r)) + 0j
+        x = r / 2.0
+        bump = np.zeros_like(r)
+        inside = np.abs(x) < 1.0
+        bump[inside] = np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
+        phi0 = np.sqrt(bump) + 0j
         data = FreeData(phi0=phi0, phi0_dot=-1j * phi0,
                         ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
         a0, _ = solve_a0(data, grid)
@@ -282,28 +283,3 @@ class TestAssembledInvariants:
         j0, _ = current(st, grid)
         q2 = 4 * np.pi * simpson_integral(j0 * grid.r ** 2, grid.h)
         assert abs(q2 - Q.Q) <= 1e-6 * abs(Q.Q) + 1e-10
-
-
-class TestProfiles:
-    def test_table_profile_roundtrip(self, tmp_path):
-        r = np.linspace(0, 10, 101)
-        v = np.exp(-r)
-        path = tmp_path / "prof.txt"
-        np.savetxt(path, np.column_stack([r, v]))
-        prof = TableProfile.from_file(path)
-        x = np.linspace(0, 10, 37)
-        assert np.allclose(prof(x), np.interp(x, r, v), atol=1e-12)
-        assert prof(11.0) == 0.0
-
-    def test_polygauss_derivative(self):
-        p = PolyGaussianProfile(2.0, 3, 1.5)
-        r = np.linspace(0.1, 4, 50)
-        eps = 1e-6
-        fd = (p(r + eps) - p(r - eps)) / (2 * eps)
-        assert np.allclose(p.d(r), fd, rtol=1e-7, atol=1e-9)
-
-    def test_bump_support(self):
-        b = BumpProfile(1.0, 2.0)
-        assert b(2.0) == 0.0
-        assert b(2.5) == 0.0
-        assert b(0.0) == pytest.approx(1.0)

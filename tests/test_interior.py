@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from mkglab.interior import (AsymSource, CallableSource, CutoffChi0, K_mu,
                              angular_kernel_integral, angular_kernel_quadrature,
