@@ -8,9 +8,8 @@ and the weak-null behaviour of the associated asymptotic system.
 """
 
 from .config import RunConfig, default_config, parse_config, run_config_hash
-from .core import (FieldState, GaugeFunction, NullFrameSample, Weights,
-                   current, field_strength, gauge_transform, jbracket,
-                   null_decompose, s0_weight)
+from .core import (FieldState, Weights, current, field_strength, jbracket,
+                   s0_weight)
 from .data_builder import (ChargeValue, CutoffChi, FreeData, GaussianProfile,
                            assemble_state, build_admissible, compute_charge,
                            solve_a0, subtract_charge_tail, weighted_norm)

@@ -145,6 +145,14 @@ def _print_check(c: dict) -> None:
           f"(tolerance {c['tolerance']:.6g}) - {c['description']}")
 
 
+def _level_count(text: str) -> int:
+    """--levels as an int >= 2: an order needs two levels."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"needs >= 2 levels, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mkglab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("converge", help="grid refinement study")
     pc.add_argument("config")
-    pc.add_argument("--levels", "-N", type=int, default=3)
+    pc.add_argument("--levels", "-N", type=_level_count, default=3)
     pc.set_defaults(func=cmd_converge)
 
     po = sub.add_parser("oracle", help="wave-oracle self tests")
@@ -182,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Field containers, null-frame algebra, weights, gauge maps, and the current.
+"""Field containers, decay weights, and the current.
 
 The evolved unknowns of the spherically reduced system are a complex scalar
 phi and the real potentials (a0, ar), where the full spatial potential is
@@ -15,11 +15,11 @@ D_alpha = d_alpha + i A_alpha, which reduces to
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EVEN, RadialGrid, _run, d_r, interp_values
+from .grid import EVEN, RadialGrid, _run, d_r
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,6 @@ class FieldState:
             raise ValueError("odd parity violated: ar(0) != 0")
 
 
-@dataclass(frozen=True)
-class NullFrameSample:
-    """Frame components of the potential at one spacetime point."""
-
-    t: float
-    r: float
-    A_L: float
-    A_Lbar: float
-    A_S1: float = 0.0
-    A_S2: float = 0.0
-
-
 def jbracket(x):
     """Japanese bracket <x> = sqrt(1 + x^2)."""
     return np.sqrt(1.0 + np.square(x))
@@ -125,15 +113,6 @@ def s0_weight(t, r):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def null_decompose(state: FieldState, grid: RadialGrid, r: float) -> NullFrameSample:
-    """Frame components of the potential at radius r (cubic interpolation)."""
-    if not grid.contains(r):
-        raise ValueError(f"radius {r} outside [0, {grid.r_max}]")
-    a0 = float(interp_values(state.a0, grid, [r])[0])
-    ar = float(interp_values(state.ar, grid, [r])[0])
-    return NullFrameSample(t=state.t, r=r, A_L=a0 + ar, A_Lbar=a0 - ar)
 
 
 def _current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp) -> list:
@@ -178,45 +157,3 @@ def field_strength(state: FieldState, grid: RadialGrid) -> np.ndarray:
     """Radial electric field E = F_{tr} = d_t ar - d_r a0."""
     return state.ar_t - d_r(state.a0, grid, EVEN)
 
-
-class GaugeFunction:
-    """Gauge parameter psi(t, r) with the derivatives a full-state map needs.
-
-    Callables take (t, r_array) and return arrays.  psi_tt and psi_tr are
-    required to transform the time-derivative fields consistently.
-    """
-
-    def __init__(self, psi, psi_t, psi_r, psi_tt=None, psi_tr=None):
-        self.psi = psi
-        self.psi_t = psi_t
-        self.psi_r = psi_r
-        self.psi_tt = psi_tt if psi_tt is not None else (lambda t, r: np.zeros_like(r))
-        self.psi_tr = psi_tr if psi_tr is not None else (lambda t, r: np.zeros_like(r))
-
-    @staticmethod
-    def constant(c: float) -> "GaugeFunction":
-        z = lambda t, r: np.zeros_like(r)
-        return GaugeFunction(lambda t, r: np.full_like(r, c), z, z, z, z)
-
-
-def gauge_transform(state: FieldState, grid: RadialGrid, gauge: GaugeFunction) -> FieldState:
-    """Apply A -> A + d psi, phi -> e^{-i psi} phi on the slice.
-
-    With D = d + iA the phase must rotate opposite to the potential shift
-    for D phi to transform covariantly; this keeps F_{tr}, |phi|, and the
-    current J invariant (the latter up to the O(h^2) mismatch between the
-    analytic derivatives of psi and the grid differencing).
-    """
-    t, r = state.t, grid.r
-    psi = gauge.psi(t, r)
-    psi_t = gauge.psi_t(t, r)
-    phase = np.exp(-1j * psi)
-    return replace(
-        state,
-        phi=phase * state.phi,
-        phi_t=phase * (state.phi_t - 1j * psi_t * state.phi),
-        a0=state.a0 + psi_t,
-        a0_t=state.a0_t + gauge.psi_tt(t, r),
-        ar=state.ar + gauge.psi_r(t, r),
-        ar_t=state.ar_t + gauge.psi_tr(t, r),
-    )

@@ -69,7 +69,6 @@ class FreeData:
 @dataclass(frozen=True)
 class ChargeValue:
     Q: float
-    truncation_estimate: float = 0.0
 
 
 def smoothstep_quintic(x):
@@ -98,15 +97,10 @@ _CHI = CutoffChi()
 # operations
 
 def compute_charge(data: FreeData, grid: RadialGrid) -> ChargeValue:
-    """Conserved charge Q = 4*pi int Im(phi0 conj(phi0_dot)) r^2 dr.
-
-    Composite Simpson on the grid; the domain-truncation error is estimated
-    from the fitted power-law decay of the integrand near r_max.
-    """
-    rho = data.charge_density()
-    q = 4.0 * np.pi * simpson_integral(rho * grid.r ** 2, grid.h)
-    tail = _tail_estimate(np.abs(rho * grid.r ** 2), grid)
-    return ChargeValue(Q=float(q), truncation_estimate=4.0 * np.pi * tail)
+    """Conserved charge Q = 4*pi int Im(phi0 conj(phi0_dot)) r^2 dr,
+    by composite Simpson on the grid."""
+    q = 4.0 * np.pi * simpson_integral(data.charge_density() * grid.r ** 2, grid.h)
+    return ChargeValue(Q=float(q))
 
 
 def _tail_estimate(g: np.ndarray, grid: RadialGrid) -> float:

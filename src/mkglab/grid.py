@@ -6,16 +6,17 @@ satisfy f(-r) = f(r), the radial vector component ar is odd, ar(0) = 0.
 Stencils are 2nd-order centered in the interior, one-sided 2nd-order at
 r_max, and parity ghost values at r = 0.
 
-Both Laplacians' interior rows come from one coefficient table per grid over
-[even field, vector field] (2 n_nodes values), so that a0 and ar side by
-side are differenced by one stencil; its two junction rows are zero and are
-overwritten by boundary rows, and the even and vector tables are views of
-it.  The stencils and d_r are lists of ufunc calls on fixed operands
-(_three_point_ops, _d_r_ops), which the array functions here run once and
-evolution's RHS plan binds once per run.  Every boundary row is one _row_*
-function shared by both.  A row reads and returns Python floats, a complex
-value as its (re, im) pair, and spells out numpy's scalar rounding: a real
-factor x acts as x + 0j, and a division by a real x multiplies by 1/x.
+The Laplacian of an even field is d_rr + (2/r) d_r, that of the radial
+vector component d_rr + (2/r) d_r - 2/r^2.  Their interior rows come from
+one coefficient table per grid over [even field, vector field] (2 n_nodes
+values), so that a0 and ar side by side are differenced by one stencil; its
+two junction rows are zero and are overwritten by boundary rows.  The
+stencils and d_r are lists of ufunc calls on fixed operands
+(_three_point_ops, _d_r_ops), which d_r runs once per call and evolution's
+RHS plan binds once per run.  Every boundary row is one _row_* function
+shared by both.  A row reads and returns Python floats, a complex value as
+its (re, im) pair, and spells out numpy's scalar rounding: a real factor x
+acts as x + 0j, and a division by a real x multiplies by 1/x.
 """
 from __future__ import annotations
 
@@ -80,8 +81,6 @@ class RadialGrid:
             coef[1, col] = c_plus / c0
             coef[2, col] = c0
         object.__setattr__(self, "_coef", coef)
-        object.__setattr__(self, "_stencils", {
-            "even": tuple(coef[:, :n - 2]), "vector": tuple(coef[:, n:])})
         # complex fields are differenced as interleaved (re, im) values; the
         # even table is repeated for them, with c_0 kept a scalar
         object.__setattr__(self, "_even_interleaved", (
@@ -100,9 +99,6 @@ class RadialGrid:
     def r(self) -> np.ndarray:
         """Node radii i*h (read-only, shared by every caller)."""
         return self._r
-
-    def contains(self, x: float) -> bool:
-        return 0.0 <= x <= self.r_max
 
 
 def _three_point_ops(f: np.ndarray, out: np.ndarray, table: tuple,
@@ -163,7 +159,8 @@ def _over(a: float, b: float, x: float) -> tuple:
 
 
 def _row_lap_origin(v: list, h: float) -> tuple:
-    """Row 0 of laplacian_even, 6 (f_1 - f_0) / h^2, from v = f_0, f_1."""
+    """Row 0 of the even Laplacian, 6 (f_1 - f_0) / h^2, the l'Hopital
+    limit 3 f''(0) to 2nd order, from v = f_0, f_1."""
     if len(v) == 2:
         return (6.0 * (v[1] - v[0]) / (h * h),)
     return _over(*_scale(6.0, v[2] - v[0], v[3] - v[1]), h * h)
@@ -193,24 +190,6 @@ def _row_d_r_outer(v: list, h: float) -> tuple:
     return _over(*num, 2.0 * h)
 
 
-def _row_lap_outer(v: list, h: float, r: float, vector: bool) -> tuple:
-    """Row n of laplacian_even (vector False) or laplacian_radial_vector,
-    one-sided 2nd order, from v = f_{n-3}, ..., f_n and r = r_n."""
-    if len(v) == 4:
-        f4, f3, f2, f1 = v
-        row = (2.0 * f1 - 5.0 * f2 + 4.0 * f3 - f4) / (h * h) \
-            + _row_d_r_outer(v[1:], h)[0] * (2.0 / r)
-        return (row - 2.0 * f1 / (r * r),) if vector else (row,)
-    p, q, s = _scale(2.0, *v[6:]), _scale(5.0, *v[4:6]), _scale(4.0, *v[2:4])
-    dd = _over(p[0] - q[0] + s[0] - v[0], p[1] - q[1] + s[1] - v[1], h * h)
-    d1 = _scale(2.0 / r, *_row_d_r_outer(v[2:], h))
-    row = dd[0] + d1[0], dd[1] + d1[1]
-    if not vector:
-        return row
-    c = _over(*_scale(2.0, *v[6:]), r * r)
-    return row[0] - c[0], row[1] - c[1]
-
-
 def _row_sommerfeld(v: list, h: float, r_max: float) -> tuple:
     """The outgoing-wave row u_tt = -d_r u_t - u_t / r at r_max, with the
     one-sided d_r, from v = u_t at nodes n-2, n-1, n."""
@@ -238,41 +217,6 @@ def d_r(f: np.ndarray, grid: RadialGrid, parity: int) -> np.ndarray:
     return _ends(out, _row_d_r_origin(f.view(np.float64)[m:2 * m].tolist(),
                                       parity, h),
                  _row_d_r_outer(_tail(f, 3), h))
-
-
-def _laplacian(f: np.ndarray, grid: RadialGrid, vector: bool) -> np.ndarray:
-    """laplacian_radial_vector of f when vector, else laplacian_even."""
-    f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
-    out = np.empty_like(f)
-    m = f.itemsize // 8                 # float64 values per node
-    table = grid._stencils["vector" if vector else "even"]
-    if m == 2:
-        table = tuple(np.repeat(c, 2) for c in table) if vector \
-            else grid._even_interleaved
-    fv = f.view(np.float64)
-    _run(_three_point_ops(fv, out.view(np.float64), table, m))
-    first = (0.0,) * m if vector else _row_lap_origin(fv[:2 * m].tolist(),
-                                                      grid.h)
-    return _ends(out, first,
-                 _row_lap_outer(_tail(f, 4), grid.h, float(grid.r[-1]), vector))
-
-
-def laplacian_even(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """3-D radial Laplacian d_rr + (2/r) d_r of an even scalar field.
-
-    At r = 0 the l'Hopital limit (2/r) d_r f -> 2 d_rr f gives
-    Lap f(0) = 3 f''(0) = 6 (f_1 - f_0)/h^2 to 2nd order.
-    """
-    return _laplacian(f, grid, vector=False)
-
-
-def laplacian_radial_vector(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Radial component of the vector Laplacian acting on A_j = omega_j f(r).
-
-    Equals d_rr f + (2/r) d_r f - 2 f / r^2; odd parity forces f(0) = 0 and
-    the whole expression vanishes at r = 0 (odd functions map to odd).
-    """
-    return _laplacian(f, grid, vector=True)
 
 
 def divergence_radial(f: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -148,41 +148,21 @@ def angular_kernel_quadrature(a: float, x_norm: float, abs_tol: float = 1e-8,
     return sphere_integral_adaptive(f, abs_tol=abs_tol)
 
 
-def K_mu(y_norm: float, source: AsymSource, generic: bool = False,
-         abs_tol: float = 1e-8) -> tuple[float, float]:
+def K_mu(y_norm: float, source: AsymSource) -> tuple[float, float]:
     """Interior limit profile (K_0, K_radial) at |y| = y_norm < 1.
 
     Closed forms (spherically symmetric source, L_0 = -1, L_j = omega_j):
         K_0 = -(M / 2|y|) ln((1+|y|)/(1-|y|)),
         K_r = (M/4pi) * [2 pi (-2/|y| + ln(..)/|y|^2)].
-    generic=True instead runs the numeric S^2 x q quadrature path (used as
-    a cross check and available for omega-dependent sources).
+    The S^2 integrals are angular_kernel_integral and angular_kernel_vector
+    at a = 1; angular_kernel_quadrature is their independent cross check.
     """
     if not (0.0 <= y_norm < 1.0):
         raise ValueError(f"K_mu needs |y| < 1, got {y_norm}")
-    if generic:
-        k0 = -_k_quadrature(y_norm, source, vector=False, abs_tol=abs_tol)
-        kr = _k_quadrature(y_norm, source, vector=True, abs_tol=abs_tol)
-        return k0, kr
     M = source.mass()
     k0 = -M / FOUR_PI * angular_kernel_integral(1.0, y_norm)
     kr = M / FOUR_PI * angular_kernel_vector(1.0, y_norm)
     return float(k0), float(kr)
-
-
-def _k_quadrature(y_norm, source, vector, abs_tol):
-    q = source.q_grid
-    jq = source.j
-    y = np.array([0.0, 0.0, y_norm])
-
-    def f(omega):
-        ker = 1.0 / (1.0 - omega @ y)
-        if vector:
-            ker = ker * omega[:, 2]
-        return ker
-
-    ang = sphere_integral_adaptive(f, abs_tol=abs_tol)
-    return float(np.trapezoid(jq, q) * ang / FOUR_PI)
 
 
 def eval_A_ex(t: float, x_norm: float, source: AsymSource,

@@ -686,15 +686,15 @@ def _orders(errors: dict) -> tuple[dict, list]:
 
 def _free_wave_error(cfg: RunConfig, grid: RadialGrid, scheme: SchemeParams) -> float:
     """Sup error of the linear (A = 0) run against the d'Alembert oracle."""
-    d = cfg.data
-    prof = GaussianProfile(d["amplitude"], d["width"])
+    data = build_free_data(cfg, grid)
     state0 = FieldState.zeros(grid)
-    state0.phi = prof(grid.r).astype(complex)
-    state0.phi_t = 1j * d["phidot_scale"] * prof(grid.r)
+    state0.phi, state0.phi_t = data.phi0, data.phi0_dot
     res = evolve(state0, grid, replace(scheme, linear=True),
                  ObservationPlan(snapshot_every=10 ** 9))
     t_fin = res.final.t
     r = grid.r[1:]
+    d = cfg.data
+    prof = GaussianProfile(d["amplitude"], d["width"])
     lam = GaussianProfile(d["phidot_scale"] * d["amplitude"], d["width"])
     exact_re = dalembert_free(prof, None, t_fin, r)
     exact = exact_re + 1j * np.asarray(

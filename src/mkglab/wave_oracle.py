@@ -152,9 +152,6 @@ def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None,
 # ---------------------------------------------------------------------------
 # decay-bound certification
 
-BOUND_IDS = ("logest1", "logest2", "logest3", "homoest")
-
-
 def _s0_appendix(t, r):
     """Appendix variant of the log weight, (t/r) ln(<t+r>/<t-r>)."""
     t = np.asarray(t, dtype=float)
@@ -169,33 +166,12 @@ def bound_envelope(bound_id: str, t, r, params: dict):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     qp = np.maximum(r - t, 0.0)
-    qm = np.maximum(t - r, 0.0)
     if bound_id == "logest1":
         delta = params["delta"]
         if delta <= 0:
             raise ValueError("logest1 requires delta > 0")
         return _s0_appendix(t, r) / ((1.0 + t + r) * (1.0 + qp) ** delta)
-    if bound_id == "logest2":
-        dm, dp, mu = params["delta_minus"], params["delta_plus"], params["mu"]
-        if not (0.0 < dm < mu and dm <= dp):
-            raise ValueError(
-                f"logest2 hypotheses need 0 < delta_- < mu and delta_- <= delta_+; "
-                f"got delta_-={dm}, delta_+={dp}, mu={mu}")
-        return 1.0 / ((1.0 + t + r) * (1.0 + qp) ** dp * (1.0 + qm) ** dm)
-    if bound_id == "logest3":
-        dm, dp, mu = params["delta_minus"], params["delta_plus"], params["mu"]
-        if not (0.0 < mu < dm <= dp):
-            raise ValueError(
-                f"logest3 hypotheses need 0 < mu < delta_- <= delta_+; "
-                f"got delta_-={dm}, delta_+={dp}, mu={mu}")
-        q = np.abs(r - t)
-        return 1.0 / ((1.0 + t + r) * (1.0 + q) ** mu * (1.0 + qp) ** (dp - mu))
-    if bound_id == "homoest":
-        gamma = params["gamma"]
-        if not (0.0 < gamma < 1.0):
-            raise ValueError("homoest requires 0 < gamma < 1")
-        return 1.0 / ((1.0 + t + r) * (1.0 + np.abs(r - t)) ** gamma)
-    raise ValueError(f"unknown bound id {bound_id!r}; known: {BOUND_IDS}")
+    raise ValueError(f"unknown bound id {bound_id!r}; known: 'logest1'")
 
 
 def verify_decay_bound(samples, bound_id: str, params: dict) -> tuple[float, tuple]:

@@ -342,6 +342,14 @@ class TestCLI:
     def test_missing_config(self):
         assert cli_main(["run", "/nonexistent/x.cfg"]) == 2
 
+    @pytest.mark.parametrize("levels", ["1", "0", "-3"])
+    def test_converge_needs_two_levels(self, tmp_path, capsys, levels):
+        # rejected while parsing, before the config is read or a level runs
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text(SMALL)
+        assert cli_main(["converge", str(cfgfile), "-N", levels]) == 2
+        assert "needs >= 2 levels" in capsys.readouterr().err
+
     def test_oracle_subcommand(self):
         assert cli_main(["oracle", "mms"]) == 0
 

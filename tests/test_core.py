@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mkglab.core import (FieldState, GaugeFunction, Weights, current,
-                         field_strength, gauge_transform, jbracket,
-                         null_decompose, s0_weight)
-from mkglab.grid import RadialGrid, interp_values
+from conftest import GaugeFunction, gauge_transform
+from mkglab.core import (FieldState, Weights, current, field_strength, jbracket,
+                         s0_weight)
+from mkglab.grid import RadialGrid
 
 
 @pytest.fixture
@@ -78,44 +78,6 @@ class TestS0Weight:
         for eps in (0.05, 0.1, 0.5):
             bound = (jbracket(t + r) / jbracket(t - r)) ** eps / eps
             assert np.all(s0 <= bound * (1.0 + 1e-12))
-
-
-class TestNullDecompose:
-    def test_pure_temporal(self, grid):
-        st = make_state(grid, a0=lambda r: np.ones_like(r))
-        s = null_decompose(st, grid, 5.0)
-        assert s.A_L == pytest.approx(1.0)
-        assert s.A_Lbar == pytest.approx(1.0)
-        assert s.A_S1 == 0.0 and s.A_S2 == 0.0
-
-    def test_pure_radial(self, grid):
-        st = make_state(grid, ar=lambda r: r / grid.r_max)
-        s = null_decompose(st, grid, 10.0)
-        assert s.A_L == pytest.approx(0.5, rel=1e-10)
-        assert s.A_Lbar == pytest.approx(-0.5, rel=1e-10)
-
-    def test_mixed_values(self, grid):
-        st = make_state(grid, a0=lambda r: 0.3 * np.ones_like(r),
-                        ar=lambda r: np.where(r > 0, -0.1, 0.0))
-        s = null_decompose(st, grid, 5.0)
-        assert s.A_L == pytest.approx(0.2, abs=1e-9)
-        assert s.A_Lbar == pytest.approx(0.4, abs=1e-9)
-
-    def test_out_of_domain(self, grid):
-        st = make_state(grid)
-        with pytest.raises(ValueError):
-            null_decompose(st, grid, grid.r_max + 1.0)
-
-    def test_frame_round_trip(self, grid):
-        rng = np.random.default_rng(3)
-        st = make_state(grid,
-                        a0=lambda r: np.cos(r) * np.exp(-0.1 * r),
-                        ar=lambda r: np.sin(r) * np.exp(-0.1 * r))
-        for r in rng.uniform(0.5, grid.r_max - 1, 50):
-            s = null_decompose(st, grid, float(r))
-            a0, ar = 0.5 * (s.A_L + s.A_Lbar), 0.5 * (s.A_L - s.A_Lbar)
-            assert a0 == pytest.approx(float(interp_values(st.a0, grid, r)[0]), abs=1e-14)
-            assert ar == pytest.approx(float(interp_values(st.ar, grid, r)[0]), abs=1e-14)
 
 
 class TestCurrent:

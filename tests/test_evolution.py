@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkglab.core import (FieldState, GaugeFunction, current_density,
-                         gauge_transform)
+from conftest import GaugeFunction, gauge_transform
+from mkglab.core import FieldState, current_density
 from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble_state
 from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
                               SchemeParams, Workspace, _field_views, _rhs,
@@ -12,9 +12,8 @@ from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
                               frame_identity_residual, lorenz_residual, step,
                               time_grid)
 from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
-                         _row_d_r_outer, _row_lap_origin, _row_lap_outer,
-                         _row_sommerfeld, d_r, laplacian_even,
-                         laplacian_radial_vector, simpson_integral)
+                         _row_d_r_outer, _row_lap_origin, _row_sommerfeld,
+                         _run, _three_point_ops, d_r, simpson_integral)
 from mkglab.wave_oracle import dalembert_free
 
 
@@ -80,16 +79,38 @@ def allocating_rk4_step(y, grid, dt):
     return new
 
 
+def laplacian(f, grid, vector):
+    """The array Laplacian of f, of the radial vector component when vector,
+    else of an even field: the stencil of the RHS plan, run once on its own.
+
+    The interior rows use the plan's coefficient table, sliced from
+    grid._coef and repeated per float64 value for interleaved complex f; row
+    0 is 0 for a vector field and _row_lap_origin else.  The r_max row is
+    NaN: every RHS overwrites it with its boundary row.
+    """
+    f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
+    out = np.full_like(f, np.nan)
+    m = f.itemsize // 8                 # float64 values per node
+    n = grid.n_nodes
+    cols = slice(n, None) if vector else slice(0, n - 2)
+    table = tuple(np.repeat(c, m) for c in grid._coef[:, cols])
+    fv, ov = f.view(np.float64), out.view(np.float64)
+    _run(_three_point_ops(fv, ov, table, m))
+    ov[:m] = (0.0,) * m if vector else _row_lap_origin(fv[:2 * m].tolist(),
+                                                      grid.h)
+    return out
+
+
 def reference_rhs(y, grid, boundary, linear):
     """(phi_tt, a0_tt, ar_tt) of the fields y, as the kernel computed them
-    before its RHS plan: the public stencils and current_density, one field
+    before its RHS plan: laplacian above, d_r and current_density, one field
     at a time, with numpy-scalar boundary rows.  The plan must match it byte
     for byte."""
     phi, phi_t, a0, a0_t, ar, ar_t = y
     n = grid.n_nodes
-    phi_tt = laplacian_even(phi, grid)
-    a0_tt = laplacian_even(a0, grid)
-    ar_tt = laplacian_radial_vector(ar, grid)
+    phi_tt = laplacian(phi, grid, vector=False)
+    a0_tt = laplacian(a0, grid, vector=False)
+    ar_tt = laplacian(ar, grid, vector=True)
     if not linear:
         w, s, t = np.empty(n), np.empty(n), np.empty(n)
         drphi = d_r(phi, grid, EVEN)
@@ -222,7 +243,7 @@ class TestRHSPlan:
     def test_boundary_rows_match_numpy_scalars(self, dtype, r_max):
         # the rows written out with numpy scalars, as the stencils had them
         grid = RadialGrid(r_max, 32)
-        h, r = grid.h, grid.r
+        h = grid.h
         rng = np.random.default_rng(3)
         for trial in range(400):
             f = random_fields(rng, grid.n_nodes, trial % 2 == 1)[
@@ -234,28 +255,19 @@ class TestRHSPlan:
                 "d_r_origin_even": (f[1] - EVEN * f[1]) / (2.0 * h),
                 "d_r_origin_odd": (f[1] - ODD * f[1]) / (2.0 * h),
                 "d_r_outer": (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h),
-                "lap_outer": (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4])
-                / (h * h) + (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-                * (2.0 / r[-1]),
                 "sommerfeld": -(3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
                 - f[-1] / grid.r_max}
-            want["lap_outer_vector"] = want["lap_outer"] \
-                - 2.0 * f[-1] / (r[-1] * r[-1])
             tail = lambda k: fv[len(fv) - k * m:].tolist()
             got = {
                 "lap_origin": _row_lap_origin(fv[:2 * m].tolist(), h),
                 "d_r_origin_even": _row_d_r_origin(fv[m:2 * m].tolist(), EVEN, h),
                 "d_r_origin_odd": _row_d_r_origin(fv[m:2 * m].tolist(), ODD, h),
                 "d_r_outer": _row_d_r_outer(tail(3), h),
-                "lap_outer": _row_lap_outer(tail(4), h, float(r[-1]), False),
-                "lap_outer_vector": _row_lap_outer(tail(4), h, float(r[-1]), True),
                 "sommerfeld": _row_sommerfeld(tail(3), h, grid.r_max)}
-            arrays = {"lap_origin": laplacian_even(f, grid)[0],
+            arrays = {"lap_origin": laplacian(f, grid, vector=False)[0],
                       "d_r_origin_even": d_r(f, grid, EVEN)[0],
                       "d_r_origin_odd": d_r(f, grid, ODD)[0],
-                      "d_r_outer": d_r(f, grid, EVEN)[-1],
-                      "lap_outer": laplacian_even(f, grid)[-1],
-                      "lap_outer_vector": laplacian_radial_vector(f, grid)[-1]}
+                      "d_r_outer": d_r(f, grid, EVEN)[-1]}
             for key, w in want.items():
                 w = np.array([w], dtype=dtype)
                 assert same_bytes(np.array(got[key]), w.view(np.float64)), key
@@ -521,7 +533,7 @@ class TestRHS:
         # free wave, coincides with (1/r) d_rr(r phi) algebraically, so the
         # two agree to roundoff
         grid = RadialGrid(10.0, 400)
-        lap = laplacian_even(np.exp(-grid.r ** 2) + 0j, grid)
+        lap = laplacian(np.exp(-grid.r ** 2) + 0j, grid, vector=False)
         r = grid.r[1:-1]
         u = grid.r * np.exp(-grid.r ** 2)
         h = grid.h
