@@ -15,21 +15,20 @@ grid = RadialGrid(60.0, 3000)
 r = grid.r
 eps = 0.05
 phi0 = eps * np.exp(-r ** 2) + 0j
-data = FreeData(phi0=phi0, phi0_dot=1j * phi0,
-                ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+data = FreeData(phi0=phi0, phi0_dot=1j * phi0)
 
 state, Q = assemble_state(data, grid)
-print(f"charge from data:        Q = {Q.Q:+.10e}")
+print(f"charge from data:        Q = {Q:+.10e}")
 j0, _ = current(state, grid)
 q2 = 4 * np.pi * simpson_integral(j0 * r ** 2, grid.h)
-print(f"charge from J0 integral: Q = {q2:+.10e}  (diff {abs(q2 - Q.Q):.2e})")
+print(f"charge from J0 integral: Q = {q2:+.10e}  (diff {abs(q2 - Q):.2e})")
 
 E, gauss_resid, a0, a0_dot = build_admissible(data, grid)
 print(f"discrete Gauss-constraint residual: {gauss_resid:.3e} (O(h^2))")
 
 i = int(0.8 * grid.n_cells)
 print(f"Coulomb tail: 4 pi r a0 at r = {r[i]:.0f}: {4 * np.pi * r[i] * a0[i]:+.6e} "
-      f"vs Q = {Q.Q:+.6e}")
+      f"vs Q = {Q:+.6e}")
 
 sub = subtract_charge_tail(state, grid, Q)
 mask = r >= 4.0

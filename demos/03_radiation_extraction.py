@@ -15,11 +15,10 @@ grid = RadialGrid(200.0, 4000)
 r = grid.r
 eps = 0.02
 phi0 = eps * np.exp(-r ** 2) + 0j
-data = FreeData(phi0=phi0, phi0_dot=1j * phi0,
-                ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+data = FreeData(phi0=phi0, phi0_dot=1j * phi0)
 state, Q = assemble_state(data, grid)
-target = Q.Q / (4 * np.pi)
-print(f"Q = {Q.Q:+.6e}, Q/4pi = {target:+.6e}")
+target = Q / (4 * np.pi)
+print(f"Q = {Q:+.6e}, Q/4pi = {target:+.6e}")
 
 t_end = 160.0
 fracs = (0.3, 0.5, 0.65, 0.8, 0.9, 1.0)
@@ -28,7 +27,7 @@ print(f"evolving to t = {t_end} ...")
 res = evolve(state, grid, SchemeParams(cfl=0.5, t_end=t_end, monitor_stride=40), plan)
 
 ray = sample_ray(res.slices, grid, q=0.0)
-al = extract_AL_limit(ray, Q)
+al = extract_AL_limit(ray)
 print(f"r A_L along q=0: last three values {[f'{v:.5e}' for v in (ray.r * ray.A_L)[-3:]]}")
 print(f"  extracted limit {al.value.real:+.6e}  (rel err vs Q/4pi: "
       f"{abs(al.value.real - target) / abs(target):.2%}, err est {al.err_est:.1e})")

@@ -16,8 +16,7 @@ grid = RadialGrid(200.0, 4000)
 r = grid.r
 eps = 0.02
 phi0 = eps * np.exp(-r ** 2) + 0j
-data = FreeData(phi0=phi0, phi0_dot=1j * phi0,
-                ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+data = FreeData(phi0=phi0, phi0_dot=1j * phi0)
 state, Q = assemble_state(data, grid)
 
 t_end = 160.0
@@ -32,7 +31,7 @@ q_grid = np.arange(-10.0, 10.0 + dq / 2, dq)
 frac_slices = {t: res.slices[t] for t in res.slices if t in [f * t_end for f in fracs]}
 table = build_radiation_table(frac_slices, grid, Q, q_grid)
 source = AsymSource(q_grid=table.q, j=table.j_scalar())
-print(f"source mass M = {source.mass():+.6e} (vs -Q/4pi = {-Q.Q / 4 / np.pi:+.6e})")
+print(f"source mass M = {source.mass():+.6e} (vs -Q/4pi = {-Q / 4 / np.pi:+.6e})")
 
 print(f"{'y':>5} {'t':>6} {'t*A0 sim':>14} {'K0 pred':>14} {'rel err':>9}")
 rows = interior_limit_check({t: res.slices[t] for t in t_list}, grid, source,

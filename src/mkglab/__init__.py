@@ -8,11 +8,10 @@ and the weak-null behaviour of the associated asymptotic system.
 """
 
 from .config import RunConfig, default_config, parse_config, run_config_hash
-from .core import (FieldState, Weights, current, field_strength, jbracket,
-                   s0_weight)
-from .data_builder import (ChargeValue, CutoffChi, FreeData, GaussianProfile,
-                           assemble_state, build_admissible, compute_charge,
-                           solve_a0, subtract_charge_tail, weighted_norm)
+from .core import FieldState, Weights, current, field_strength, jbracket
+from .data_builder import (CutoffChi, FreeData, GaussianProfile, assemble_state,
+                           build_admissible, compute_charge, solve_a0,
+                           subtract_charge_tail, weighted_norm)
 from .evolution import (EvolutionUnstable, MonitorLog, ObservationPlan,
                         SchemeParams, charge_monitor, energy_monitor, evolve,
                         frame_identity_residual, lorenz_residual, step)

@@ -7,12 +7,14 @@ Subcommands:
     asys <config>             asymptotic-system run + weak-null certificate
     report <dir>              re-render a stored report
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 bad input (an
+unreadable or rejected config or report, or a bad argument).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,10 +31,10 @@ EXIT_PASS, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
 def _load_config(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return parse_config(f.read())
-    except FileNotFoundError:
-        print(f"config file not found: {path}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
@@ -122,11 +124,15 @@ def cmd_asys(args) -> int:
 
 def cmd_report(args) -> int:
     path = os.path.join(args.dir, "report.json")
-    if not os.path.exists(path):
-        print(f"no report.json under {args.dir}", file=sys.stderr)
+    try:
+        with open(path, encoding="utf-8") as f:
+            rep = json.load(f)
+    except (OSError, ValueError) as exc:    # ValueError: not JSON, not UTF-8
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with open(path) as f:
-        rep = json.load(f)
+    if not isinstance(rep, dict):
+        print(f"{path} holds no JSON object", file=sys.stderr)
+        return EXIT_CONFIG
     _print_report(rep)
     return EXIT_PASS if rep.get("all_passed") else EXIT_FAIL
 
@@ -151,6 +157,14 @@ def _level_count(text: str) -> int:
     if n < 2:
         raise argparse.ArgumentTypeError(f"needs >= 2 levels, got {n}")
     return n
+
+
+def _positive_float(text: str) -> float:
+    """--s-end and --ds as a finite float > 0."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"needs a positive finite number, got {text}")
+    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("asys", help="asymptotic-system run")
     pa.add_argument("config")
-    pa.add_argument("--s-end", type=float, default=50.0)
-    pa.add_argument("--ds", type=float, default=1e-2)
+    pa.add_argument("--s-end", type=_positive_float, default=50.0)
+    pa.add_argument("--ds", type=_positive_float, default=1e-2)
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_asys)
 

@@ -77,8 +77,8 @@ class FieldState:
                           self.a0.copy(), self.a0_t.copy(),
                           self.ar.copy(), self.ar_t.copy())
 
-    def validate(self, grid: RadialGrid, atol: float = 1e-12) -> None:
-        """Check finiteness and the parity conditions at r = 0."""
+    def validate(self, grid: RadialGrid) -> None:
+        """Check finiteness and ar(0) = ar_t(0) = 0 (to 1e-12 relative)."""
         for name in ("phi", "phi_t", "a0", "a0_t", "ar", "ar_t"):
             arr = getattr(self, name)
             if len(arr) != grid.n_nodes:
@@ -86,33 +86,13 @@ class FieldState:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite samples")
         scale = max(np.max(np.abs(self.ar)), 1.0)
-        if abs(self.ar[0]) > atol * scale or abs(self.ar_t[0]) > atol * scale:
+        if abs(self.ar[0]) > 1e-12 * scale or abs(self.ar_t[0]) > 1e-12 * scale:
             raise ValueError("odd parity violated: ar(0) != 0")
 
 
 def jbracket(x):
     """Japanese bracket <x> = sqrt(1 + x^2)."""
     return np.sqrt(1.0 + np.square(x))
-
-
-def s0_weight(t, r):
-    """Logarithmic loss weight S0(t, r) = ((t+r)/r) * ln(<t+r>/<t-r>).
-
-    Quantifies the slow decay of the potential relative to a free wave.
-    At r = 0 the analytic limit 2 t^2 / (1 + t^2) is used.  Negative radii
-    are rejected.
-    """
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("s0_weight requires r >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (t + r) / r * np.log(jbracket(t + r) / jbracket(t - r))
-    limit = 2.0 * t * t / (1.0 + t * t)
-    out = np.where(r == 0.0, limit, val)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp) -> list:

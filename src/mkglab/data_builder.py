@@ -1,9 +1,10 @@
 """Construction of admissible Lorenz-gauge initial data.
 
-Free data is (phi0, phi0_dot, ar0, ar0_dot) where phi0_dot is the covariant
-datum D_0 phi(0).  The temporal potential is then fixed by the constraints
+The data is a charged scalar with A = 0 at t = 0: free data is (phi0,
+phi0_dot), phi0_dot the covariant datum D_0 phi(0), and ar = d_t ar = 0.
+The temporal potential is then fixed by the constraints
 
-    Lap a0 = div(adot) - Im(phi0 * conj(phi0_dot)),   a0_dot = div(a),
+    Lap a0 = -Im(phi0 * conj(phi0_dot)),   a0_dot = div(a) = 0,
 
 solved as the decaying radial Newtonian potential.  The conserved charge is
 
@@ -59,16 +60,9 @@ class FreeData:
 
     phi0: np.ndarray        # complex
     phi0_dot: np.ndarray    # complex
-    ar0: np.ndarray         # real, odd
-    ar0_dot: np.ndarray     # real, odd
 
     def charge_density(self) -> np.ndarray:
         return np.imag(self.phi0 * np.conj(self.phi0_dot))
-
-
-@dataclass(frozen=True)
-class ChargeValue:
-    Q: float
 
 
 def smoothstep_quintic(x):
@@ -96,11 +90,11 @@ _CHI = CutoffChi()
 # ---------------------------------------------------------------------------
 # operations
 
-def compute_charge(data: FreeData, grid: RadialGrid) -> ChargeValue:
+def compute_charge(data: FreeData, grid: RadialGrid) -> float:
     """Conserved charge Q = 4*pi int Im(phi0 conj(phi0_dot)) r^2 dr,
     by composite Simpson on the grid."""
     q = 4.0 * np.pi * simpson_integral(data.charge_density() * grid.r ** 2, grid.h)
-    return ChargeValue(Q=float(q))
+    return float(q)
 
 
 def _tail_estimate(g: np.ndarray, grid: RadialGrid) -> float:
@@ -125,18 +119,17 @@ _A0_TAIL_REL_TOL = 1e-8
 def solve_a0(data: FreeData, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Temporal potential data from the constraints.
 
-    With rho = Im(phi0 conj phi0_dot) - div(omega ar0_dot), the decaying
-    solution of Lap a0 = -rho is
+    With rho = Im(phi0 conj phi0_dot), the decaying solution of
+    Lap a0 = -rho is
 
         a0(r) = (1/r) int_0^r rho s^2 ds + int_r^inf rho s ds,
 
-    with the exterior integral truncated at r_max; a0_dot = div(omega ar0)
-    evaluated with the discrete divergence.  The truncated tail must be
-    below _A0_TAIL_REL_TOL relative to max|a0|, otherwise the domain is too
-    small.
+    with the exterior integral truncated at r_max; a0_dot = div(omega ar)
+    = 0, since ar = 0 at t = 0.  The truncated tail must be below
+    _A0_TAIL_REL_TOL relative to max|a0|, otherwise the domain is too small.
     """
-    r, h = grid.r, grid.h
-    rho = data.charge_density() - divergence_radial(data.ar0_dot, grid)
+    r = grid.r
+    rho = data.charge_density()
     m2 = _cumulative_moment(rho, r, 2)
     m1 = _cumulative_moment(rho, r, 1)
     m1_tail = m1[-1] - m1
@@ -149,8 +142,7 @@ def solve_a0(data: FreeData, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"domain too small: exterior tail of a0 is {tail:.3e}, "
             f"tolerance {_A0_TAIL_REL_TOL * scale:.3e}; increase r_max")
-    a0_dot = divergence_radial(data.ar0, grid)
-    return a0, a0_dot
+    return a0, np.zeros_like(a0)
 
 
 def _cumulative_moment(rho: np.ndarray, r: np.ndarray, power: int) -> np.ndarray:
@@ -198,22 +190,22 @@ def build_admissible(data: FreeData, grid: RadialGrid
                      ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Electric field data and the Gauss-constraint residual.
 
-    Returns (E, compat_residual, a0, a0_dot): E = ar0_dot - d_r a0, and
+    Returns (E, compat_residual, a0, a0_dot): E = -d_r a0 (d_t ar = 0), and
     compat_residual = sup |div(omega E) - Im(phi0 conj phi0_dot)|, which is
     O(h^2) for resolved data.  The magnetic part vanishes identically in
     spherical symmetry.
     """
     a0, a0_dot = solve_a0(data, grid)
-    E = data.ar0_dot - d_r(a0, grid, EVEN)
+    E = -d_r(a0, grid, EVEN)
     gauss = divergence_radial(E, grid) - data.charge_density()
     return E, float(np.max(np.abs(gauss))), a0, a0_dot
 
 
-def assemble_state(data: FreeData, grid: RadialGrid) -> tuple[FieldState, ChargeValue]:
-    """Full Lorenz-gauge FieldState at t = 0 from free data.
+def assemble_state(data: FreeData, grid: RadialGrid) -> tuple[FieldState, float]:
+    """Full Lorenz-gauge FieldState at t = 0 from free data, and its charge Q.
 
     The scalar time derivative is decoded from the covariant datum:
-    d_t phi(0) = phi0_dot - i a0 phi0.
+    d_t phi(0) = phi0_dot - i a0 phi0; ar = d_t ar = 0.
     """
     a0, a0_dot = solve_a0(data, grid)
     state = FieldState(
@@ -222,15 +214,15 @@ def assemble_state(data: FreeData, grid: RadialGrid) -> tuple[FieldState, Charge
         phi_t=data.phi0_dot.astype(complex) - 1j * a0 * data.phi0,
         a0=a0,
         a0_t=a0_dot,
-        ar=data.ar0.astype(float),
-        ar_t=data.ar0_dot.astype(float),
+        ar=np.zeros_like(a0),
+        ar_t=np.zeros_like(a0),
     )
     state.validate(grid)
     return state, compute_charge(data, grid)
 
 
 def subtract_charge_tail(state: FieldState, grid: RadialGrid,
-                         Q: ChargeValue) -> FieldState:
+                         Q: float) -> FieldState:
     """Remove the cut-off Coulomb potential chi(r - t) Q/(4 pi r) from a0.
 
     chi = _CHI vanishes for r - t < 1/2, so the subtraction is regular at
@@ -239,13 +231,12 @@ def subtract_charge_tail(state: FieldState, grid: RadialGrid,
     r = grid.r
     coul = np.zeros_like(state.a0)
     mask = r - state.t > _CHI.lo
-    coul[mask] = _CHI(r[mask] - state.t) * Q.Q / (4.0 * np.pi * r[mask])
+    coul[mask] = _CHI(r[mask] - state.t) * Q / (4.0 * np.pi * r[mask])
     return replace(state, a0=state.a0 - coul)
 
 
-def weighted_norm(f: np.ndarray, grid: RadialGrid, k: int, s0: float,
-                  parity: int = EVEN) -> float:
-    """Weighted Sobolev norm (radial reduction).
+def weighted_norm(f: np.ndarray, grid: RadialGrid, k: int, s0: float) -> float:
+    """Weighted Sobolev norm (radial reduction) of an even field f.
 
     Returns sqrt( 4 pi sum_{j<=k} int (1+r^2)^(s0+j) |d_r^j f|^2 r^2 dr )
     with derivatives by repeated 2nd-order differencing.  If the integrand
@@ -254,7 +245,7 @@ def weighted_norm(f: np.ndarray, grid: RadialGrid, k: int, s0: float,
     r = grid.r
     total = 0.0
     g = np.asarray(f)
-    par = parity
+    par = EVEN
     for j in range(k + 1):
         w = (1.0 + r ** 2) ** (s0 + j)
         integrand = w * np.abs(g) ** 2 * r ** 2

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FieldState, _current_ops, current, field_strength
-from .data_builder import _CHI, ChargeValue
+from .data_builder import _CHI
 from .grid import (EVEN, RadialGrid, _d_r_ops, _row_d_r_origin, _row_lap_origin,
                    _row_sommerfeld, _three_point_ops, d_r, divergence_radial,
                    interp_values, simpson_integral)
@@ -125,7 +125,6 @@ class MonitorLog:
     lorenz_residual_sup: list = field(default_factory=list)
     charge_Q: list = field(default_factory=list)
     energy_E: list = field(default_factory=list)
-    frame_identity_residual_sup: dict = field(default_factory=dict)  # t -> value
 
     def append(self, t, lorenz, q, e):
         if self.t and t <= self.t[-1]:
@@ -440,10 +439,8 @@ def lorenz_residual(state: FieldState, grid: RadialGrid) -> float:
     return float(np.max(np.abs(res)))
 
 
-def charge_monitor(state: FieldState, grid: RadialGrid, j0=None) -> float:
-    """Q = 4 pi int J_0 r^2 dr; j0, when given, is current(state, grid)[0]."""
-    if j0 is None:
-        j0, _ = current(state, grid)
+def charge_monitor(j0: np.ndarray, grid: RadialGrid) -> float:
+    """Q = 4 pi int J_0 r^2 dr, with j0 = current(state, grid)[0]."""
     return 4.0 * np.pi * simpson_integral(j0 * grid.r ** 2, grid.h)
 
 
@@ -457,7 +454,7 @@ def energy_monitor(state: FieldState, grid: RadialGrid) -> float:
 
 
 def frame_identity_residual(history: RayHistory,
-                            Q: ChargeValue) -> tuple[float, np.ndarray, np.ndarray]:
+                            Q: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Residual of L(r Lbar(r A_L)) + L(r A^1_Lbar) - r^2 J_L along the ray.
 
     Along a fixed ray, d/dt of a sampled series is exactly L applied to the
@@ -488,7 +485,7 @@ def frame_identity_residual(history: RayHistory,
 
     rA_L = rmat * (a0 + ar)
     u = along(rA_L[:, c]) - 2.0 * ddr(rA_L)          # Lbar(r A_L)
-    a1_lbar = (a0[:, c] - _CHI(rmat[:, c] - times) * Q.Q / (4.0 * np.pi * rmat[:, c])
+    a1_lbar = (a0[:, c] - _CHI(rmat[:, c] - times) * Q / (4.0 * np.pi * rmat[:, c])
                - ar[:, c])
     y = r0 * u + rmat[:, c] * a1_lbar
     resid = along(y) - rmat[:, c] ** 2 * (j0[:, c] + jr[:, c])
@@ -545,7 +542,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
                 f"initial scale {guard0:.3e}")
         j0, jr = current(state, grid)
         log.append(state.t, lorenz_residual(state, grid),
-                   charge_monitor(state, grid, j0), energy_monitor(state, grid))
+                   charge_monitor(j0, grid), energy_monitor(state, grid))
         for q, hist in rays.items():
             x = state.t + q
             pts = x + offsets

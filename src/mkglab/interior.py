@@ -11,10 +11,10 @@ reduce to closed forms through the identity (|x| < a)
 
     int_S2 dS(omega) / (a - <x, omega>) = (2 pi / |x|) ln((a+|x|)/(a-|x|)),
 
-and the explicit wave approximations A^ex (with cutoff chi0) and A^ex,inf
-bridge the exact potential to K_mu with quantified differences.  The q
-integral of A^ex runs on quadrature.adaptive_quad, both components in one
-array-valued call, with breakpoints at q = 0 and at the nodes of a
+and the explicit wave approximations A^ex (with the cutoff _CHI0) and
+A^ex,inf bridge the exact potential to K_mu with quantified differences.
+The q integral of A^ex runs on quadrature.adaptive_quad, both components
+in one array-valued call, with breakpoints at q = 0 and at the nodes of a
 tabulated source; the kernels above are elementwise.
 """
 from __future__ import annotations
@@ -42,6 +42,11 @@ class CutoffChi0:
                                         / (self.hi - self.lo))
 
 
+# the cutoff of A^ex's q integral, and the absolute tolerance of that integral
+_CHI0 = CutoffChi0()
+_A_EX_ABS_TOL = 1e-8
+
+
 @dataclass
 class AsymSource:
     """Tabulated scalar source j(q); the four-vector is L_mu(omega) j(q)."""
@@ -60,24 +65,23 @@ class AsymSource:
         """The q where j_of is not smooth: the nodes of its interpolant."""
         return self.q_grid
 
-    def support_bounds(self, rel: float = 1e-12) -> tuple[float, float]:
-        big = np.abs(self.j) > rel * max(np.max(np.abs(self.j)), 1e-300)
+    def support_bounds(self) -> tuple[float, float]:
+        big = np.abs(self.j) > 1e-12 * max(np.max(np.abs(self.j)), 1e-300)
         if not np.any(big):
             return 0.0, 0.0
         idx = np.where(big)[0]
         return float(self.q_grid[idx[0]]), float(self.q_grid[idx[-1]])
 
 
-class CallableSource(AsymSource):
-    """AsymSource backed by an analytic j(q) with known support.
+class CallableSource:
+    """A source with AsymSource's methods, backed by an analytic j(q) with
+    known support instead of a table.
 
-    Used by oracle tests where a tabulated interpolant would smear
+    Used by oracle checks where a tabulated interpolant would smear
     discontinuous profiles.
     """
 
-    def __init__(self, j_func, q_support: tuple[float, float], n_table: int = 2001):
-        q = np.linspace(q_support[0], q_support[1], n_table)
-        super().__init__(q_grid=q, j=np.asarray(j_func(q), dtype=float))
+    def __init__(self, j_func, q_support: tuple[float, float]):
         self._func = j_func
         self._support = q_support
 
@@ -93,7 +97,7 @@ class CallableSource(AsymSource):
     def breakpoints(self) -> np.ndarray:
         return np.empty(0)
 
-    def support_bounds(self, rel: float = 1e-12) -> tuple[float, float]:
+    def support_bounds(self) -> tuple[float, float]:
         return self._support
 
 
@@ -165,17 +169,16 @@ def K_mu(y_norm: float, source: AsymSource) -> tuple[float, float]:
     return float(k0), float(kr)
 
 
-def eval_A_ex(t: float, x_norm: float, source: AsymSource,
-              chi0: CutoffChi0 = CutoffChi0(), abs_tol: float = 1e-8
-              ) -> tuple[float, float]:
+def eval_A_ex(t: float, x_norm: float, source: AsymSource) -> tuple[float, float]:
     """Explicit near solution A^ex_mu (temporal, radial components).
 
     A^ex_mu(t,x) = int_{|x|-t}^inf (1/4pi) [int_S2 J_mu/(t+q-<x,omega>) dS]
-                   chi0(<q>/(t+|x|)) dq.
-    The angular integral per q is the closed form with a = t + q, valid
-    since a > |x| strictly inside the q range; the integrable log
-    singularity of the scalar kernel at the lower endpoint is split off
-    analytically.
+                   chi0(<q>/(t+|x|)) dq,
+    with chi0 = _CHI0.  The angular integral per q is the closed form with
+    a = t + q, valid since a > |x| strictly inside the q range; the
+    integrable log singularity of the scalar kernel at the lower endpoint
+    is split off analytically.  The q integral is adaptive, to the absolute
+    tolerance _A_EX_ABS_TOL.
     """
     if t < 1.0:
         raise ValueError("eval_A_ex is defined for t >= 1")
@@ -189,7 +192,7 @@ def eval_A_ex(t: float, x_norm: float, source: AsymSource,
 
     def integrand(q):
         # the kernels raise where a = t + q <= |x|
-        w = source.j_of(q) * chi0(np.sqrt(1.0 + q * q) / tx) / FOUR_PI
+        w = source.j_of(q) * _CHI0(np.sqrt(1.0 + q * q) / tx) / FOUR_PI
         return np.stack((-w * angular_kernel_integral(t + q, x_norm),
                          w * angular_kernel_vector(t + q, x_norm)))
 
@@ -200,10 +203,10 @@ def eval_A_ex(t: float, x_norm: float, source: AsymSource,
         a0v, arv = adaptive_quad(lambda u: 2.0 * u * integrand(lo + u * u),
                                  0.0, np.sqrt(hi - lo),
                                  points=[np.sqrt(p - lo) for p in points],
-                                 abs_tol=abs_tol, rel_tol=1e-12)
+                                 abs_tol=_A_EX_ABS_TOL, rel_tol=1e-12)
     else:
         a0v, arv = adaptive_quad(integrand, lo, hi, points=points,
-                                 abs_tol=abs_tol, rel_tol=1e-12)
+                                 abs_tol=_A_EX_ABS_TOL, rel_tol=1e-12)
     return float(a0v), float(arv)
 
 
@@ -223,7 +226,7 @@ def eval_A_ex_infty(t: float, x_norm: float, source: AsymSource
 
 
 def chain_difference_report(t_list, c: float, source: AsymSource,
-                            s: float, chi0: CutoffChi0 = CutoffChi0()) -> dict:
+                            s: float) -> dict:
     """|A^ex - A^ex,inf| at r = c t against the Lemma-type envelope.
 
     envelope(t) = t^-1 <t-r>^(1-2s) (1 + ln((t+r)/(t-r))).  Reports the
@@ -234,7 +237,7 @@ def chain_difference_report(t_list, c: float, source: AsymSource,
     rows = []
     for t in t_list:
         r = c * t
-        a0_ex, ar_ex = eval_A_ex(t, r, source, chi0=chi0)
+        a0_ex, ar_ex = eval_A_ex(t, r, source)
         a0_inf, ar_inf = eval_A_ex_infty(t, r, source)
         diff = max(abs(a0_ex - a0_inf), abs(ar_ex - ar_inf))
         tmr = np.sqrt(1.0 + (t - r) ** 2)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import jbracket, s0_weight
-from .data_builder import ChargeValue
+from .core import jbracket
 from .grid import RadialGrid, interp_values
 from .quadrature import integrate_log_kernel
 
@@ -35,8 +34,6 @@ class RaySample:
     t: np.ndarray
     r: np.ndarray
     A_L: np.ndarray
-    A_Lbar: np.ndarray
-    phi: np.ndarray       # complex
     rphi: np.ndarray      # complex
 
     def __post_init__(self):
@@ -64,7 +61,6 @@ class RadiationTable:
     J_Lbar: np.ndarray
     A_L_err: float
     A_Lbar_mod: np.ndarray
-    Phi0_err: np.ndarray
 
     def check_identity(self) -> float:
         """max |J_Lbar + 2 Im(Phi0 conj dPhi0)| (definitional, ~0)."""
@@ -89,7 +85,7 @@ def sample_ray(slices: dict, grid: RadialGrid, q: float,
     r = t + q (cubic, O(h^4)).  Rays that exit the safe domain are
     truncated.
     """
-    ts, rs, als, albs, phis = [], [], [], [], []
+    ts, rs, als, phis = [], [], [], []
     for st in sorted(slices.values(), key=lambda s: s.t):
         x = st.t + q
         if not _in_domain(x, grid, domain_frac):
@@ -100,11 +96,9 @@ def sample_ray(slices: dict, grid: RadialGrid, q: float,
         ts.append(st.t)
         rs.append(x)
         als.append(a0 + ar)
-        albs.append(a0 - ar)
         phis.append(ph)
     ts, rs, phis = np.array(ts), np.array(rs), np.array(phis)
-    return RaySample(q=q, t=ts, r=rs, A_L=np.array(als), A_Lbar=np.array(albs),
-                     phi=phis, rphi=rs * phis)
+    return RaySample(q=q, t=ts, r=rs, A_L=np.array(als), rphi=rs * phis)
 
 
 def charge_phase(Q: float, r):
@@ -132,18 +126,18 @@ def _limit_from_sequence(values: np.ndarray) -> LimitEstimate:
                          converged=converged, increments=inc, diagnostic=diag)
 
 
-def extract_phi0(ray: RaySample, Q: ChargeValue) -> LimitEstimate:
+def extract_phi0(ray: RaySample, Q: float) -> LimitEstimate:
     """Phase-corrected scalar radiation value along the ray.
 
     The expected Cauchy rate is <t+r>^(1/2 - (s+gamma)); the increments are
     returned so callers can test it.  A non-decreasing increment sequence
     is flagged in the diagnostic, never silently dropped.
     """
-    corrected = ray.rphi * charge_phase(Q.Q, ray.r)
+    corrected = ray.rphi * charge_phase(Q, ray.r)
     return _limit_from_sequence(corrected)
 
 
-def extract_AL_limit(ray: RaySample, Q: ChargeValue) -> LimitEstimate:
+def extract_AL_limit(ray: RaySample) -> LimitEstimate:
     """Limit of r A_L along the ray; Theorem target is Q/(4 pi)."""
     est = _limit_from_sequence(ray.r * ray.A_L)
     est.value = complex(est.value).real
@@ -230,38 +224,30 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
+def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
                           q_grid: np.ndarray, domain_frac: float = 0.95,
                           ray_qs: tuple = ()) -> RadiationTable:
     """Assemble the radiation table from late-time slices.
 
-    Phi0 per q comes from the latest slice containing r = t + q; the error
-    estimate per q is the difference against the previous slice.  A_L's
-    limit is extracted along the q = max(ray_qs, 0)-ish central ray.
+    Phi0 per q comes from the latest slice containing r = t + q, else from
+    the previous slice.  A_L's limit error is estimated along the central
+    ray, the one of ray_qs nearest 0 (q = 0 when ray_qs is empty).
     """
     states = sorted(slices.values(), key=lambda s: s.t)
     if len(states) < 2:
         raise ValueError("radiation table needs at least two time slices")
     last, prev = states[-1], states[-2]
-    vals, inside = [], []
+    Phi0 = np.zeros(len(q_grid), dtype=complex)
     for st in (prev, last):
         x = st.t + q_grid
         ok = _in_domain(x, grid, domain_frac)
-        v = np.zeros(len(q_grid), dtype=complex)
-        v[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
-                         charge_phase(Q.Q, x[ok]))
-        vals.append(v)
-        inside.append(ok)
-    Phi0 = np.where(inside[1], vals[1], vals[0])
-    change = vals[1] - vals[0]
-    # hypot, not np.abs, rounds the modulus like abs() of a Python complex
-    Phi0_err = np.where(inside[0] & inside[1], np.hypot(change.real, change.imag),
-                        np.where(inside[0] | inside[1], np.inf, 0.0))
+        Phi0[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
+                            charge_phase(Q, x[ok]))
     jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
     # error estimate of the A_L limit along the central extraction ray
     q_al = 0.0 if not ray_qs else sorted(ray_qs, key=abs)[0]
     ray = sample_ray(slices, grid, q_al, domain_frac)
-    alerr = (extract_AL_limit(ray, Q).err_est if len(ray.t) >= LIMIT_SAMPLES
+    alerr = (extract_AL_limit(ray).err_est if len(ray.t) >= LIMIT_SAMPLES
              else np.inf)
     # modified A_Lbar at the last slice, on the q grid
     x = last.t + q_grid
@@ -272,7 +258,7 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
                                 q_min=q_grid[0])
     return RadiationTable(q=q_grid.copy(), Phi0=Phi0, dPhi0_dq=dPhi0,
                           J_Lbar=jlbar, A_L_err=alerr,
-                          A_Lbar_mod=mod, Phi0_err=Phi0_err)
+                          A_Lbar_mod=mod)
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +266,18 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: ChargeValue,
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """Weight <t+r>^a <t-r>^b <(r-t)_+>^c S0^d multiplying the envelope."""
+    """Weight <t+r>^a <t-r>^b <(r-t)_+>^c multiplying the envelope."""
 
     a: float = 0.0
     b: float = 0.0
     c: float = 0.0
-    d: float = 0.0
     label: str = ""
 
     def __call__(self, t, r):
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
-        env = jbracket(t + r) ** self.a * jbracket(t - r) ** self.b \
+        return jbracket(t + r) ** self.a * jbracket(t - r) ** self.b \
             * jbracket(np.maximum(r - t, 0.0)) ** self.c
-        if self.d != 0.0:
-            env = env * np.asarray(s0_weight(t, r)) ** self.d
-        return env
 
 
 def phi_peeling_spec(w) -> EnvelopeSpec:

@@ -79,13 +79,11 @@ class RunReport:
 def build_free_data(cfg: RunConfig, grid: RadialGrid) -> FreeData:
     """FreeData per the [data] section: phi0 = amp * exp(-(r/width)^2) with
     the covariant datum phi0_dot = i * phidot_scale * phi0 (nonzero charge
-    for phidot_scale != 0), and ar0 = ar0_dot = 0.
+    for phidot_scale != 0).
     """
     d = cfg.data
-    r = grid.r
-    prof = GaussianProfile(d["amplitude"], d["width"])(r)
-    return FreeData(phi0=prof.astype(complex), phi0_dot=1j * d["phidot_scale"] * prof,
-                    ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+    prof = GaussianProfile(d["amplitude"], d["width"])(grid.r)
+    return FreeData(phi0=prof.astype(complex), phi0_dot=1j * d["phidot_scale"] * prof)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +100,6 @@ def _write_csv(path: str, header_cols: list, rows, config_hash: str) -> None:
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
-    if isinstance(v, complex):
-        return f"{v.real:.17g}{v.imag:+.17g}j"
     return str(v)
 
 
@@ -141,20 +137,20 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     say(f"[1/6] building data on n={grid.n_cells}, r_max={grid.r_max}")
     data = build_free_data(cfg, grid)
     state0, Q = assemble_state(data, grid)
-    report = RunReport(config_hash=chash, charge_Q=Q.Q)
-    target = Q.Q / (4.0 * np.pi)
+    report = RunReport(config_hash=chash, charge_Q=Q)
+    target = Q / (4.0 * np.pi)
 
     ext = cfg.extraction
     t_end = scheme.t_end
-    slice_times = sorted(set(
-        [round(f * t_end, 10) for f in ext["t_fracs"]]
-        + [float(t) for t in cfg.interior["t_list"]]))
+    # evolve stores each slice under the time requested for it
+    frac_times = [round(f * t_end, 10) for f in ext["t_fracs"]]
+    interior_times = [float(t) for t in cfg.interior["t_list"]]
     plan = ObservationPlan(
         ray_qs=tuple(ext["q_rays"]),
         stencil_spacing_cells=ext["stencil_spacing_cells"],
         snapshot_every=2,
         snapshot_subsample=max(1, grid.n_cells // 2000),
-        slice_times=tuple(slice_times),
+        slice_times=tuple(sorted(set(frac_times + interior_times))),
         ray_domain_frac=ext["domain_frac"])
 
     n_steps, _ = time_grid(t_end, scheme.cfl * grid.h)
@@ -188,18 +184,17 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
 
     # frame identity residual along the central ray
     central_q = min(plan.ray_qs, key=abs) if plan.ray_qs else None
+    frame = {}      # monitor time -> |residual|
     if central_q is not None and len(result.rays[central_q].times) >= 5:
         frame_sup, ftimes, fres = frame_identity_residual(result.rays[central_q], Q)
-        for tt, rr in zip(ftimes, fres):
-            log.frame_identity_residual_sup[float(tt)] = float(abs(rr))
+        frame = {float(tt): float(abs(rr)) for tt, rr in zip(ftimes, fres)}
         report.extras["frame_identity_sup"] = frame_sup
 
     # -- extraction ----------------------------------------------------------
     say("[3/6] extracting radiation tables and ray limits")
     dq = ext["q_spacing_cells"] * grid.h
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
-    frac_slices = {t: result.slices[t] for t in result.slices
-                   if any(abs(t - f * t_end) < 1e-9 for f in ext["t_fracs"])}
+    frac_slices = {t: result.slices[t] for t in frac_times}
     table = build_radiation_table(frac_slices, grid, Q, q_grid,
                                   domain_frac=ext["domain_frac"],
                                   ray_qs=tuple(ext["q_rays"]))
@@ -213,7 +208,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         short = short or _too_few(qray, len(ray.t), LIMIT_SAMPLES)
         if short:
             continue
-        al = extract_AL_limit(ray, Q)
+        al = extract_AL_limit(ray)
         errs_last3 = np.abs(ray.r[-3:] * ray.A_L[-3:] - target)
         rel = abs(al.value.real - target) / abs(target) if target != 0 else abs(al.value.real)
         floor = 1e-10 * abs(target) + 1e-300
@@ -269,8 +264,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     # -- interior ------------------------------------------------------------
     say("[4/6] interior limit comparison")
     source = AsymSource(q_grid=table.q, j=table.j_scalar())
-    interior_slices = {t: result.slices[t] for t in result.slices
-                       if any(abs(t - tt) < 1e-9 for tt in cfg.interior["t_list"])}
+    interior_slices = {t: result.slices[t] for t in interior_times}
     interior_rows = interior_limit_check(interior_slices, grid, source,
                                          cfg.interior["y_list"], cfg.interior["t_list"])
     int_tol = cfg.tolerances["interior_rel"]
@@ -290,7 +284,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
             monotone = monotone and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
             k0 = sub[-1]["K0_pred"]
             worst_final = max(worst_final, abs(sub[-1]["abs_err0"] / k0) if k0 else np.inf)
-        sign_ok = all((r["K0_pred"] < 0) == (Q.Q < 0) or r["K0_pred"] == 0
+        sign_ok = all((r["K0_pred"] < 0) == (Q < 0) or r["K0_pred"] == 0
                       for r in interior_rows)
         report.add("interior_limit", int_desc, worst_final, int_tol,
                    monotone and worst_final < int_tol and sign_ok,
@@ -341,7 +335,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         _refinement_orders_check(report, cfg, say)
 
     # -- emission ------------------------------------------------------------
-    _emit(out_dir, chash, cfg, log, table, interior_rows, env_rows, report)
+    _emit(out_dir, chash, cfg, log, frame, table, interior_rows, env_rows, report)
     report.extras["wall_seconds"] = time.time() - t_start
     return report
 
@@ -559,10 +553,9 @@ def _refinement_orders_check(report: RunReport, cfg: RunConfig, say) -> None:
                detail=f"drifts {errors['charge_drift']}")
 
 
-def _emit(out_dir, chash, cfg, log, table, interior_rows, env_rows, report):
+def _emit(out_dir, chash, cfg, log, frame, table, interior_rows, env_rows, report):
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.write(dump_config(cfg))
-    frame = log.frame_identity_residual_sup
     mon_rows = [(t, log.lorenz_residual_sup[i], log.charge_Q[i], log.energy_E[i],
                  frame.get(float(t), np.nan)) for i, t in enumerate(log.t)]
     _write_csv(os.path.join(out_dir, "monitors.csv"),

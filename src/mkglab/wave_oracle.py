@@ -14,14 +14,13 @@ triangle gives
 
 where the eta lower limit reflects sources supported in s >= 0.  Radial
 homogeneous data is propagated either by the d'Alembert formula for
-r phi or by Kirchhoff's sphere mean reduced to a 1-D integral; the two
-must agree, which is one of the standing cross checks.  The d'Alembert
-velocity term int lam h(lam) dlam uses h.lambda_antiderivative when h has
-one (data_builder.GaussianProfile does, in closed form) and
-quadrature.adaptive_quad otherwise.  The adaptive paths (that velocity
-term, Kirchhoff without a fixed order, the double integral without
-fast=True) all run on quadrature.adaptive_quad; the double integral takes
-the eta integrals of all xi nodes of a panel pair in one array-valued call.
+r phi or by Kirchhoff's sphere mean reduced to a 1-D integral, taken by a
+fixed-order Gauss-Legendre rule; the two must agree, which is one of the
+standing cross checks.  The d'Alembert velocity term int lam h(lam) dlam
+uses h.lambda_antiderivative when h has one (data_builder.GaussianProfile
+does, in closed form) and quadrature.adaptive_quad otherwise, as does the
+double integral without fast=True, which takes the eta integrals of all xi
+nodes of a panel pair in one array-valued call.
 """
 from __future__ import annotations
 
@@ -114,39 +113,25 @@ def dalembert_free(g, h, t: float, r):
     return out
 
 
-def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None,
-                   abs_tol: float = 1e-10, points=None,
-                   order: int | None = None) -> float:
+def kirchhoff_eval(w0, w1, t: float, x_norm: float, w0_prime=None, *,
+                   order: int) -> float:
     """Kirchhoff's formula for radial data, reduced to a mu-integral.
 
     w = (1/4pi) oint [ t w1(|x + t omega|) + t <grad w0, omega> + w0 ] dS.
     With rho = |x + t omega| = sqrt(r^2 + t^2 + 2 r t mu) the sphere mean
-    collapses to (1/2) int_{-1}^{1} ... dmu.  w0_prime is required when
-    w0 is nonzero and carries no analytic derivative of its own.  w0, w1
-    and w0_prime take arrays of rho.  The mu integral is adaptive, with the
-    breakpoints points (put a jump of the data there); order switches to a
-    fixed Gauss-Legendre rule (smooth data only).
+    collapses to (1/2) int_{-1}^{1} ... dmu.  w0, w1 and w0_prime take
+    arrays of rho; w0_prime defaults to w0.d (GaussianProfile's analytic
+    derivative).  The mu integral is the Gauss-Legendre rule of the given
+    order, so the data must be smooth.
     """
     r = float(x_norm)
-    if w0_prime is None and w0 is not None:
-        w0_prime = getattr(w0, "d", None)
-
-    def integrand(mu):
-        rho = np.sqrt(np.maximum(r * r + t * t + 2.0 * r * t * mu, 0.0))
-        out = 0.0
-        if w1 is not None:
-            out = out + t * w1(rho)
-        if w0 is not None:
-            rho_safe = np.maximum(rho, 1e-300)
-            out = out + t * w0_prime(rho) * (r * mu + t) / rho_safe + w0(rho)
-        return out
-
-    if order is not None:
-        x, w = gauss_legendre(order)
-        return float(0.5 * np.dot(w, integrand(x)))
-    val = adaptive_quad(integrand, -1.0, 1.0, points=() if points is None else points,
-                        abs_tol=abs_tol, rel_tol=1e-12)
-    return float(0.5 * val)
+    if w0_prime is None:
+        w0_prime = w0.d
+    mu, w = gauss_legendre(order)
+    rho = np.sqrt(np.maximum(r * r + t * t + 2.0 * r * t * mu, 0.0))
+    vals = (t * w1(rho) + t * w0_prime(rho) * (r * mu + t) / np.maximum(rho, 1e-300)
+            + w0(rho))
+    return float(0.5 * np.dot(w, vals))
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,9 @@ class TestSupplementaryDiagnostics:
         eps = 0.1
         r = grid.r
         phi0 = eps * np.exp(-r ** 2) + 0j
-        data = FreeData(phi0=phi0, phi0_dot=1j * phi0,
-                        ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+        data = FreeData(phi0=phi0, phi0_dot=1j * phi0)
         state, Q = assemble_state(data, grid)
-        expected = -Q.Q / (4 * np.pi)
+        expected = -Q / (4 * np.pi)
         plan = ObservationPlan(ray_qs=(0.0,))
         charged = evolve(state, grid, SchemeParams(0.5, 80.0, "none", 8), plan)
         ctrl = FieldState.zeros(grid)

@@ -397,3 +397,35 @@ class TestCLI:
         assert cli_main(["asys", str(cfgfile), "--s-end", "0.01", "--ds", "0.01",
                          "--out", str(tmp_path / "asys_out")]) == 2
         assert not (tmp_path / "asys_out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ds", "0"), ("--ds", "-0.01"), ("--ds", "nan"), ("--ds", "x"),
+        ("--s-end", "inf"), ("--s-end", "0")])
+    def test_asys_needs_positive_finite_steps(self, tmp_path, capsys, flag, value):
+        # rejected while parsing: no division by ds, no rounding of s_end / ds
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text(SMALL)
+        assert cli_main(["asys", str(cfgfile), flag, value,
+                         "--out", str(tmp_path / "asys_out")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "asys_out").exists()
+
+    def test_unreadable_config_exit_code(self, tmp_path, capsys):
+        # a directory, and a file whose bytes are not UTF-8
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(SMALL.encode() + "# \xe9t\xe9\n".encode("latin-1"))
+        for path in (tmp_path, latin1):
+            assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert f"cannot read config {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ['{"config_hash": ', "[]", "null", '"report"'])
+    def test_report_not_a_report_object(self, tmp_path, capsys, text):
+        (tmp_path / "report.json").write_text(text)
+        assert cli_main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "report.json") in err
+
+    def test_report_missing(self, tmp_path, capsys):
+        assert cli_main(["report", str(tmp_path)]) == 2
+        assert "report.json" in capsys.readouterr().err

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import GaugeFunction, gauge_transform
-from mkglab.core import (FieldState, Weights, current, field_strength, jbracket,
-                         s0_weight)
+from mkglab.core import FieldState, Weights, current, field_strength, jbracket
 from mkglab.grid import RadialGrid
 
 
@@ -46,38 +45,6 @@ class TestJBracket:
         v = jbracket(x)
         assert np.all(np.diff(v) > 0)
         assert np.all(v >= 1.0)
-
-
-class TestS0Weight:
-    def test_at_unit_point(self):
-        # ((t+r)/r) ln(<2>/<0>) = 2 ln sqrt(5) = ln 5
-        assert s0_weight(1.0, 1.0) == pytest.approx(np.log(5.0), rel=1e-14)
-
-    def test_origin_limit(self):
-        for t in (0.5, 1.0, 3.0, 20.0):
-            limit = 2.0 * t * t / (1.0 + t * t)
-            assert s0_weight(t, 0.0) == pytest.approx(limit, rel=1e-14)
-            assert s0_weight(t, 1e-6) == pytest.approx(limit, rel=1e-5)
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
-            s0_weight(1.0, -0.1)
-
-    def test_epsilon_bound_spot(self):
-        t = r = 1e3
-        lhs = s0_weight(t, r)
-        rhs = 10.0 * (jbracket(t + r) / jbracket(t - r)) ** 0.1
-        assert lhs <= rhs
-
-    def test_epsilon_bound_random_sweep(self):
-        # S0 <= (1/eps) (<t+r>/<t-r>)^eps on 0 < r <= t <= 1e6
-        rng = np.random.default_rng(42)
-        t = 10.0 ** rng.uniform(-2, 6, 10_000)
-        r = t * rng.uniform(1e-6, 1.0, 10_000)
-        s0 = s0_weight(t, r)
-        for eps in (0.05, 0.1, 0.5):
-            bound = (jbracket(t + r) / jbracket(t - r)) ** eps / eps
-            assert np.all(s0 <= bound * (1.0 + 1e-12))
 
 
 class TestCurrent:

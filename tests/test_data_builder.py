@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.core import FieldState, current
-from mkglab.data_builder import (ChargeValue, CutoffChi, FreeData,
-                                 _cumulative_moment, assemble_state,
-                                 build_admissible, compute_charge, solve_a0,
-                                 subtract_charge_tail, weighted_norm)
+from mkglab.data_builder import (CutoffChi, FreeData, _cumulative_moment,
+                                 assemble_state, build_admissible,
+                                 compute_charge, solve_a0, subtract_charge_tail,
+                                 weighted_norm)
 from mkglab.grid import RadialGrid, divergence_radial, simpson_integral
 
 
@@ -26,23 +26,21 @@ def quadrature_charge(phi0_func, phi0_dot_func) -> float:
 def gaussian_data(grid, eps=1.0):
     r = grid.r
     phi0 = eps * np.exp(-r ** 2) + 0j
-    return FreeData(phi0=phi0, phi0_dot=1j * phi0,
-                    ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+    return FreeData(phi0=phi0, phi0_dot=1j * phi0)
 
 
 class TestComputeCharge:
     def test_zero_data(self, grid):
         data = FreeData(phi0=np.zeros(grid.n_nodes, complex),
-                        phi0_dot=np.zeros(grid.n_nodes, complex),
-                        ar0=np.zeros(grid.n_nodes), ar0_dot=np.zeros(grid.n_nodes))
-        assert compute_charge(data, grid).Q == 0.0
+                        phi0_dot=np.zeros(grid.n_nodes, complex))
+        assert compute_charge(data, grid) == 0.0
 
     def test_gaussian_oracle(self, grid):
         # Im(phi0 conj phidot0) = -e^{-2r^2}; adaptive-quadrature oracle
         oracle = quadrature_charge(lambda r: np.exp(-r ** 2),
                                    lambda r: 1j * np.exp(-r ** 2))
         assert oracle == pytest.approx(-4 * np.pi * np.sqrt(np.pi / 2) / 8, rel=1e-12)
-        q = compute_charge(gaussian_data(grid), grid).Q
+        q = compute_charge(gaussian_data(grid), grid)
         assert q == pytest.approx(oracle, rel=1e-9)
         assert q == pytest.approx(-1.9687012, rel=1e-6)
 
@@ -54,14 +52,13 @@ class TestComputeCharge:
             data.phi0_dot = 1j * np.exp(-grid.r ** 2) * u(grid.r)
             oracle = quadrature_charge(lambda r: np.exp(-r ** 2),
                                        lambda r: 1j * np.exp(-r ** 2) * u(r))
-            assert compute_charge(data, grid).Q == pytest.approx(oracle, rel=1e-8)
+            assert compute_charge(data, grid) == pytest.approx(oracle, rel=1e-8)
 
 
 class TestSolveA0:
     def test_zero(self, grid):
         data = FreeData(phi0=np.zeros(grid.n_nodes, complex),
-                        phi0_dot=np.zeros(grid.n_nodes, complex),
-                        ar0=np.zeros(grid.n_nodes), ar0_dot=np.zeros(grid.n_nodes))
+                        phi0_dot=np.zeros(grid.n_nodes, complex))
         a0, a0_dot = solve_a0(data, grid)
         assert np.max(np.abs(a0)) == 0.0
         assert np.max(np.abs(a0_dot)) == 0.0
@@ -72,8 +69,7 @@ class TestSolveA0:
         # simplest: direct rho = e^{-r^2} via phi0 = e^{-r^2/2}, phidot = -i phi0
         r = grid.r
         phi0 = np.exp(-r ** 2 / 2) + 0j
-        data = FreeData(phi0=phi0, phi0_dot=-1j * phi0,
-                        ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+        data = FreeData(phi0=phi0, phi0_dot=-1j * phi0)
         # rho = Im(phi0 conj(-i phi0)) = |phi0|^2 = e^{-r^2}
         a0, _ = solve_a0(data, grid)
         # a0(0) = int_0^inf rho s ds = 1/2
@@ -81,7 +77,7 @@ class TestSolveA0:
         # r a0 -> int_0^inf rho s^2 ds = sqrt(pi)/4, consistent with Q/4pi
         i = int(0.8 * grid.n_cells)
         assert grid.r[i] * a0[i] == pytest.approx(np.sqrt(np.pi) / 4, rel=1e-6)
-        Q = compute_charge(data, grid).Q
+        Q = compute_charge(data, grid)
         assert Q == pytest.approx(4 * np.pi * np.sqrt(np.pi) / 4, rel=1e-9)
         assert Q == pytest.approx(np.pi ** 1.5, rel=1e-9)
 
@@ -90,8 +86,7 @@ class TestSolveA0:
         r = g.r
         # slowly decaying rho ~ (1+r^2)^{-2}: tail far above 1e-8 rel
         phi0 = (1.0 + r ** 2) ** -1 + 0j
-        data = FreeData(phi0=phi0, phi0_dot=-1j * phi0,
-                        ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+        data = FreeData(phi0=phi0, phi0_dot=-1j * phi0)
         with pytest.raises(ValueError, match="domain too small"):
             solve_a0(data, g)
 
@@ -103,10 +98,9 @@ class TestSolveA0:
         inside = np.abs(x) < 1.0
         bump[inside] = np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
         phi0 = np.sqrt(bump) + 0j
-        data = FreeData(phi0=phi0, phi0_dot=-1j * phi0,
-                        ar0=np.zeros_like(r), ar0_dot=np.zeros_like(r))
+        data = FreeData(phi0=phi0, phi0_dot=-1j * phi0)
         a0, _ = solve_a0(data, grid)
-        Q = compute_charge(data, grid).Q
+        Q = compute_charge(data, grid)
         mask = r > 2.5
         assert np.allclose(a0[mask], Q / (4 * np.pi * r[mask]), rtol=1e-10)
 
@@ -158,8 +152,7 @@ class TestCumulativeMoment:
 class TestBuildAdmissible:
     def test_zero(self, grid):
         data = FreeData(phi0=np.zeros(grid.n_nodes, complex),
-                        phi0_dot=np.zeros(grid.n_nodes, complex),
-                        ar0=np.zeros(grid.n_nodes), ar0_dot=np.zeros(grid.n_nodes))
+                        phi0_dot=np.zeros(grid.n_nodes, complex))
         E, resid, _, _ = build_admissible(data, grid)
         assert np.max(np.abs(E)) == 0.0
         assert resid == 0.0
@@ -193,19 +186,19 @@ class TestBuildAdmissible:
 class TestSubtractChargeTail:
     def test_zero_charge_identity(self, grid):
         st, _ = assemble_state(gaussian_data(grid), grid)
-        out = subtract_charge_tail(st, grid, ChargeValue(0.0))
+        out = subtract_charge_tail(st, grid, 0.0)
         assert np.allclose(out.a0, st.a0)
 
     def test_plateau_value(self, grid):
         st = FieldState.zeros(grid)
-        out = subtract_charge_tail(st, grid, ChargeValue(4 * np.pi))
+        out = subtract_charge_tail(st, grid, 4 * np.pi)
         i = int(round(2.0 / grid.h))
         # chi(2) = 1: a0 decremented by 1/r = 1/2
         assert out.a0[i] == pytest.approx(-0.5, rel=1e-12)
 
     def test_inside_cutoff_unchanged(self, grid):
         st = FieldState.zeros(grid)
-        out = subtract_charge_tail(st, grid, ChargeValue(123.0))
+        out = subtract_charge_tail(st, grid, 123.0)
         i = int(round(0.25 / grid.h))
         assert out.a0[i] == 0.0
 
@@ -269,17 +262,15 @@ class TestWeightedNorm:
 
 class TestAssembledInvariants:
     def test_lorenz_condition_at_t0(self, grid):
-        # data with nonzero ar0: a0_dot = div(ar0) holds by construction
-        r = grid.r
-        data = gaussian_data(grid)
-        data.ar0 = 0.02 * r * np.exp(-r ** 2)
-        st, _ = assemble_state(data, grid)
-        resid = np.max(np.abs(-st.a0_t + divergence_radial(st.ar, grid)))
-        assert resid < 1e-14
+        # A = 0 data: ar = d_t ar = 0 and a0_dot = div(ar) = 0 exactly
+        st, _ = assemble_state(gaussian_data(grid), grid)
+        for f in (st.ar, st.ar_t, st.a0_t):
+            assert not np.any(f)
+        assert np.max(np.abs(-st.a0_t + divergence_radial(st.ar, grid))) == 0.0
 
     def test_charge_two_ways(self, grid):
         data = gaussian_data(grid)
         st, Q = assemble_state(data, grid)
         j0, _ = current(st, grid)
         q2 = 4 * np.pi * simpson_integral(j0 * grid.r ** 2, grid.h)
-        assert abs(q2 - Q.Q) <= 1e-6 * abs(Q.Q) + 1e-10
+        assert abs(q2 - Q) <= 1e-6 * abs(Q) + 1e-10

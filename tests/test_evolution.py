@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GaugeFunction, gauge_transform
-from mkglab.core import FieldState, current_density
-from mkglab.data_builder import ChargeValue, FreeData, GaussianProfile, assemble_state
+from mkglab.core import FieldState, current, current_density
+from mkglab.data_builder import FreeData, GaussianProfile, assemble_state
 from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
                               SchemeParams, Workspace, _field_views, _rhs,
                               charge_monitor, energy_monitor, evolve,
@@ -13,15 +13,20 @@ from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
                               time_grid)
 from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
                          _row_d_r_outer, _row_lap_origin, _row_sommerfeld,
-                         _run, _three_point_ops, d_r, simpson_integral)
+                         _run, _three_point_ops, d_r, divergence_radial,
+                         simpson_integral)
 from mkglab.wave_oracle import dalembert_free
 
 
-def gaussian_data(grid, eps=0.05, ar_amp=0.0):
+def gaussian_state(grid, eps=0.05, ar_amp=0.0):
+    """assemble_state's (state, Q) for phi0 = eps e^{-r^2}, phi0_dot = i phi0,
+    then ar = ar_amp r e^{-r^2} with the a0_t = div(ar) of the Lorenz gauge."""
     r = grid.r
     phi0 = eps * np.exp(-r ** 2) + 0j
-    return FreeData(phi0=phi0, phi0_dot=1j * phi0,
-                    ar0=ar_amp * r * np.exp(-r ** 2), ar0_dot=np.zeros_like(r))
+    st, Q = assemble_state(FreeData(phi0=phi0, phi0_dot=1j * phi0), grid)
+    st.ar = ar_amp * r * np.exp(-r ** 2)
+    st.a0_t = divergence_radial(st.ar, grid)
+    return st, Q
 
 
 FIELDS = ("phi", "phi_t", "a0", "a0_t", "ar", "ar_t")
@@ -222,8 +227,7 @@ class TestRHSPlan:
     def test_steps_match_reference_bytewise(self, boundary, linear, data):
         grid = RadialGrid(6.0, 40)
         if data == "gaussian":
-            st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05),
-                                   grid)
+            st, _ = gaussian_state(grid, eps=0.1, ar_amp=0.05)
         else:
             fields = random_fields(np.random.default_rng(1), grid.n_nodes, True)
             st = FieldState(0.0, *(1e-3 * f for f in fields))
@@ -287,8 +291,7 @@ class TestPhiWindow:
     GRID = RadialGrid(40.0, 400)    # eps exp(-r^2) is exactly 0 past r ~ 27
 
     def compact(self):
-        st, _ = assemble_state(gaussian_data(self.GRID, eps=0.1, ar_amp=0.05),
-                               self.GRID)
+        st, _ = gaussian_state(self.GRID, eps=0.1, ar_amp=0.05)
         return st
 
     def check(self, state, y):
@@ -380,7 +383,7 @@ class TestPhiWindow:
 class TestKernel:
     def test_parity_with_allocating_rk4(self):
         grid = RadialGrid(20.0, 400)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.05, ar_amp=0.02), grid)
+        st, _ = gaussian_state(grid, eps=0.05, ar_amp=0.02)
         scheme = SchemeParams(cfl=0.5, t_end=7.5, monitor_stride=10 ** 9)
         n_steps, dt = time_grid(scheme.t_end, scheme.cfl * grid.h)
         assert n_steps == 300
@@ -395,7 +398,7 @@ class TestKernel:
     def test_step_leaves_input_untouched(self):
         # load() copies: the caller's state never shares memory with a step
         grid = RadialGrid(10.0, 100)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05), grid)
+        st, _ = gaussian_state(grid, eps=0.1, ar_amp=0.05)
         before = st.copy()
         ws = Workspace(grid)
         out = step(ws.load(st), grid, SchemeParams(cfl=0.5), 0.5 * grid.h, ws)
@@ -417,7 +420,7 @@ class TestKernel:
 
     def test_state_not_loaded_by_the_workspace_rejected(self):
         grid = RadialGrid(10.0, 100)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        st, _ = gaussian_state(grid, eps=0.1)
         ws, other = Workspace(grid), Workspace(grid)
         loaded = ws.load(st)
         for foreign in (st, loaded.copy(), other.load(st)):
@@ -427,7 +430,7 @@ class TestKernel:
 
     def test_workspace_state_steps_in_place(self):
         grid = RadialGrid(10.0, 100)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        st, _ = gaussian_state(grid, eps=0.1)
         scheme, dt = SchemeParams(cfl=0.5), 0.5 * grid.h
         ws = Workspace(grid)
         loaded = ws.load(st)
@@ -443,7 +446,7 @@ class TestKernel:
 
     def test_evolve_outputs_share_no_memory(self):
         grid = RadialGrid(10.0, 100)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1, ar_amp=0.05), grid)
+        st, _ = gaussian_state(grid, eps=0.1, ar_amp=0.05)
         scheme = SchemeParams(cfl=0.5, t_end=1.0, monitor_stride=4)
         res = evolve(st, grid, scheme,
                      ObservationPlan(slice_times=(0.0, 0.5, 1.0)))
@@ -458,7 +461,7 @@ class TestKernel:
 
     def test_snapshot_radii_are_shared_read_only_views(self):
         grid = RadialGrid(10.0, 100)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        st, _ = gaussian_state(grid, eps=0.1)
         scheme = SchemeParams(cfl=0.5, t_end=1.0, monitor_stride=4)
         res = evolve(st, grid, scheme, ObservationPlan(snapshot_subsample=3))
         assert len(res.snapshots) > 1
@@ -496,7 +499,7 @@ class TestTimeGrid:
         # t_end / (cfl h) = 2.5: the run used to stop at t = 0.1 and store
         # that state as the t = 0.125 slice
         grid = RadialGrid(10.0, 100)
-        st, _ = assemble_state(gaussian_data(grid), grid)
+        st, _ = gaussian_state(grid)
         scheme = SchemeParams(cfl=0.5, t_end=0.125, monitor_stride=1)
         times = (0.0, 0.125 / 3, 0.25 / 3, 0.125)
         res = evolve(st, grid, scheme, ObservationPlan(slice_times=times))
@@ -553,7 +556,7 @@ class TestStep:
     def test_time_reversal_single_step(self):
         # +dt then -dt returns the state to O(dt^5) per pair
         grid = RadialGrid(10.0, 200)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        st, _ = gaussian_state(grid, eps=0.1)
         scheme = SchemeParams(cfl=0.5, boundary="none")
         dts = [0.5 * grid.h, 0.25 * grid.h]
         errs = []
@@ -607,15 +610,15 @@ class TestMonitors:
         resids = []
         for n in (200, 400):
             grid = RadialGrid(20.0, n)
-            st, _ = assemble_state(gaussian_data(grid, ar_amp=0.02), grid)
+            st, _ = gaussian_state(grid, ar_amp=0.02)
             resids.append(lorenz_residual(st, grid))
         # data builder uses the same discrete divergence: residual ~ roundoff
         assert resids[-1] < 1e-12
 
     def test_charge_matches_data_builder(self):
         grid = RadialGrid(20.0, 400)
-        st, Q = assemble_state(gaussian_data(grid), grid)
-        assert charge_monitor(st, grid) == pytest.approx(Q.Q, rel=1e-8)
+        st, Q = gaussian_state(grid)
+        assert charge_monitor(current(st, grid)[0], grid) == pytest.approx(Q, rel=1e-8)
 
     def test_energy_zero_state(self):
         grid = RadialGrid(10.0, 100)
@@ -645,7 +648,7 @@ class TestEvolve:
 
     def test_smoke_run_stable(self):
         grid = RadialGrid(40.0, 400)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.01), grid)
+        st, _ = gaussian_state(grid, eps=0.01)
         scheme = SchemeParams(cfl=0.5, t_end=0.8 * grid.r_max, boundary="none",
                               monitor_stride=20)
         res = evolve(st, grid, scheme)
@@ -655,7 +658,7 @@ class TestEvolve:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_instability_guard_reports(self):
         grid = RadialGrid(10.0, 200)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.1), grid)
+        st, _ = gaussian_state(grid, eps=0.1)
         scheme = SchemeParams(cfl=1.5, t_end=8.0, boundary="none",
                               monitor_stride=5)
         with pytest.raises(EvolutionUnstable, match="instability|non-finite"):
@@ -663,7 +666,7 @@ class TestEvolve:
 
     def test_lorenz_residual_no_secular_growth(self):
         grid = RadialGrid(30.0, 600)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.05, ar_amp=0.02), grid)
+        st, _ = gaussian_state(grid, eps=0.05, ar_amp=0.02)
         scheme = SchemeParams(cfl=0.5, t_end=24.0, boundary="none",
                               monitor_stride=10)
         res = evolve(st, grid, scheme)
@@ -676,7 +679,7 @@ class TestEvolve:
         drifts = []
         for n in (300, 600):
             grid = RadialGrid(30.0, n)
-            st, _ = assemble_state(gaussian_data(grid, eps=0.05), grid)
+            st, _ = gaussian_state(grid, eps=0.05)
             scheme = SchemeParams(cfl=0.5, t_end=20.0, boundary="none",
                                   monitor_stride=10)
             res = evolve(st, grid, scheme)
@@ -690,7 +693,7 @@ class TestEvolve:
         rels = []
         for n in (300, 600):
             grid = RadialGrid(30.0, n)
-            st, _ = assemble_state(gaussian_data(grid, eps=0.05), grid)
+            st, _ = gaussian_state(grid, eps=0.05)
             scheme = SchemeParams(cfl=0.5, t_end=20.0, boundary="none",
                                   monitor_stride=10)
             res = evolve(st, grid, scheme)
@@ -701,7 +704,7 @@ class TestEvolve:
     def test_cfl_robustness(self):
         # halving cfl changes the final state far less than the spatial error
         grid = RadialGrid(20.0, 400)
-        st, _ = assemble_state(gaussian_data(grid, eps=0.05), grid)
+        st, _ = gaussian_state(grid, eps=0.05)
         finals = []
         for cfl in (0.5, 0.25):
             res = evolve(st, grid, SchemeParams(cfl=cfl, t_end=10.0, boundary="none",
@@ -709,7 +712,7 @@ class TestEvolve:
             finals.append(res.final.phi.copy())
         dt_diff = np.max(np.abs(finals[0] - finals[1]))
         grid2 = RadialGrid(20.0, 800)
-        st2, _ = assemble_state(gaussian_data(grid2, eps=0.05), grid2)
+        st2, _ = gaussian_state(grid2, eps=0.05)
         res2 = evolve(st2, grid2, SchemeParams(cfl=0.5, t_end=10.0, boundary="none",
                                                monitor_stride=10 ** 9))
         spatial = np.max(np.abs(finals[0][::1] - res2.final.phi[::2]))
@@ -746,7 +749,7 @@ class TestEvolve:
         errs = []
         for n in (200, 400):
             grid = RadialGrid(20.0, n)
-            st, _ = assemble_state(gaussian_data(grid, eps=0.05), grid)
+            st, _ = gaussian_state(grid, eps=0.05)
             scheme = SchemeParams(cfl=0.4, t_end=6.0, boundary="none",
                                   monitor_stride=10 ** 9)
             res_a = evolve(gauge_transform(st, grid, gauge_at(0.0)), grid, scheme)
@@ -764,20 +767,20 @@ class TestFrameIdentity:
         scheme = SchemeParams(cfl=0.5, t_end=10.0, boundary="none", monitor_stride=10)
         plan = ObservationPlan(ray_qs=(0.0,))
         res = evolve(FieldState.zeros(grid), grid, scheme, plan)
-        sup, _, _ = frame_identity_residual(res.rays[0.0], ChargeValue(0.0))
+        sup, _, _ = frame_identity_residual(res.rays[0.0], 0.0)
         assert sup == 0.0
 
     def test_starvation_error(self):
         from mkglab.evolution import RayHistory
         hist = RayHistory(q=0.0, offsets=np.array([-0.1, 0.0, 0.1]))
         with pytest.raises(ValueError, match="starvation"):
-            frame_identity_residual(hist, ChargeValue(0.0))
+            frame_identity_residual(hist, 0.0)
 
     def test_second_order_convergence(self):
         sups, rmss = [], []
         for n in (600, 1200):
             grid = RadialGrid(30.0, n)
-            st, Q = assemble_state(gaussian_data(grid, eps=0.1), grid)
+            st, Q = gaussian_state(grid, eps=0.1)
             # fixed stride and stencil in cells: sampling intervals scale
             # with h, so every differencing error is O(h^2)
             scheme = SchemeParams(cfl=0.5, t_end=24.0, boundary="none",

@@ -118,16 +118,6 @@ class TestEvalAEx:
         assert a0v == pytest.approx(-exact, rel=1e-8)
         assert np.isfinite(arv)
 
-    def test_cutoff_inertness(self):
-        # compact j in |q| <= 2 and t + |x| >= 8: chi0 = 1 on the support
-        src = CallableSource(lambda q: np.exp(-q * q), (-2.0, 2.0))
-        sharp = CutoffChi0(0.5, 0.75)
-        wide = CutoffChi0(0.6, 0.95)
-        a1 = eval_A_ex(7.0, 1.5, src, chi0=sharp)
-        a2 = eval_A_ex(7.0, 1.5, src, chi0=wide)
-        assert a1[0] == pytest.approx(a2[0], rel=1e-10)
-        assert a1[1] == pytest.approx(a2[1], rel=1e-10)
-
     def test_t_precondition(self):
         with pytest.raises(ValueError):
             eval_A_ex(0.5, 0.1, gaussian_source())

@@ -16,13 +16,13 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.data_builder import GaussianProfile
-from mkglab.interior import (AsymSource, CallableSource, CutoffChi0,
+from mkglab import interior
+from mkglab.interior import (_CHI0, AsymSource, CallableSource,
                              angular_kernel_integral, angular_kernel_vector,
                              eval_A_ex)
 from mkglab.quadrature import (_P_SERIES, _S_SERIES, _polyval, adaptive_quad,
                                gauss_legendre, sphere_quadrature)
-from mkglab.wave_oracle import (RadialSource, dalembert_free, kirchhoff_eval,
-                                solve_inhom_radial)
+from mkglab.wave_oracle import RadialSource, dalembert_free, solve_inhom_radial
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -80,8 +80,9 @@ class TestRule:
             adaptive_quad(np.exp, 1.0, 0.0)
 
 
-def a_ex_reference(t, x_norm, source, chi0=CutoffChi0()):
+def a_ex_reference(t, x_norm, source):
     """eval_A_ex with QUADPACK on the scalar integrands, cut at every kink."""
+    chi0 = _CHI0
     q_lo = x_norm - t
     q_min, q_max = source.support_bounds()
     lo, hi, tx = max(q_lo, q_min), q_max, t + x_norm
@@ -118,20 +119,21 @@ class TestAgainstQuadpack:
         (5.0, 1.0, skewed),     # q = 0 split and both chi0 crossings
     ], ids=["log_endpoint", "log_endpoint_split", "log_endpoint_chi0",
             "split", "chain", "split_chi0"])
-    def test_eval_A_ex(self, t, x, source):
-        assert_agrees(eval_A_ex(t, x, source, abs_tol=1e-14),
-                      a_ex_reference(t, x, source))
+    def test_eval_A_ex(self, t, x, source, monkeypatch):
+        monkeypatch.setattr(interior, "_A_EX_ABS_TOL", 1e-14)
+        assert_agrees(eval_A_ex(t, x, source), a_ex_reference(t, x, source))
 
     def test_eval_A_ex_default_tolerance_meets_it(self):
-        # the pipeline's call: abs_tol 1e-8 is met with room to spare
+        # the pipeline's tolerance, _A_EX_ABS_TOL = 1e-8, is met with room to spare
         ref = a_ex_reference(5.0, 3.0, self.gauss8)
         val = eval_A_ex(5.0, 3.0, self.gauss8)
         assert np.max(np.abs(np.subtract(val, ref))) < 1e-8
 
-    def test_tabulated_source_nodes_are_breakpoints(self):
+    def test_tabulated_source_nodes_are_breakpoints(self, monkeypatch):
+        monkeypatch.setattr(interior, "_A_EX_ABS_TOL", 1e-14)
         q = np.arange(-10.0, 10.05, 0.1)
         table = AsymSource(q, np.exp(-q * q) * (1.0 + 0.1 * np.sin(3.0 * q)))
-        val = eval_A_ex(40.0, 20.0, table, abs_tol=1e-14)
+        val = eval_A_ex(40.0, 20.0, table)
         assert_agrees(val, a_ex_reference(40.0, 20.0, table))
 
     def test_callable_source_mass(self):
@@ -166,26 +168,6 @@ class TestAgainstQuadpack:
             im = reference_quad(lambda lam: lam * h(lam).imag, a, b)
             rphi = 0.5 * ((ri - t) * g(abs(ri - t)) + (ri + t) * g(ri + t))
             assert_agrees(v, (rphi + 0.5 * (re + 1j * im)) / ri)
-
-    def test_kirchhoff_adaptive(self):
-        g, h = GaussianProfile(0.6, 0.9), GaussianProfile(-0.3, 1.4)
-        for t, r in ((0.7, 2.0), (3.0, 1.0), (2.0, 2.0)):
-            val = kirchhoff_eval(g, h, t, r, abs_tol=1e-14)
-
-            def f(mu):
-                rho = np.sqrt(max(r * r + t * t + 2.0 * r * t * mu, 0.0))
-                return (t * h(rho) + t * g.d(rho) * (r * mu + t) / max(rho, 1e-300)
-                        + g(rho))
-            assert_agrees(val, 0.5 * reference_quad(f, -1.0, 1.0))
-
-    def test_kirchhoff_indicator_with_points(self):
-        # rho = sqrt(2 + 2 mu) <= 1 below mu = -1/2: the jump is a breakpoint
-        h = lambda rho: np.asarray(rho <= 1.0, dtype=float)
-        assert_agrees(kirchhoff_eval(None, h, 1.0, 1.0, points=[-0.5]), 0.25)
-        # numpy arrays of breakpoints, of one element and of several
-        for points in (np.array([-0.5]), np.array([-0.5, 0.0])):
-            assert_agrees(kirchhoff_eval(None, h, 1.0, 1.0, points=points),
-                          0.25)
 
 
 class TestSeriesAndSphere:
