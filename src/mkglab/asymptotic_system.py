@@ -111,6 +111,8 @@ def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarr
 
 # RK4 steps whose stage drives are reduced in one batched call
 _CHUNK = 4
+# the most RK4 steps one march may take (integrate refuses more)
+_MAX_STEPS = 10 ** 7
 
 
 def _step_count(s0: float, s_target: float, ds: float) -> int:
@@ -118,13 +120,18 @@ def _step_count(s0: float, s_target: float, ds: float) -> int:
 
     A ratio (s_target - s0)/ds within 1e-9 (relative) of an integer counts
     as that integer, as in evolution.time_grid; any other ratio is an error
-    that names the nearest end the march can reach.
+    that names the nearest end the march can reach, and so is a march of
+    more than _MAX_STEPS steps.
     """
     if ds <= 0.0:
         raise ValueError("ds must be positive")
     ratio = (s_target - s0) / ds
     if ratio < 0.0:
         raise ValueError("s_target must be >= state.s")
+    if ratio > _MAX_STEPS + 0.5:
+        raise ValueError(
+            f"(s_target - s) / ds = {ratio:.3g} steps exceeds the cap of "
+            f"{_MAX_STEPS:.0e} steps; raise ds or lower s_target")
     n = int(round(ratio))
     if abs(ratio - n) > 1e-9 * ratio:
         raise ValueError(

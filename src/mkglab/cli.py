@@ -98,6 +98,8 @@ def cmd_asys(args) -> int:
     a_l = amp ** 2 * np.sqrt(np.pi / 2.0) / 8.0
     st = asys_mod.AsymState.from_phi0(q_grid, phi0, A_L_param=a_l)
     try:
+        # the step count is checked before s_end / ds is rounded below
+        asys_mod._step_count(st.s, args.s_end, args.ds)
         _, hist = asys_mod.integrate(
             st, args.s_end, args.ds,
             record_every=max(1, int(round(args.s_end / (10.0 * args.ds)))))
@@ -133,8 +135,37 @@ def cmd_report(args) -> int:
     if not isinstance(rep, dict):
         print(f"{path} holds no JSON object", file=sys.stderr)
         return EXIT_CONFIG
+    missing = _missing_report_key(rep)
+    if missing:
+        print(f"{path} is not a report: it lacks {missing}", file=sys.stderr)
+        return EXIT_CONFIG
     _print_report(rep)
     return EXIT_PASS if rep.get("all_passed") else EXIT_FAIL
+
+
+def _missing_report_key(rep: dict) -> str | None:
+    """The first value _print_report reads that rep lacks (or holds as no
+    number where it formats one), named by its path; None when it has all."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    for key in ("config_hash", "charge_Q", "checks"):
+        if key not in rep:
+            return key
+    if not number(rep["charge_Q"]):
+        return "a number at charge_Q"
+    if not isinstance(rep["checks"], list):
+        return "a list at checks"
+    for i, c in enumerate(rep["checks"]):
+        if not isinstance(c, dict):
+            return f"an object at checks[{i}]"
+        for key in ("id", "passed", "measured", "tolerance", "description"):
+            if key not in c:
+                return f"checks[{i}].{key}"
+        for key in ("measured", "tolerance"):
+            if not number(c[key]):
+                return f"a number at checks[{i}].{key}"
+    return None
 
 
 def _print_report(rep: dict) -> None:

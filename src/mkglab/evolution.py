@@ -25,27 +25,31 @@ of both field blocks (state and stage) for the run's boundary, coupling and
 window.  A plan binds once the ufunc calls of the stencils, of the current
 (core) and of the phi couplings on fixed views, with their scalar factors,
 and the views its boundary rows (grid's _row_* functions) read and write;
-_rhs() runs it.  a0 and ar sit side by side in a block, so both Laplacians
-are one stencil, and J_0, J_r are added in one call.  A linear plan has no
-current and no couplings.
+_rhs() runs it.  Each half of a block is [a0 | (ar, Re phi, Im phi) node
+by node], so the Laplacians of ar and phi are one stencil over the
+interleaved part, and a0's is another.  A linear plan has no current and no
+couplings.
 
 phi travels along outgoing light cones, so compact data stays exactly zero
-outside a front, while a0 carries the charge tail everywhere.  step() does
-phi's work only on the nodes [0, W) of the workspace's window W: phi's
-Laplacian and d_r phi, the current and a0^2 - ar^2, the phi couplings and
-phi's part of every RK4 combination.  a0 and ar stay on the full grid.  The
-invariant: before each step, every bit of phi and phi_t in the state is
-zero from node W - 2 on (-0.0 counts as set), and one step widens phi's
-support by at most 2 nodes.  Workspace.cover() checks it at every step and,
-when a bit is set, grows W past the last set node + 3, in whole chunks of
-_WINDOW_CHUNK nodes, capped at n; W never shrinks.  The buffers start
-zeroed and nothing at or beyond W is written, and the full computation
-gives exactly +0 there: J_0 = J_r = +0 (so the J add over all of a0 and ar
-is exact), stage values and the new state +0 + (+-0) = +0; only phi_tt is
-+-0, and nothing reads it.  So every step is byte-identical to the
-full-grid step.  phi's outer boundary row runs only when W = n, which is
-reached by data with no exact-zero tail or once the front reaches r_max;
-then the step is the full-grid plan.
+outside a front.  In Lorenz gauge ar's only source is J_r, which vanishes
+where phi does, so ar stays zero there too, while a0 carries the charge tail
+everywhere.  step() does the work of ar and phi only on the nodes [0, W) of
+the workspace's window W: their Laplacians and d_r phi, the current and
+a0^2 - ar^2, the phi couplings and their part of every RK4 combination, so
+that the windowed part of a half is its prefix of n + 3 W values.  a0 stays
+on the full grid.  The invariant: before each step, every bit of ar, phi,
+ar_t and phi_t in the state is zero from node W - 2 on (-0.0 counts as
+set), and one step widens their support by at most 2 nodes.
+Workspace.cover() checks it at every step and, when a bit is set, grows W
+past the last set node + 3, in whole chunks of _WINDOW_CHUNK nodes, capped
+at n; W never shrinks.  The buffers start zeroed and nothing at or beyond W
+is written.  There the full computation gives J_0 = +0, so the J_0 add over
+all of a0 is exact; ar_tt and phi_tt come out +-0 and reach the stage values
+and the new state only as +0 + (+-0) = +0.  So every step is byte-identical
+to the full-grid step.  The outer boundary
+rows of ar and phi run only when W = n, which is reached by data with no
+exact-zero tail or once the front reaches r_max; then the step is the
+full-grid plan.
 
 step() advances the state that Workspace.load() returned, in place, and
 refuses any other.  The caller's initial state, the slices and the final
@@ -196,23 +200,30 @@ def _evolved(state: FieldState) -> tuple:
             np.real(a0), np.real(a0_t), np.real(ar), np.real(ar_t))
 
 
-# phi's window grows in whole chunks of this many nodes; each growth rebuilds
-# the workspace's plans
+# the window of ar and phi grows in whole chunks of this many nodes; each
+# growth rebuilds the workspace's plans
 _WINDOW_CHUNK = 64
+
+
+def _half_views(half: np.ndarray, n: int) -> tuple:
+    """(phi, a0, ar) of one half [a0 | (ar, Re phi, Im phi) node by node]
+    of a block; phi is a complex view with a stride of three float64s."""
+    nodes = half[n:].reshape(n, 3)
+    return nodes[:, 1:].view(complex)[:, 0], half[:n], nodes[:, 0]
 
 
 def _field_views(block: np.ndarray, n: int) -> tuple:
     """(phi, phi_t, a0, a0_t, ar, ar_t) laid out in one float64 block.
 
-    The block holds the positions [a0, ar, phi (re, im interleaved)] and
-    then the velocities [a0_t, ar_t, phi_t] in the same layout, so that the
-    derivative of the block is [velocity half, (a0_tt, ar_tt, phi_tt)], and
-    the first 2 n + 2 W values of a half are its fields on a window of W
-    nodes.
+    The block holds the positions [a0 | (ar, Re phi, Im phi) per node] and
+    then the velocities [a0_t | (ar_t, Re phi_t, Im phi_t) per node], 4 n
+    values each, so that the derivative of the block is [velocity half,
+    (a0_tt | (ar_tt, phi_tt) per node)], and the first n + 3 W values of a
+    half are a0 and (ar, phi) on a window of W nodes.
     """
-    m = 4 * n
-    return (block[2 * n:m].view(complex), block[m + 2 * n:].view(complex),
-            block[:n], block[m:m + n], block[n:2 * n], block[m + n:m + 2 * n])
+    (phi, a0, ar), (phi_t, a0_t, ar_t) = (_half_views(half, n)
+                                          for half in block.reshape(2, 4 * n))
+    return phi, phi_t, a0, a0_t, ar, ar_t
 
 
 class Workspace:
@@ -220,13 +231,14 @@ class Workspace:
 
     y: the state being stepped; stage: the fields at the current RK4 stage;
     acc: the running weighted sum of the stage derivatives; each is one
-    contiguous block laid out by _field_views.  dd: (phi_tt, a0_tt, ar_tt)
-    of one RHS evaluation, in the layout of a velocity half.  drphi, j (J_0
-    then J_r) and scratch serve the RHS.  window is the W of phi's window
-    (module docstring); halves, dd_window, y_window and acc_window are the
-    blocks' views on it, so that an RK4 combination is one ufunc call.
-    cover() grows the window over y; plans() gives the RHS plans at y and
-    at the stage.  load() is the only way a caller sees a buffer.
+    contiguous block laid out by _field_views.  dd_block: a0_tt and (ar_tt,
+    phi_tt) of one RHS evaluation, in the layout of a velocity half; dd is
+    its (phi_tt, a0_tt, ar_tt) views.  drphi, j (J_0 then J_r) and scratch
+    serve the RHS.  window is the W of the light-cone window (module
+    docstring); halves, dd_window, y_window and acc_window are the blocks'
+    views on it, so that an RK4 combination is one ufunc call.  cover()
+    grows the window over y; plans() gives the RHS plans at y and at the
+    stage.  load() is the only way a caller sees a buffer.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -236,8 +248,7 @@ class Workspace:
         self.y, self.stage, self.acc = (np.zeros(8 * n) for _ in range(3))
         self.y_fields = _field_views(self.y, n)
         self.dd_block = np.zeros(4 * n)
-        self.dd = (self.dd_block[2 * n:].view(complex),
-                   self.dd_block[:n], self.dd_block[n:2 * n])
+        self.dd = _half_views(self.dd_block, n)
         # zeroed: with W = n no RHS writes d_r phi[-1] before reading it (its
         # values only reach rows the outer boundary row overwrites)
         self.drphi = np.zeros(n, dtype=complex)
@@ -248,23 +259,27 @@ class Workspace:
     def _set_window(self, w: int) -> None:
         n = self.n_nodes
         self.window = w
-        k = 2 * n + 2 * w           # a0, ar and phi on nodes [0, w) of a half
+        k = n + 3 * w               # a0, and (ar, phi) on nodes [0, w), of a half
         self.y_window, stage, self.acc_window = (
             b.reshape(2, 4 * n)[:, :k] for b in (self.y, self.stage, self.acc))
         self.halves = (*self.y_window, *stage, *self.acc_window)
         self.dd_window = self.dd_block[:k]
-        self._tails = tuple(f[w - 2:].view(np.uint64)
-                            for f in self.y_fields[:2])
+        # (ar, phi) and (ar_t, phi_t) from node w - 2 on: one run of each half
+        self._tails = tuple(half[n + 3 * (w - 2):].view(np.uint64)
+                            for half in self.y.reshape(2, 4 * n))
         self._plans = None          # (boundary, linear, plans) of this window
 
     def cover(self) -> None:
-        """Grow the window until phi and phi_t in y are zero, bit for bit,
-        from node window - 2 on."""
+        """Grow the window until ar, phi, ar_t and phi_t in y are zero, bit
+        for bit, from node window - 2 on."""
+        # max() is the fastest full scan of a uint64 run measured: 4 us on
+        # the 46k words of a tail at n = 16001, W = 640, against 9 us for
+        # count_nonzero and 14 us for any() (numpy 2.4, one Xeon core)
         if self.window == self.n_nodes or not (
-                self._tails[0].any() or self._tails[1].any()):
+                self._tails[0].max() or self._tails[1].max()):
             return
-        # two uint64 words per complex node
-        last = self.window - 2 + max(int(np.flatnonzero(t)[-1]) // 2
+        # three uint64 words per node
+        last = self.window - 2 + max(int(np.flatnonzero(t)[-1]) // 3
                                      for t in self._tails if t.any())
         chunks = -(-(last + 3) // _WINDOW_CHUNK)
         self._set_window(min(chunks * _WINDOW_CHUNK, self.n_nodes))
@@ -293,40 +308,41 @@ class _RHSPlan:
     """One RHS evaluation on one field block of a Workspace, bound once for
     the workspace's window W.
 
-    stencils: the ufunc calls (fn, args) of the one stencil over [a0, ar],
-    and of phi's Laplacian interior and, when coupled, d_r phi's interior on
-    the window.  couplings (empty when linear): the current into ws.j on the
-    window, one add of J into (a0_tt, ar_tt) over the whole grid, and phi_tt
-    += 2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2) phi by parts on the
-    window.  The other slots are what the boundary rows read and write;
-    phi_t_tail is None unless W = n, and phi's outer row is skipped then.
+    stencils: the ufunc calls (fn, args) of a0's Laplacian interior over the
+    whole grid, of the one stencil over (ar, phi) on the window and, when
+    coupled, of d_r phi's interior on the window.  couplings (empty when
+    linear): the current into ws.j on the window, the add of J_0 into a0_tt
+    over the whole grid and of J_r into ar_tt on the window, and phi_tt +=
+    2i (ar d_r phi - a0 phi_t) + (a0^2 - ar^2) phi by parts on the window.
+    The other slots are what the boundary rows read and write; tail, the
+    (ar_t, phi_t) of the last 3 nodes, is None unless W = n, and the outer
+    rows of ar and phi are skipped then.
     """
 
     __slots__ = ("stencils", "couplings", "dd", "drphi", "h", "r_max",
-                 "sommerfeld", "n", "phi_head", "a0_head", "phi_t_tail",
-                 "a0_t_tail", "ar_t_tail")
+                 "sommerfeld", "n", "head", "a0_head", "tail", "a0_t_tail")
 
     def __init__(self, block: np.ndarray, ws: Workspace, boundary: str,
                  linear: bool):
         grid, n, dd, w = ws.grid, ws.n_nodes, ws.dd_block, ws.window
         m = 4 * n
-        span = min(w + 1, n)        # phi's stencils read the nodes [0, span)
+        span = min(w + 1, n)        # the window's stencils read nodes [0, span)
         phi, phi_t, a0, _, ar, _ = _field_views(block, n)
-        self.stencils = _three_point_ops(block[:2 * n], dd[:2 * n],
-                                         tuple(grid._coef))
-        minus_over_plus, plus_over_c0, c0 = grid._even_interleaved
+        self.stencils = _three_point_ops(block[:n], dd[:n], grid._even)
         self.stencils += _three_point_ops(
-            block[2 * n:2 * n + 2 * span], dd[2 * n:2 * n + 2 * span],
-            (minus_over_plus[:2 * span - 4], plus_over_c0[:2 * span - 4], c0), 2)
+            block[n:n + 3 * span], dd[n:n + 3 * span],
+            tuple(c[:3 * span - 6] for c in grid._interleaved), 3)
         self.couplings = []
         if not linear:
             drphi, j = ws.drphi, ws.j
+            phi_tt, a0_tt, ar_tt = ws.dd
             self.stencils += _d_r_ops(phi[:span], drphi[:span], grid.h)
-            phi, phi_t, drphi, a0, ar, phi_tt = (
-                f[:w] for f in (phi, phi_t, drphi, a0, ar, ws.dd[0]))
+            phi, phi_t, drphi, a0, ar, ar_tt, phi_tt = (
+                f[:w] for f in (phi, phi_t, drphi, a0, ar, ar_tt, phi_tt))
             v, s, t = (f[:w] for f in ws.scratch)
-            c = _current_ops(phi, phi_t, drphi, a0, ar, j[:w], j[n:n + w], v, s)
-            c += [(np.add, (dd[:2 * n], j, dd[:2 * n])),
+            j0, jr = j[:n], j[n:n + w]
+            c = _current_ops(phi, phi_t, drphi, a0, ar, j0[:w], jr, v, s)
+            c += [(np.add, (a0_tt, j0, a0_tt)), (np.add, (ar_tt, jr, ar_tt)),
                   (np.multiply, (a0, a0, v)), (np.multiply, (ar, ar, t)),
                   (np.subtract, (v, t, v))]
             for part, sign, d_other, p_other, phi_part in (
@@ -342,10 +358,9 @@ class _RHSPlan:
         self.h, self.r_max = grid.h, grid.r_max
         self.sommerfeld = boundary == "sommerfeld"
         self.n = n
-        self.phi_head, self.a0_head = block[2 * n:2 * n + 4], block[:2]
-        self.phi_t_tail = block[2 * m - 6:] if w == n else None
+        self.head, self.a0_head = block[n:n + 6], block[:2]
+        self.tail = block[2 * m - 9:] if w == n else None
         self.a0_t_tail = block[m + n - 3:m + n]
-        self.ar_t_tail = block[m + 2 * n - 3:m + 2 * n]
 
 
 def _rhs(p: _RHSPlan) -> None:
@@ -357,25 +372,28 @@ def _rhs(p: _RHSPlan) -> None:
     for fn, args in p.stencils:
         fn(*args)
     dd, h, n = p.dd, p.h, p.n
-    phi01 = p.phi_head.tolist()
-    dd[2 * n], dd[2 * n + 1] = _row_lap_origin(phi01, h)
+    head = p.head.tolist()          # (ar, Re phi, Im phi) at nodes 0 and 1
+    phi01 = head[1:3] + head[4:]
+    dd[n + 1], dd[n + 2] = _row_lap_origin(phi01, h)
     dd[0], = _row_lap_origin(p.a0_head.tolist(), h)
     if p.couplings:
         p.drphi[0], p.drphi[1] = _row_d_r_origin(phi01[2:], EVEN, h)
         for fn, args in p.couplings:
             fn(*args)
     dd[n] = 0.0                     # ar_tt(0)
-    outer_phi = p.phi_t_tail is not None
+    outer = p.tail is not None
     if p.sommerfeld:
         r_max = p.r_max
         dd[n - 1], = _row_sommerfeld(p.a0_t_tail.tolist(), h, r_max)
-        dd[2 * n - 1], = _row_sommerfeld(p.ar_t_tail.tolist(), h, r_max)
-        if outer_phi:
-            dd[-2], dd[-1] = _row_sommerfeld(p.phi_t_tail.tolist(), h, r_max)
+        if outer:
+            tail = p.tail.tolist()
+            dd[-3], = _row_sommerfeld(tail[::3], h, r_max)
+            del tail[::3]
+            dd[-2], dd[-1] = _row_sommerfeld(tail, h, r_max)
     else:  # frozen outer node; the causality shield keeps it irrelevant
-        dd[n - 1] = dd[2 * n - 1] = 0.0
-        if outer_phi:
-            dd[-2] = dd[-1] = 0.0
+        dd[n - 1] = 0.0
+        if outer:
+            dd[-3] = dd[-2] = dd[-1] = 0.0
 
 
 _HALF, _TWO = np.array(0.5), np.array(2.0)
@@ -388,8 +406,8 @@ def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
 
     work is a Workspace for this grid, and state the one work.load()
     returned (or a step on it); it advances in place, and the result holds
-    the same arrays.  Anything else raises ValueError.  phi's work runs on
-    the workspace's window, grown first to cover the state.
+    the same arrays.  Anything else raises ValueError.  The work of ar and
+    phi runs on the workspace's window, grown first to cover the state.
     """
     if work.grid is not grid and work.grid != grid:
         raise ValueError(f"workspace is for {work.grid}, not {grid}")

@@ -8,9 +8,10 @@ r_max, and parity ghost values at r = 0.
 
 The Laplacian of an even field is d_rr + (2/r) d_r, that of the radial
 vector component d_rr + (2/r) d_r - 2/r^2.  Their interior rows come from
-one coefficient table per grid over [even field, vector field] (2 n_nodes
-values), so that a0 and ar side by side are differenced by one stencil; its
-two junction rows are zero and are overwritten by boundary rows.  The
+two coefficient tables per grid: the even one (n_nodes - 2 rows, c_0 a
+scalar), which differences a0, and an interleaved one with three values
+per node, the vector row and then the even row twice, which differences
+(ar, Re phi, Im phi) stored node by node in one stencil.  The
 stencils and d_r are lists of ufunc calls on fixed operands
 (_three_point_ops, _d_r_ops), which d_r runs once per call and evolution's
 RHS plan binds once per run.  Every boundary row is one _row_* function
@@ -68,24 +69,21 @@ class RadialGrid:
         object.__setattr__(self, "_r", r)
         # interior rows c_- f_{i-1} + c_0 f_i + c_+ f_{i+1} of both Laplacians
         # in the nested form c_0 (f_i + (c_+/c_0) (f_{i+1} + (c_-/c_+) f_{i-1})),
-        # which _three_point_ops evaluates in its output buffer alone.  Rows
-        # (c_-/c_+, c_+/c_0, c_0) over [even rows 1..n-2, 2 junction rows,
-        # vector rows 1..n-2]
+        # which _three_point_ops evaluates in its output buffer alone.  Each
+        # table is (c_-/c_+, c_+/c_0, c_0) over the rows 1..n-2
         ri = r[1:-1]
+        minus_over_plus = (ri - h) / (ri + h)
         c_plus = 1.0 / (h * h) + 1.0 / (h * ri)
         c0_even = -2.0 / (h * h)
         c0_vec = c0_even - 2.0 / (ri * ri)
-        coef = np.zeros((3, 2 * n - 2))
-        for col, c0 in ((slice(0, n - 2), c0_even), (slice(n, None), c0_vec)):
-            coef[0, col] = (ri - h) / (ri + h)
-            coef[1, col] = c_plus / c0
-            coef[2, col] = c0
-        object.__setattr__(self, "_coef", coef)
-        # complex fields are differenced as interleaved (re, im) values; the
-        # even table is repeated for them, with c_0 kept a scalar
-        object.__setattr__(self, "_even_interleaved", (
-            np.repeat(coef[0, :n - 2], 2), np.repeat(coef[1, :n - 2], 2),
-            np.array(c0_even)))
+        object.__setattr__(self, "_even", (
+            minus_over_plus, c_plus / c0_even, np.array(c0_even)))
+        # per node (ar, Re phi, Im phi): the vector row, then the even one twice
+        table = np.empty((3, n - 2, 3))
+        table[0] = minus_over_plus[:, None]
+        table[1, :, 0], table[1, :, 1:] = c_plus / c0_vec, self._even[1][:, None]
+        table[2, :, 0], table[2, :, 1:] = c0_vec, c0_even
+        object.__setattr__(self, "_interleaved", tuple(table.reshape(3, -1)))
 
     @property
     def h(self) -> float:
@@ -106,9 +104,9 @@ def _three_point_ops(f: np.ndarray, out: np.ndarray, table: tuple,
     """Interior rows of a three-point stencil as ufunc calls (fn, args).
 
     f and out are float64 arrays of m values per node (m = 2 for interleaved
-    complex values); the rows are computed in out[m:-m] alone, from the
-    table's (c_-/c_+, c_+/c_0, c_0), each an array over those values or
-    a scalar.
+    complex values, m = 3 for evolution's (ar, Re phi, Im phi)); the rows
+    are computed in out[m:-m] alone, from the table's (c_-/c_+, c_+/c_0,
+    c_0), each an array over those values or a scalar.
     """
     minus_over_plus, plus_over_c0, c0 = table
     o = out[m:-m]

@@ -410,6 +410,17 @@ class TestCLI:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "asys_out").exists()
 
+    def test_asys_step_count_capped(self, tmp_path, capsys):
+        # 1e12 RK4 steps are refused before any runs; so is a ratio that
+        # overflows to inf
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text(SMALL)
+        for s_end, ds in (("1e9", "1e-3"), ("1e300", "1e-300")):
+            assert cli_main(["asys", str(cfgfile), "--s-end", s_end, "--ds", ds,
+                             "--out", str(tmp_path / "asys_out")]) == 2
+            assert "exceeds the cap of 1e+07 steps" in capsys.readouterr().err
+        assert not (tmp_path / "asys_out").exists()
+
     def test_unreadable_config_exit_code(self, tmp_path, capsys):
         # a directory, and a file whose bytes are not UTF-8
         latin1 = tmp_path / "latin1.cfg"
@@ -425,6 +436,31 @@ class TestCLI:
         assert cli_main(["report", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "report.json") in err
+
+    @pytest.mark.parametrize("report, missing", [
+        ({}, "config_hash"),
+        ({"config_hash": "x", "checks": []}, "charge_Q"),
+        ({"config_hash": "x", "charge_Q": "1", "checks": []},
+         "a number at charge_Q"),
+        ({"config_hash": "x", "charge_Q": 1.0}, "checks"),
+        ({"config_hash": "x", "charge_Q": 1.0, "checks": {}}, "a list at checks"),
+        ({"config_hash": "x", "charge_Q": 1.0, "checks": [1]},
+         "an object at checks[0]"),
+        ({"config_hash": "x", "charge_Q": 1.0,
+          "checks": [{"id": "a", "passed": True, "measured": 1.0,
+                      "tolerance": 2.0, "description": "d"},
+                     {"id": "b", "passed": True, "measured": 1.0,
+                      "description": "d"}]}, "checks[1].tolerance"),
+        ({"config_hash": "x", "charge_Q": 1.0,
+          "checks": [{"id": "a", "passed": True, "measured": None,
+                      "tolerance": 2.0, "description": "d"}]},
+         "a number at checks[0].measured")])
+    def test_report_lacking_a_key(self, tmp_path, capsys, report, missing):
+        # exit 2 naming what is missing, and print nothing of the report
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert cli_main(["report", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.strip().endswith(f"it lacks {missing}") and out == ""
 
     def test_report_missing(self, tmp_path, capsys):
         assert cli_main(["report", str(tmp_path)]) == 2

@@ -88,17 +88,20 @@ def laplacian(f, grid, vector):
     """The array Laplacian of f, of the radial vector component when vector,
     else of an even field: the stencil of the RHS plan, run once on its own.
 
-    The interior rows use the plan's coefficient table, sliced from
-    grid._coef and repeated per float64 value for interleaved complex f; row
-    0 is 0 for a vector field and _row_lap_origin else.  The r_max row is
-    NaN: every RHS overwrites it with its boundary row.
+    The interior rows use the plan's coefficients: the vector rows of
+    grid._interleaved, or grid._even repeated per float64 value for
+    interleaved complex f; row 0 is 0 for a vector field and
+    _row_lap_origin else.  The r_max row is NaN: every RHS overwrites it
+    with its boundary row.
     """
     f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
     out = np.full_like(f, np.nan)
     m = f.itemsize // 8                 # float64 values per node
-    n = grid.n_nodes
-    cols = slice(n, None) if vector else slice(0, n - 2)
-    table = tuple(np.repeat(c, m) for c in grid._coef[:, cols])
+    if vector:
+        table = tuple(c[0::3] for c in grid._interleaved)
+    else:
+        minus_over_plus, plus_over_c0, c0 = grid._even
+        table = (np.repeat(minus_over_plus, m), np.repeat(plus_over_c0, m), c0)
     fv, ov = f.view(np.float64), out.view(np.float64)
     _run(_three_point_ops(fv, ov, table, m))
     ov[:m] = (0.0,) * m if vector else _row_lap_origin(fv[:2 * m].tolist(),
@@ -180,7 +183,10 @@ def reference_step(y, grid, dt, boundary, linear):
 
 
 def same_bytes(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint8), np.asarray(b).view(np.uint8))
+    """Equal bit for bit; a workspace's fields may be strided views."""
+    a, b = (np.ascontiguousarray(x) for x in (a, b))
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8),
+                                                 b.view(np.uint8))
 
 
 def random_fields(rng, n, signed_zeros):
@@ -280,13 +286,18 @@ class TestRHSPlan:
 
 
 def last_set_node(*fields):
-    """The last node where any of the complex fields has a set bit."""
-    return max(int(np.flatnonzero(f.view(np.uint64))[-1]) // 2 for f in fields)
+    """The last node where any of the fields has a set bit (-1 if none)."""
+    last = -1
+    for f in fields:
+        words = np.flatnonzero(np.ascontiguousarray(f).view(np.uint64))
+        if len(words):
+            last = max(last, int(words[-1]) // (f.itemsize // 8))
+    return last
 
 
-class TestPhiWindow:
-    """step() does phi's work on the window only; every case must match the
-    full-grid reference_step byte for byte."""
+class _WindowCase:
+    """step() does the work of ar and phi on the window only; every case
+    must match the full-grid reference_step byte for byte."""
 
     GRID = RadialGrid(40.0, 400)    # eps exp(-r^2) is exactly 0 past r ~ 27
 
@@ -298,11 +309,33 @@ class TestPhiWindow:
         for name, want in zip(FIELDS, y):
             assert same_bytes(getattr(state, name), want), name
 
+    def run(self, st, steps, boundary="sommerfeld", linear=False):
+        """Step st and the reference side by side, checking every step;
+        returns the final state, the workspace and the window of each step."""
+        grid = self.GRID
+        y = [getattr(st, name).copy() for name in FIELDS]
+        ws = Workspace(grid)
+        state = ws.load(st)
+        scheme = SchemeParams(cfl=0.5, boundary=boundary, linear=linear)
+        windows = []
+        for _ in range(steps):
+            y = reference_step(y, grid, 0.5 * grid.h, boundary, linear)
+            state = step(state, grid, scheme, 0.5 * grid.h, work=ws)
+            windows.append(ws.window)
+            self.check(state, y)
+        return state, ws, windows
+
+
+class TestPhiWindow(_WindowCase):
+    """The window's growth and reuse, set by phi (and ar inside phi's
+    support)."""
+
     @pytest.mark.parametrize("boundary", ["sommerfeld", "none"])
     @pytest.mark.parametrize("linear", [False, True])
     def test_compact_data_until_front_reaches_r_max(self, boundary, linear):
         grid, st = self.GRID, self.compact()
         assert 250 < last_set_node(st.phi, st.phi_t) < 300
+        assert 250 < last_set_node(st.ar) < 300
         y = [getattr(st, name).copy() for name in FIELDS]
         ws = Workspace(grid)
         state = ws.load(st)
@@ -378,6 +411,63 @@ class TestPhiWindow:
             st = step(ws.load(st), grid, scheme, dt, ws)
             assert 250 < ws.window < grid.n_nodes
             self.check(st, y)
+
+
+class TestArWindow(_WindowCase):
+    """ar beyond phi's support sets the window too."""
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_ar_alone_grows_the_window(self, linear):
+        # phi lives on r < 10; ar and ar_t reach nodes 320-330, and set the
+        # window from the first step until the front reaches r_max
+        grid, st = self.GRID, self.compact()
+        r = grid.r
+        for f in (st.phi, st.phi_t):
+            f[r >= 10.0] = 0.0
+        st.ar = 0.05 * r * np.exp(-(r / 1.2) ** 2)
+        st.ar_t = 0.01 * r * np.exp(-(r / 1.15) ** 2)
+        st.a0_t = divergence_radial(st.ar, grid)
+        assert last_set_node(st.phi, st.phi_t) < 100
+        assert 310 < last_set_node(st.ar_t) < last_set_node(st.ar) < 340
+        state, ws, windows = self.run(st, 160, linear=linear)
+        assert last_set_node(st.ar) + 2 < windows[0] < grid.n_nodes
+        assert windows[-1] == grid.n_nodes and windows == sorted(windows)
+
+    def test_held_state_written_in_ar_beyond_window(self):
+        grid, st = self.GRID, self.compact()
+        y = [getattr(st, name).copy() for name in FIELDS]
+        ws = Workspace(grid)
+        state = ws.load(st)
+        scheme, dt = SchemeParams(cfl=0.5), 0.5 * grid.h
+        for k in range(12):
+            if k == 4:
+                # as in test_held_state_written_beyond_window, in ar and ar_t
+                node = ws.window + _WINDOW_CHUNK - 2
+                for f in (state.ar, y[4]):
+                    f[node] = 1e-3
+                for f in (state.ar_t, y[5]):
+                    f[node - 5] = -2e-3
+            y = reference_step(y, grid, dt, "sommerfeld", False)
+            state = step(state, grid, scheme, dt, work=ws)
+            self.check(state, y)
+        assert ws.window > node + 2
+
+    def test_signed_zeros_in_ar_beyond_support(self):
+        grid, st = self.GRID, self.compact()
+        st.ar[330] = -0.0
+        st.ar_t[345] = -0.0
+        state, ws, windows = self.run(st, 3)
+        assert all(345 < w < grid.n_nodes for w in windows)
+
+    def test_linear_run_keeps_ar_positive_zero(self):
+        # the pipeline's data: ar = ar_t = +0, which a linear step keeps, so
+        # phi alone sets the window
+        grid, st = self.GRID, self.compact()
+        st.ar = np.zeros(grid.n_nodes)
+        st.a0_t = np.zeros(grid.n_nodes)
+        state, ws, windows = self.run(st, 40, linear=True)
+        assert last_set_node(state.ar, state.ar_t) == -1
+        assert windows[-1] < grid.n_nodes
 
 
 class TestKernel:
