@@ -30,11 +30,27 @@ by node], so the Laplacians of ar and phi are one stencil over the
 interleaved part, and a0's is another.  A linear plan has no current and no
 couplings.
 
-phi travels along outgoing light cones, so compact data stays exactly zero
-outside a front.  In Lorenz gauge ar's only source is J_r, which vanishes
-where phi does, so ar stays zero there too, while a0 carries the charge tail
-everywhere.  step() does the work of ar and phi only on the nodes [0, W) of
-the workspace's window W: their Laplacians and d_r phi, the current and
+phi travels along outgoing light cones, and in Lorenz gauge ar's only
+source is J_r, which vanishes where phi does; a0 carries the charge tail
+everywhere.  The stencil's support runs ahead of the light cones: one step
+widens it by 2 nodes, so left alone it outruns them by about 300 nodes
+(250-370 measured) of values below 1e-100 times the data, up to 140 of them
+subnormal, and a subnormal costs ~14 ns per ufunc element against ~0.8 ns
+for a normal value.  So after load() (on all nodes) and after each step (on
+the window) evolve() sets to +0 every value of ar, phi, ar_t and phi_t
+below the floor _TAIL_FLOOR * guard0, guard0 being the data's initial scale
+that the blow-up guard uses.  2^-340 is 87 orders of magnitude below a
+rounding of the data, and the floor is relative, so small data is scaled,
+never erased, and zero data drops nothing.  ar and phi then stay exactly
+zero beyond the physical front plus the stencil's reach.  The outputs move
+at rounding level: a changed rounding anywhere reaches every value at
+~1e-16 relative as the front sweeps in, and cancellation magnifies it in
+differences (largest relative change of a benchmark-gated value: 3.4e-9,
+the quick run's charge drift; of the quick run's frame-identity residual:
+5.2e-7).
+
+step() does the work of ar and phi only on the nodes [0, W) of the
+workspace's window W: their Laplacians and d_r phi, the current and
 a0^2 - ar^2, the phi couplings and their part of every RK4 combination, so
 that the windowed part of a half is its prefix of n + 3 W values.  a0 stays
 on the full grid.  The invariant: before each step, every bit of ar, phi,
@@ -42,9 +58,10 @@ ar_t and phi_t in the state is zero from node W - 2 on (-0.0 counts as
 set), and one step widens their support by at most 2 nodes.
 Workspace.cover() checks it at every step and, when a bit is set, grows W
 past the last set node + 3, in whole chunks of _WINDOW_CHUNK nodes, capped
-at n; W never shrinks.  The buffers start zeroed and nothing at or beyond W
-is written.  There the full computation gives J_0 = +0, so the J_0 add over
-all of a0 is exact; ar_tt and phi_tt come out +-0 and reach the stage values
+at n; W never shrinks.  The buffers start zeroed and no step writes at or
+beyond W (acc, which a step reads only on the window and after writing it,
+is also drop_below()'s scratch).  There the full computation gives
+J_0 = +0, so the J_0 add over all of a0 is exact; ar_tt and phi_tt come out +-0 and reach the stage values
 and the new state only as +0 + (+-0) = +0.  So every step is byte-identical
 to the full-grid step.  The outer boundary
 rows of ar and phi run only when W = n, which is reached by data with no
@@ -203,6 +220,10 @@ def _evolved(state: FieldState) -> tuple:
 # the window of ar and phi grows in whole chunks of this many nodes; each
 # growth rebuilds the workspace's plans
 _WINDOW_CHUNK = 64
+# evolve() drops the values of ar, phi, ar_t and phi_t below this factor times
+# the data's initial scale (module docstring); the cube of a unit-scale value
+# at the floor, 2^-1020, is still a normal float64 (the smallest is 2^-1022)
+_TAIL_FLOOR = 2.0 ** -340
 
 
 def _half_views(half: np.ndarray, n: int) -> tuple:
@@ -237,8 +258,9 @@ class Workspace:
     serve the RHS.  window is the W of the light-cone window (module
     docstring); halves, dd_window, y_window and acc_window are the blocks'
     views on it, so that an RK4 combination is one ufunc call.  cover()
-    grows the window over y; plans() gives the RHS plans at y and at the
-    stage.  load() is the only way a caller sees a buffer.
+    grows the window over y; drop_below() zeroes y's tail below a floor;
+    plans() gives the RHS plans at y and at the stage.  load() is the only
+    way a caller sees a buffer.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -247,6 +269,7 @@ class Workspace:
         # zeroed, as dd and j are: nothing at or beyond the window is written
         self.y, self.stage, self.acc = (np.zeros(8 * n) for _ in range(3))
         self.y_fields = _field_views(self.y, n)
+        self._runs = self.y.reshape(2, 4 * n)[:, n:]    # (ar, phi) per half
         self.dd_block = np.zeros(4 * n)
         self.dd = _half_views(self.dd_block, n)
         # zeroed: with W = n no RHS writes d_r phi[-1] before reading it (its
@@ -267,7 +290,28 @@ class Workspace:
         # (ar, phi) and (ar_t, phi_t) from node w - 2 on: one run of each half
         self._tails = tuple(half[n + 3 * (w - 2):].view(np.uint64)
                             for half in self.y.reshape(2, 4 * n))
+        # drop_below()'s scratch: magnitudes in the windowed (ar, phi) run
+        # of acc and a mask in the bytes of its a0 parts.  acc is free
+        # between steps (a step writes its windowed part before reading it),
+        # and that part is the only one a step touches, so no page is added
+        acc = self.acc.reshape(2, 4 * n)
+        self._drop_scratch = (acc[:, n:n + 3 * w],
+                              acc[:, :n].view(np.bool_)[:, :3 * w])
         self._plans = None          # (boundary, linear, plans) of this window
+
+    def drop_below(self, floor: float, nodes: int) -> None:
+        """Set to +0 every value of ar, phi, ar_t and phi_t in y on the nodes
+        [0, nodes) whose magnitude is below floor (-0.0 included); NaN stays.
+        Works a window's width at a time and allocates nothing."""
+        mag, below = self._drop_scratch
+        k, end = mag.shape[1], 3 * nodes
+        for i in range(0, end, k):
+            run = self._runs[:, i:min(i + k, end)]
+            if run.shape[1] < k:    # the last part of a run wider than W
+                mag, below = mag[:, :run.shape[1]], below[:, :run.shape[1]]
+            np.abs(run, out=mag)
+            np.less(mag, floor, out=below)
+            np.copyto(run, _ZERO, where=below)
 
     def cover(self) -> None:
         """Grow the window until ar, phi, ar_t and phi_t in y are zero, bit
@@ -396,8 +440,8 @@ def _rhs(p: _RHSPlan) -> None:
             dd[-3] = dd[-2] = dd[-1] = 0.0
 
 
-_HALF, _TWO = np.array(0.5), np.array(2.0)
-_HALF.flags.writeable = _TWO.flags.writeable = False
+_HALF, _TWO, _ZERO = np.array(0.5), np.array(2.0), np.array(0.0)
+_HALF.flags.writeable = _TWO.flags.writeable = _ZERO.flags.writeable = False
 
 
 def step(state: FieldState, grid: RadialGrid, scheme: SchemeParams,
@@ -531,6 +575,8 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
 
     The instability guard aborts when the sup norm of any field exceeds
     _GUARD_FACTOR times its initial scale (plus 1 to tolerate zero data).
+    After the load and each step, the values of ar, phi, ar_t and phi_t
+    below _TAIL_FLOOR times that scale are set to +0 (module docstring).
     """
     plan = plan or ObservationPlan()
     errs = scheme.validate(grid.r_max)
@@ -547,7 +593,9 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     slices: dict[float, FieldState] = {}
     slice_times = sorted(plan.slice_times)
     guard0 = max(np.max(np.abs(initial.phi)), np.max(np.abs(initial.a0)),
-                 np.max(np.abs(initial.ar)), 1e-30)
+                 np.max(np.abs(initial.ar)))
+    floor = _TAIL_FLOOR * guard0    # 0 for zero data: nothing is dropped
+    ws.drop_below(floor, grid.n_nodes)  # the window does not cover the data yet
     monitor_count = 0
 
     def observe():
@@ -590,5 +638,6 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
             next_slice += 1
         if k_step < n_steps:
             state = step(state, grid, scheme, dt, ws)
+            ws.drop_below(floor, ws.window)
     return EvolveResult(final=state.copy(), log=log, rays=rays, snapshots=snapshots,
                         slices=slices)

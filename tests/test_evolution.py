@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from conftest import GaugeFunction, gauge_transform
 from mkglab.core import FieldState, current, current_density
 from mkglab.data_builder import FreeData, GaussianProfile, assemble_state
-from mkglab.evolution import (_WINDOW_CHUNK, EvolutionUnstable, ObservationPlan,
-                              SchemeParams, Workspace, _field_views, _rhs,
-                              charge_monitor, energy_monitor, evolve,
-                              frame_identity_residual, lorenz_residual, step,
-                              time_grid)
+from mkglab import evolution
+from mkglab.evolution import (_TAIL_FLOOR, _WINDOW_CHUNK, EvolutionUnstable,
+                              ObservationPlan, SchemeParams, Workspace,
+                              _field_views, _rhs, charge_monitor,
+                              energy_monitor, evolve, frame_identity_residual,
+                              lorenz_residual, step, time_grid)
 from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
                          _row_d_r_outer, _row_lap_origin, _row_sommerfeld,
                          _run, _three_point_ops, d_r, divergence_radial,
@@ -468,6 +469,89 @@ class TestArWindow(_WindowCase):
         state, ws, windows = self.run(st, 40, linear=True)
         assert last_set_node(state.ar, state.ar_t) == -1
         assert windows[-1] < grid.n_nodes
+
+
+class TestTailFloor:
+    """evolve() drops the values of ar, phi, ar_t and phi_t below
+    _TAIL_FLOOR times the data's initial scale after load() and each step,
+    so the window follows the physical front, not the stencil's tail."""
+
+    GRID = RadialGrid(40.0, 800)    # eps exp(-r^2) underflows past r ~ 27
+
+    @staticmethod
+    def traced(monkeypatch):
+        """Patch evolve's step() to record (state, window) at each call: the
+        state as the previous drop left it, the window as cover() set it."""
+        seen = []
+
+        def traced_step(state, grid, scheme, dt, work):
+            before = [getattr(state, f).copy()
+                      for f in ("phi", "phi_t", "ar", "ar_t")]
+            out = step(state, grid, scheme, dt, work)
+            seen.append((before, work.window))
+            return out
+
+        monkeypatch.setattr(evolution, "step", traced_step)
+        return seen
+
+    def test_no_value_below_floor_and_window_near_front(self, monkeypatch):
+        grid = self.GRID
+        st, _ = gaussian_state(grid, eps=0.01, ar_amp=0.005)
+        assert last_set_node(st.phi) > 520    # the data has a subnormal tail
+        floor = _TAIL_FLOOR * max(np.max(np.abs(f)) for f in (st.phi, st.a0,
+                                                             st.ar))
+        seen = self.traced(monkeypatch)
+        res = evolve(st, grid, SchemeParams(cfl=0.5, t_end=10.0,
+                                            monitor_stride=50))
+        fields = (res.final.phi, res.final.phi_t, res.final.ar, res.final.ar_t)
+        for before, window in [*seen, (fields, None)]:
+            for f in before:
+                v = f.view(np.float64)
+                assert not np.any((v != 0.0) & (np.abs(v) < floor))
+                assert not np.any(np.signbit(v) & (v == 0.0))   # no -0.0
+            last = last_set_node(*before)
+            if window is not None:
+                assert last + 3 <= window <= last + 3 + _WINDOW_CHUNK
+        assert len(seen) == 400
+        # the first window covers the data above the floor (r < 15.3), not
+        # its subnormal tail
+        assert seen[0][1] == 320
+
+    def test_floor_is_relative_to_the_data(self):
+        # a linear run is homogeneous, so tiny data is scaled, never erased
+        grid = RadialGrid(40.0, 400)
+        scheme = SchemeParams(cfl=0.5, t_end=16.0, boundary="none",
+                              linear=True, monitor_stride=10 ** 9)
+
+        def final(amp):
+            st = FieldState.zeros(grid)
+            st.phi = amp * np.exp(-grid.r ** 2) + 0j
+            st.phi_t = 1j * st.phi
+            return evolve(st, grid, scheme).final
+
+        big, small = final(1e-2), final(1e-150)
+        for name in ("phi", "phi_t"):
+            want = 1e-148 * getattr(big, name)
+            got = getattr(small, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert last_set_node(got) == last_set_node(getattr(big, name))
+
+    def test_zero_data_drops_nothing(self, monkeypatch):
+        grid = RadialGrid(10.0, 200)
+        seen = self.traced(monkeypatch)
+        res = evolve(FieldState.zeros(grid), grid,
+                     SchemeParams(cfl=0.5, t_end=2.0, monitor_stride=5))
+        assert len(seen) == 80
+        assert {window for _, window in seen} == {_WINDOW_CHUNK}
+        for name in FIELDS:
+            assert not np.any(getattr(res.final, name).view(np.uint64))
+
+    def test_nan_data_stops_at_t0(self):
+        grid = RadialGrid(10.0, 100)
+        st, _ = gaussian_state(grid, eps=0.1)
+        st.phi[30] = complex(np.nan, 0.0)
+        with pytest.raises(EvolutionUnstable, match="t=0:"):
+            evolve(st, grid, SchemeParams(cfl=0.5, t_end=1.0))
 
 
 class TestKernel:
