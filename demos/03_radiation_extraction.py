@@ -38,7 +38,7 @@ print(f"phase-corrected r phi at q=0: {ph.value:+.6e}, Cauchy increments "
 
 dq = 2 * grid.h
 q_grid = np.arange(-10.0, 10.0 + dq / 2, dq)
-table = build_radiation_table(res.slices, grid, Q, q_grid, ray_qs=(0.0,))
+table = build_radiation_table(res.slices, grid, Q, q_grid, q_al=0.0)
 j = table.j_scalar()
 M = np.trapezoid(j, table.q)
 print(f"radiation table: int j dq = {M:+.6e} vs -Q/4pi = {-target:+.6e} "

@@ -34,8 +34,8 @@ source = AsymSource(q_grid=table.q, j=table.j_scalar())
 print(f"source mass M = {source.mass():+.6e} (vs -Q/4pi = {-Q / 4 / np.pi:+.6e})")
 
 print(f"{'y':>5} {'t':>6} {'t*A0 sim':>14} {'K0 pred':>14} {'rel err':>9}")
-rows = interior_limit_check({t: res.slices[t] for t in t_list}, grid, source,
-                            [0.1, 0.3, 0.5], t_list)
+rows = interior_limit_check([res.slices[t] for t in t_list], grid, source,
+                            [0.1, 0.3, 0.5])
 for row in rows:
     rel = row["abs_err0"] / abs(row["K0_pred"])
     print(f"{row['y']:>5.1f} {row['t']:>6.0f} {row['tA0_sim']:>14.6e} "

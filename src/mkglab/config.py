@@ -27,7 +27,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .core import Weights
-from .evolution import SchemeParams
+from .evolution import SchemeParams, time_grid
 from .grid import RadialGrid
 
 
@@ -194,6 +194,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
                     f"(the radiation table needs two slices), got {ext['t_fracs']}")
     if not (0.0 < ext["domain_frac"] <= 1.0):
         errs.append("extraction.domain_frac must lie in (0, 1]")
+    if ext["q_rays"] and min(ext["q_rays"]) < ext["q_min"]:
+        errs.append(f"extraction.q_rays entry {min(ext['q_rays'])} lies below "
+                    f"extraction.q_min = {ext['q_min']}, where the radiation table starts")
     for y in cfg.interior["y_list"]:
         if not (0.0 < y < 1.0):
             errs.append(f"interior.y_list entries must lie in (0, 1), got {y}")
@@ -202,6 +205,14 @@ def validate_config(cfg: RunConfig) -> list[str]:
             errs.append(f"interior.t_list entries must be positive, got {t}")
         elif t > sch["t_end"]:
             errs.append(f"interior.t_list entry {t} exceeds t_end = {sch['t_end']}")
+    ys, ts = cfg.interior["y_list"], cfg.interior["t_list"]
+    if ys and ts and min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
+        # evolve captures a slice up to dt / 2 after its requested time
+        _, dt = time_grid(sch["t_end"], sch["cfl"] * g["r_max"] / g["n_cells"])
+        if max(ys) * (max(ts) + 0.5 * dt) > g["r_max"]:
+            errs.append(f"interior.y_list entry {max(ys)} times interior.t_list "
+                        f"entry {max(ts)} (+ dt/2 = {0.5 * dt:g}) lies beyond "
+                        f"grid.r_max = {g['r_max']}")
     return errs
 
 

@@ -82,8 +82,7 @@ class CutoffChi:
         return smoothstep_quintic((np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo))
 
 
-# the cutoff of the Coulomb tail that subtract_charge_tail removes and the
-# frame identity's A^1_Lbar subtracts
+# the cutoff of the Coulomb tail (coulomb_tail)
 _CHI = CutoffChi()
 
 
@@ -221,18 +220,20 @@ def assemble_state(data: FreeData, grid: RadialGrid) -> tuple[FieldState, float]
     return state, compute_charge(data, grid)
 
 
+def coulomb_tail(t, r, Q: float) -> np.ndarray:
+    """The cut-off Coulomb potential chi(r - t) Q/(4 pi r) at points (t, r);
+    0 where chi = _CHI is (r - t <= 1/2), so regular at r = 0 for t >= 0."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+    tail = np.zeros(r.shape)
+    mask = r - t > _CHI.lo
+    tail[mask] = _CHI(r[mask] - t[mask]) * Q / (4.0 * np.pi * r[mask])
+    return tail
+
+
 def subtract_charge_tail(state: FieldState, grid: RadialGrid,
                          Q: float) -> FieldState:
-    """Remove the cut-off Coulomb potential chi(r - t) Q/(4 pi r) from a0.
-
-    chi = _CHI vanishes for r - t < 1/2, so the subtraction is regular at
-    r = 0 for all t >= 0.
-    """
-    r = grid.r
-    coul = np.zeros_like(state.a0)
-    mask = r - state.t > _CHI.lo
-    coul[mask] = _CHI(r[mask] - state.t) * Q / (4.0 * np.pi * r[mask])
-    return replace(state, a0=state.a0 - coul)
+    """Remove the cut-off Coulomb potential coulomb_tail from a0."""
+    return replace(state, a0=state.a0 - coulomb_tail(state.t, grid.r, Q))
 
 
 def weighted_norm(f: np.ndarray, grid: RadialGrid, k: int, s0: float) -> float:

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FieldState, _current_ops, current, field_strength
-from .data_builder import _CHI
+from .data_builder import coulomb_tail
 from .grid import (EVEN, RadialGrid, _d_r_ops, _row_d_r_origin, _row_lap_origin,
                    _row_sommerfeld, _three_point_ops, d_r, divergence_radial,
                    interp_values, simpson_integral)
@@ -547,8 +547,7 @@ def frame_identity_residual(history: RayHistory,
 
     rA_L = rmat * (a0 + ar)
     u = along(rA_L[:, c]) - 2.0 * ddr(rA_L)          # Lbar(r A_L)
-    a1_lbar = (a0[:, c] - _CHI(rmat[:, c] - times) * Q / (4.0 * np.pi * rmat[:, c])
-               - ar[:, c])
+    a1_lbar = a0[:, c] - coulomb_tail(times, rmat[:, c], Q) - ar[:, c]
     y = r0 * u + rmat[:, c] * a1_lbar
     resid = along(y) - rmat[:, c] ** 2 * (j0[:, c] + jr[:, c])
     ok = np.isfinite(resid)
@@ -572,6 +571,9 @@ def time_grid(t_end: float, dt_max: float) -> tuple[int, float]:
 def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
            plan: ObservationPlan | None = None) -> EvolveResult:
     """Run RK4 to t_end, recording monitors, ray samples, and snapshots.
+
+    Monitors and snapshots are taken every monitor_stride steps and at the
+    last step; ray samples only on the stride, uniformly spaced in t.
 
     The instability guard aborts when the sup norm of any field exceeds
     _GUARD_FACTOR times its initial scale (plus 1 to tolerate zero data).
@@ -598,7 +600,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     ws.drop_below(floor, grid.n_nodes)  # the window does not cover the data yet
     monitor_count = 0
 
-    def observe():
+    def observe(on_stride: bool):
         nonlocal monitor_count
         sup = max(np.max(np.abs(state.phi)), np.max(np.abs(state.a0)),
                   np.max(np.abs(state.ar)))
@@ -609,7 +611,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         j0, jr = current(state, grid)
         log.append(state.t, lorenz_residual(state, grid),
                    charge_monitor(j0, grid), energy_monitor(state, grid))
-        for q, hist in rays.items():
+        for q, hist in (rays.items() if on_stride else ()):
             x = state.t + q
             pts = x + offsets
             if pts[0] <= 2.0 * dlt or pts[-1] >= plan.ray_domain_frac * grid.r_max:
@@ -630,8 +632,9 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
 
     next_slice = 0
     for k_step in range(n_steps + 1):
-        if k_step % scheme.monitor_stride == 0 or k_step == n_steps:
-            observe()
+        on_stride = k_step % scheme.monitor_stride == 0
+        if on_stride or k_step == n_steps:
+            observe(on_stride)
         while next_slice < len(slice_times) and \
                 state.t >= slice_times[next_slice] - 0.5 * dt:
             slices[slice_times[next_slice]] = state.copy()

@@ -255,30 +255,22 @@ def chain_difference_report(t_list, c: float, source: AsymSource,
     return {"rows": rows, "fitted_exponent": exponent, "C_log_slope": c_slope}
 
 
-def interior_limit_check(slices: dict, grid: RadialGrid, source: AsymSource,
-                         y_list, t_list) -> list[dict]:
+def interior_limit_check(slices, grid: RadialGrid, source: AsymSource,
+                         y_list) -> list[dict]:
     """Simulated t A_mu(t, t|y|) against K_mu(y) from the extracted source.
 
-    Uses the raw potential (the charge-tail correction only matters in the
-    exterior r > t).  Reports per (y, t): simulated values, predictions,
-    absolute errors; callers assert the error decreases in t.  Each t needs
-    a slice within grid.h / 2 of it (evolve captures a requested slice
-    within dt / 2 <= 0.45 h); otherwise ValueError names both times.
+    One row per y of y_list and per slice of the sequence slices, y outer
+    and the slices in their order, each at its slice's own t: simulated
+    values, predictions and absolute errors of the raw potential (the
+    charge-tail correction only matters in the exterior r > t).  Callers
+    assert the error decreases in t.  A point beyond r_max raises
+    ValueError (interp_values).
     """
-    states = {round(st.t, 6): st for st in slices.values()}
     out = []
     for y in y_list:
         k0, kr = K_mu(y, source)
-        for t in t_list:
-            key = min(states, key=lambda tt: abs(tt - t))
-            st = states[key]
-            if abs(st.t - t) > 0.5 * grid.h:
-                raise ValueError(
-                    f"no slice at t = {t}: the nearest slice is at "
-                    f"t = {st.t}, more than h/2 = {0.5 * grid.h} away")
+        for st in slices:
             r_pt = y * st.t
-            if r_pt > grid.r_max:
-                raise ValueError(f"interior point r={r_pt} outside the grid")
             a0 = float(interp_values(st.a0, grid, r_pt)[0])
             ar = float(interp_values(st.ar, grid, r_pt)[0])
             out.append({

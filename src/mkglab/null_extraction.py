@@ -205,8 +205,8 @@ def mod_ALbar(A_Lbar, q_grid: np.ndarray, j: np.ndarray, t, r,
         uncovered = q_lo < q_min - 1e-12
         if np.any(uncovered):
             raise ValueError(
-                f"source table does not cover the ray: needs q >= "
-                f"{np.min(q_lo[uncovered])}, table starts at {q_min}")
+                f"source table does not cover the ray: it starts at q = "
+                f"{q_min}, and must start at or below {np.min(q_lo[uncovered])}")
     integral = integrate_log_kernel(q_grid, -2.0 * np.asarray(j, dtype=float),
                                     t, r)
     return A_Lbar - integral / (2.0 * r)
@@ -226,12 +226,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
                           q_grid: np.ndarray, domain_frac: float = 0.95,
-                          ray_qs: tuple = ()) -> RadiationTable:
+                          q_al: float = 0.0) -> RadiationTable:
     """Assemble the radiation table from late-time slices.
 
     Phi0 per q comes from the latest slice containing r = t + q, else from
-    the previous slice.  A_L's limit error is estimated along the central
-    ray, the one of ray_qs nearest 0 (q = 0 when ray_qs is empty).
+    the previous slice.  A_L's limit error is estimated along the ray at
+    q_al (inf when that ray has fewer than LIMIT_SAMPLES samples).
     """
     states = sorted(slices.values(), key=lambda s: s.t)
     if len(states) < 2:
@@ -244,8 +244,6 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
         Phi0[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
                             charge_phase(Q, x[ok]))
     jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
-    # error estimate of the A_L limit along the central extraction ray
-    q_al = 0.0 if not ray_qs else sorted(ray_qs, key=abs)[0]
     ray = sample_ray(slices, grid, q_al, domain_frac)
     alerr = (extract_AL_limit(ray).err_est if len(ray.t) >= LIMIT_SAMPLES
              else np.inf)

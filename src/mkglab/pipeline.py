@@ -13,6 +13,7 @@ import os
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -55,9 +56,6 @@ class RunReport:
     checks: list = field(default_factory=list)
     monitor_summary: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-    def add(self, *args, **kwargs):
-        self.checks.append(Check(*args, **kwargs))
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -124,7 +122,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     cfg_errs = validate_config(cfg)
     if cfg_errs:
         raise ConfigError(cfg_errs)
-    t_start = time.time()
     say = progress or (lambda msg: None)
     chash = run_config_hash(cfg)
     out_dir = out_dir or cfg.output["directory"]
@@ -173,20 +170,22 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         "energy_t0": float(earr[0]), "energy_final": float(earr[-1]),
         "n_monitor_events": len(tarr),
     }
-    report.add("lorenz_stability",
-               "Lorenz residual stays within 10x its initial (burn-in) level",
-               lor_sup / max(lor_base, 1e-300), 10.0,
-               lor_sup <= 10.0 * lor_base,
-               detail=f"t=0 residual {lor[0]:.3e}, burn-in max {lor_base:.3e}, sup {lor_sup:.3e}")
     qdrift = float(np.max(np.abs(qarr - qarr[0])) / abs(qarr[0])) if qarr[0] != 0 else 0.0
-    report.add("charge_conservation", "relative charge drift < 1e-3 over the run",
-               qdrift, 1e-3, qdrift < 1e-3)
+    report.checks += [
+        Check("lorenz_stability",
+              "Lorenz residual stays within 10x its initial (burn-in) level",
+              lor_sup / max(lor_base, 1e-300), 10.0, lor_sup <= 10.0 * lor_base,
+              detail=f"t=0 residual {lor[0]:.3e}, burn-in max {lor_base:.3e}, sup {lor_sup:.3e}"),
+        Check("charge_conservation", "relative charge drift < 1e-3 over the run",
+              qdrift, 1e-3, qdrift < 1e-3)]
 
-    # frame identity residual along the central ray
-    central_q = min(plan.ray_qs, key=abs) if plan.ray_qs else None
+    # the central ray: the frame identity, the phase slope and the table's
+    # A_L limit error are measured on it (q = 0 when no ray is sampled)
+    central_q = min(plan.ray_qs, key=abs, default=0.0)
+    central = result.rays.get(central_q)
     frame = {}      # monitor time -> |residual|
-    if central_q is not None and len(result.rays[central_q].times) >= 5:
-        frame_sup, ftimes, fres = frame_identity_residual(result.rays[central_q], Q)
+    if central is not None and len(central.times) >= 5:
+        frame_sup, ftimes, fres = frame_identity_residual(central, Q)
         frame = {float(tt): float(abs(rr)) for tt, rr in zip(ftimes, fres)}
         report.extras["frame_identity_sup"] = frame_sup
 
@@ -196,100 +195,19 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
     frac_slices = {t: result.slices[t] for t in frac_times}
     table = build_radiation_table(frac_slices, grid, Q, q_grid,
-                                  domain_frac=ext["domain_frac"],
-                                  ray_qs=tuple(ext["q_rays"]))
+                                  domain_frac=ext["domain_frac"], q_al=central_q)
     report.extras["J_identity_residual"] = table.check_identity()
-
-    al_rows = []
-    phi0_rows = []
-    short = None    # why the ray checks cannot run: the first short ray
-    for qray in ext["q_rays"]:
-        ray = sample_ray(frac_slices, grid, qray, domain_frac=ext["domain_frac"])
-        short = short or _too_few(qray, len(ray.t), LIMIT_SAMPLES)
-        if short:
-            continue
-        al = extract_AL_limit(ray)
-        errs_last3 = np.abs(ray.r[-3:] * ray.A_L[-3:] - target)
-        rel = abs(al.value.real - target) / abs(target) if target != 0 else abs(al.value.real)
-        floor = 1e-10 * abs(target) + 1e-300
-        decreasing = bool(np.all(np.diff(errs_last3) < 0)
-                          or np.all(errs_last3 < floor))
-        al_rows.append({"q": qray, "value": al.value.real, "rel_err": rel,
-                        "decreasing": decreasing,
-                        "err_last3": [float(e) for e in errs_last3]})
-        ph = extract_phi0(ray, Q)
-        incs = ph.increments[-2:] if len(ph.increments) >= 2 else ph.increments
-        ratio = float(incs[-1] / incs[-2]) if len(incs) >= 2 and incs[-2] > 0 else np.inf
-        phi0_rows.append({"q": qray, "value": [ph.value.real, ph.value.imag],
-                          "amp": abs(ph.value), "err_est": ph.err_est,
-                          "cauchy_ratio": ratio, "converged": ph.converged,
-                          "diagnostic": ph.diagnostic})
-    # rays carrying no radiation to double precision are trivially Cauchy
-    amp_max = max((row["amp"] for row in phi0_rows), default=0.0)
-    for row in phi0_rows:
-        if row["amp"] < 1e-10 * amp_max or row["err_est"] < 1e-30:
-            row["cauchy_ratio"] = 0.0
-            row["converged"] = True
-            row["diagnostic"] = "below radiation noise floor, trivially Cauchy"
-
-    # a short ray fails both checks with its reason
-    worst_al = np.nan if short else max((r["rel_err"] for r in al_rows), default=np.inf)
-    al_tol = cfg.tolerances["al_limit_rel"]
-    report.add("AL_limit", f"r A_L limit matches Q/4pi to {al_tol:.0%} on every ray",
-               worst_al, al_tol,
-               worst_al < al_tol and all(r["decreasing"] for r in al_rows),
-               detail=short or json.dumps(al_rows))
-    worst_ratio = np.nan if short else max((r["cauchy_ratio"] for r in phi0_rows),
-                                           default=np.inf)
-    report.add("phi0_cauchy",
-               "phase-corrected r phi Cauchy: terminal increment < 20% of previous",
-               worst_ratio, 0.2, worst_ratio < 0.2,
-               detail=short or json.dumps(phi0_rows))
-
-    # phase slope on the densely sampled central ray
-    measured, ok, detail = _phase_slope_check(result, central_q, target)
-    report.add("charge_phase_slope",
-               "phase slope of uncorrected r phi recovers -Q/4pi within 10%",
-               measured, 0.10, ok, detail=detail)
-
-    # A_Lbar: log growth on the most interior ray + mod-corrected Cauchy
-    corr_val, corr_ok, mod_ratio, mod_ok, detail = _albar_checks(result, plan, table)
-    report.add("albar_log_correlation",
-               "raw r A_Lbar is log-linear in (1+r): |corr| >= 0.99 on final decade",
-               corr_val, 0.99, corr_ok, detail=detail)
-    report.add("albar_mod_cauchy",
-               "r A_Lbar^mod Cauchy: terminal increment < 20% of previous",
-               mod_ratio, 0.2, mod_ok, detail=detail)
+    report.checks += _ray_limit_checks(frac_slices, grid, ext, Q,
+                                       cfg.tolerances["al_limit_rel"])
+    report.checks.append(_phase_slope_check(central, central_q, target))
+    report.checks += _albar_checks(result, plan, table)
 
     # -- interior ------------------------------------------------------------
     say("[4/6] interior limit comparison")
     source = AsymSource(q_grid=table.q, j=table.j_scalar())
-    interior_slices = {t: result.slices[t] for t in interior_times}
-    interior_rows = interior_limit_check(interior_slices, grid, source,
-                                         cfg.interior["y_list"], cfg.interior["t_list"])
-    int_tol = cfg.tolerances["interior_rel"]
-    int_desc = (f"t A_0 -> K_0(y): error decreasing in t, final rel err < "
-                f"{int_tol:.0%}, sign matches")
-    if not interior_rows:
-        empty = next(key for key in ("t_list", "y_list") if not cfg.interior[key])
-        report.add("interior_limit", int_desc, np.nan, int_tol, False,
-                   detail=f"cannot run: interior.{empty} is empty")
-    else:
-        worst_final = 0.0
-        monotone = True
-        for y in cfg.interior["y_list"]:
-            sub = [r for r in interior_rows if r["y"] == y]
-            sub.sort(key=lambda r: r["t"])
-            errs = [r["abs_err0"] for r in sub]
-            monotone = monotone and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-            k0 = sub[-1]["K0_pred"]
-            worst_final = max(worst_final, abs(sub[-1]["abs_err0"] / k0) if k0 else np.inf)
-        sign_ok = all((r["K0_pred"] < 0) == (Q < 0) or r["K0_pred"] == 0
-                      for r in interior_rows)
-        report.add("interior_limit", int_desc, worst_final, int_tol,
-                   monotone and worst_final < int_tol and sign_ok,
-                   detail=f"monotone={monotone}, sign_ok={sign_ok}")
-
+    interior_rows = interior_limit_check([result.slices[t] for t in interior_times],
+                                         grid, source, cfg.interior["y_list"])
+    report.checks.append(_interior_check(interior_rows, cfg, Q))
     report.extras["asym_source_mass"] = source.mass()
     report.extras["asym_source_mass_vs_charge"] = (
         source.mass() / (-target) if target != 0 else np.nan)
@@ -309,18 +227,18 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         sup2_phi, sup2_j0 = _doubled_domain_sups(cfg, phi_spec, j0_spec)
         change = max(abs(sup2_phi - sup_phi) / sup_phi if sup_phi else 0.0,
                      abs(sup2_j0 - sup_j0) / sup_j0 if sup_j0 else 0.0)
-        report.add("envelope_stability",
-                   "weighted sups change < 10% when r_max, t_end double",
-                   change, 0.10, change < 0.10,
-                   detail=f"phi: {sup_phi:.6g} -> {sup2_phi:.6g}; J0: {sup_j0:.6g} -> {sup2_j0:.6g}")
+        report.checks.append(Check(
+            "envelope_stability", "weighted sups change < 10% when r_max, t_end double",
+            change, 0.10, change < 0.10,
+            detail=f"phi: {sup_phi:.6g} -> {sup2_phi:.6g}; J0: {sup_j0:.6g} -> {sup2_j0:.6g}"))
         env_rows.append((phi_spec.label + "_doubled", sup2_phi, np.nan, np.nan))
         env_rows.append((j0_spec.label + "_doubled", sup2_j0, np.nan, np.nan))
     else:
-        report.add("envelope_stability",
-                   "weighted sups finite on the base domain (doubling run skipped)",
-                   max(sup_phi, sup_j0), np.inf,
-                   np.isfinite(sup_phi) and np.isfinite(sup_j0),
-                   detail="run with full_criteria=True for the doubling comparison")
+        report.checks.append(Check(
+            "envelope_stability",
+            "weighted sups finite on the base domain (doubling run skipped)",
+            max(sup_phi, sup_j0), np.inf, np.isfinite(sup_phi) and np.isfinite(sup_j0),
+            detail="run with full_criteria=True for the doubling comparison"))
 
     # -- module-level fast criteria (oracles, kernels, asymptotic system) ----
     if module_checks:
@@ -328,15 +246,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         # the kernel and oracle checks each draw from their own generator
         # seeded with output.seed; only they load numpy.random
         seed = cfg.output["seed"]
-        _kernel_checks(report, seed)
-        _asys_checks(report)
-        report.checks += [mms_check(), agreement_check(seed), logest1_check()]
-        _free_wave_order_check(report, cfg)
-        _refinement_orders_check(report, cfg, say)
+        report.checks += [*_kernel_checks(seed), *_asys_checks(), mms_check(),
+                          agreement_check(seed), logest1_check(),
+                          _free_wave_order_check(cfg),
+                          *_refinement_orders_check(cfg, say)]
 
     # -- emission ------------------------------------------------------------
     _emit(out_dir, chash, cfg, log, frame, table, interior_rows, env_rows, report)
-    report.extras["wall_seconds"] = time.time() - t_start
     return report
 
 
@@ -344,54 +260,133 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
 _MIN_RAY_SAMPLES = 16
 
 
-def _too_few(q, n_samples: int, needed: int) -> str | None:
-    """Why a check cannot run on the ray at q with n_samples (None if it can)."""
-    if n_samples < needed:
-        return f"cannot run: ray q={q:g} has {n_samples} samples, needs >= {needed}"
+def _cannot_run(q, times, needed: int) -> str | None:
+    """Why a check cannot run on the ray at q sampled at times (None when
+    it can); times is None when no ray is sampled."""
+    if times is None:
+        return "cannot run: extraction.q_rays is empty"
+    if len(times) < needed:
+        return f"cannot run: ray q={q:g} has {len(times)} samples, needs >= {needed}"
     return None
 
 
-def _ray_unusable(hist, q) -> str | None:
-    """Why the ray checks cannot run on the ray at q (None when they can)."""
-    if hist is None:
-        return "cannot run: extraction.q_rays is empty"
-    return _too_few(q, len(hist.times), _MIN_RAY_SAMPLES)
+def _ray_limit_checks(slices, grid, ext, Q, al_tol) -> list[Check]:
+    """The r A_L limit and r phi Cauchy checks on every ray of q_rays."""
+    target = Q / (4.0 * np.pi)
+    al_rows = []
+    phi0_rows = []
+    short = None    # why the ray checks cannot run: the first short ray
+    for qray in ext["q_rays"]:
+        ray = sample_ray(slices, grid, qray, domain_frac=ext["domain_frac"])
+        short = short or _cannot_run(qray, ray.t, LIMIT_SAMPLES)
+        if short:
+            continue
+        al = extract_AL_limit(ray)
+        errs_last3 = np.abs(ray.r[-3:] * ray.A_L[-3:] - target)
+        rel = abs(al.value.real - target) / abs(target) if target != 0 else abs(al.value.real)
+        floor = 1e-10 * abs(target) + 1e-300
+        decreasing = bool(np.all(np.diff(errs_last3) < 0)
+                          or np.all(errs_last3 < floor))
+        al_rows.append({"q": qray, "value": al.value.real, "rel_err": rel,
+                        "decreasing": decreasing,
+                        "err_last3": [float(e) for e in errs_last3]})
+        ph = extract_phi0(ray, Q)
+        incs = ph.increments    # LIMIT_SAMPLES leaves at least two
+        ratio = float(incs[-1] / incs[-2]) if incs[-2] > 0 else np.inf
+        phi0_rows.append({"q": qray, "value": [ph.value.real, ph.value.imag],
+                          "amp": abs(ph.value), "err_est": ph.err_est,
+                          "cauchy_ratio": ratio, "converged": ph.converged,
+                          "diagnostic": ph.diagnostic})
+    # rays carrying no radiation to double precision are trivially Cauchy
+    amp_max = max((row["amp"] for row in phi0_rows), default=0.0)
+    for row in phi0_rows:
+        if row["amp"] < 1e-10 * amp_max or row["err_est"] < 1e-30:
+            row["cauchy_ratio"] = 0.0
+            row["converged"] = True
+            row["diagnostic"] = "below radiation noise floor, trivially Cauchy"
+
+    # a short ray fails both checks with its reason
+    worst_al = np.nan if short else max((r["rel_err"] for r in al_rows), default=np.inf)
+    worst_ratio = np.nan if short else max((r["cauchy_ratio"] for r in phi0_rows),
+                                           default=np.inf)
+    return [
+        Check("AL_limit", f"r A_L limit matches Q/4pi to {al_tol:.0%} on every ray",
+              worst_al, al_tol,
+              worst_al < al_tol and all(r["decreasing"] for r in al_rows),
+              detail=short or json.dumps(al_rows)),
+        Check("phi0_cauchy",
+              "phase-corrected r phi Cauchy: terminal increment < 20% of previous",
+              worst_ratio, 0.2, worst_ratio < 0.2,
+              detail=short or json.dumps(phi0_rows))]
 
 
-def _phase_slope_check(result, central_q, target):
-    """(measured, passed, detail) of the charge-phase slope on the central ray."""
-    hist = result.rays.get(central_q)
-    reason = _ray_unusable(hist, central_q)
+def _interior_check(rows, cfg, Q) -> Check:
+    """t A_0 -> K_0(y) on the interior rows (interior_limit_check)."""
+    tol = cfg.tolerances["interior_rel"]
+    desc = (f"t A_0 -> K_0(y): error decreasing in t, final rel err < "
+            f"{tol:.0%}, sign matches")
+    if not rows:
+        empty = next(key for key in ("t_list", "y_list") if not cfg.interior[key])
+        return Check("interior_limit", desc, np.nan, tol, False,
+                     detail=f"cannot run: interior.{empty} is empty")
+    worst_final = 0.0
+    monotone = True
+    for y in cfg.interior["y_list"]:
+        sub = [r for r in rows if r["y"] == y]
+        sub.sort(key=lambda r: r["t"])
+        errs = [r["abs_err0"] for r in sub]
+        monotone = monotone and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+        k0 = sub[-1]["K0_pred"]
+        worst_final = max(worst_final, abs(sub[-1]["abs_err0"] / k0) if k0 else np.inf)
+    sign_ok = all((r["K0_pred"] < 0) == (Q < 0) or r["K0_pred"] == 0 for r in rows)
+    return Check("interior_limit", desc, worst_final, tol,
+                 monotone and worst_final < tol and sign_ok,
+                 detail=f"monotone={monotone}, sign_ok={sign_ok}")
+
+
+def _phase_slope_check(hist, q, target) -> Check:
+    """The charge-phase slope on the ray history hist at q (None: no ray)."""
+    row = partial(Check, "charge_phase_slope",
+                  "phase slope of uncorrected r phi recovers -Q/4pi within 10%")
+    reason = _cannot_run(q, None if hist is None else hist.times, _MIN_RAY_SAMPLES)
     if reason:
-        return np.nan, False, reason
+        return row(np.nan, 0.10, False, reason)
     times, r0, a0, ar, phi, j0, jr = hist.as_arrays()
     c = hist.center
     rphi = r0 * phi[:, c]
     if np.max(np.abs(rphi)) == 0.0:
-        return 0.0, True, "zero field, trivial"
+        return row(0.0, 0.10, True, "zero field, trivial")
     mask = r0 > r0[-1] / 10.0
     try:
         slope, r2 = phase_slope_fit(r0[mask], rphi[mask])
     except ValueError as exc:
-        return np.nan, False, f"fit not applicable: {exc}"
+        return row(np.nan, 0.10, False, f"fit not applicable: {exc}")
     expected = -target
     rel = abs(slope - expected) / abs(expected) if expected != 0 else abs(slope)
-    return (rel, rel < 0.10,
-            f"slope={slope:.6e}, expected={expected:.6e}, r2={r2:.4f}")
+    return row(rel, 0.10, rel < 0.10, f"slope={slope:.6e}, expected={expected:.6e}, r2={r2:.4f}")
 
 
-def _albar_checks(result, plan, table):
-    """(corr, corr_ok, mod_ratio, mod_ok, detail) on the most interior ray."""
+def _albar_checks(result, plan, table) -> list[Check]:
+    """A_Lbar's log growth and its mod-corrected Cauchy check on the most
+    interior ray."""
+    def rows(corr, corr_ok, mod_ratio, mod_ok, detail):
+        return [Check("albar_log_correlation",
+                      "raw r A_Lbar is log-linear in (1+r): |corr| >= 0.99 on final decade",
+                      corr, 0.99, corr_ok, detail=detail),
+                Check("albar_mod_cauchy",
+                      "r A_Lbar^mod Cauchy: terminal increment < 20% of previous",
+                      mod_ratio, 0.2, mod_ok, detail=detail)]
+
     q_low = min(plan.ray_qs, default=None)
     hist = result.rays.get(q_low)
-    reason = _ray_unusable(hist, q_low)
+    reason = _cannot_run(q_low, None if hist is None else hist.times, _MIN_RAY_SAMPLES)
     if reason:
-        return np.nan, False, np.nan, False, reason
+        return rows(np.nan, False, np.nan, False, reason)
     times, r0, a0, ar, phi, j0, jr = hist.as_arrays()
     c = hist.center
     ralb = r0 * (a0[:, c] - ar[:, c])
     if np.max(np.abs(ralb)) == 0.0:
-        return 1.0, True, 0.0, True, "zero field, trivial"
+        return rows(1.0, True, 0.0, True, "zero field, trivial")
     mask = r0 > r0[-1] / 10.0
     x = np.log1p(r0[mask])
     y = ralb[mask]
@@ -407,7 +402,7 @@ def _albar_checks(result, plan, table):
     mod_ratio = float(incs[-1] / incs[-2]) if incs[-2] > 0 else np.inf
     detail = (f"ray q={q_low}: slope={slope:.4e}, corr={corr:.5f}, "
               f"mod increments={[f'{v:.3e}' for v in incs]}")
-    return abs(corr), abs(corr) >= 0.99, mod_ratio, mod_ratio < 0.2, detail
+    return rows(abs(corr), abs(corr) >= 0.99, mod_ratio, mod_ratio < 0.2, detail)
 
 
 def _doubled_domain_sups(cfg, phi_spec, j0_spec):
@@ -427,7 +422,7 @@ def _doubled_domain_sups(cfg, phi_spec, j0_spec):
     return s_phi, s_j0
 
 
-def _kernel_checks(report: RunReport, seed: int) -> None:
+def _kernel_checks(seed: int) -> list[Check]:
     """Angular identity vs sphere quadrature + the A^ex chain decay."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -436,35 +431,35 @@ def _kernel_checks(report: RunReport, seed: int) -> None:
         x = float(a * rng.uniform(0.0, 0.99))
         worst = max(worst, abs(angular_kernel_integral(a, x)
                                - angular_kernel_quadrature(a, x, abs_tol=1e-10)))
-    report.add("angular_identity", "closed form vs S2 quadrature on 100 random inputs",
-               worst, 1e-8, worst < 1e-8)
     src = CallableSource(lambda q: np.exp(-q * q), (-2.0, 2.0))
     rep = chain_difference_report([20.0, 40.0, 80.0], 0.5, src, s=0.9)
     bound = -(2 * 0.9 - 1.0) + 0.2
-    report.add("chain_difference_decay",
-               "|A^ex - A^ex,inf| decay exponent <= -(2s-1)+0.2 at c=0.5",
-               rep["fitted_exponent"], bound, rep["fitted_exponent"] <= bound,
-               detail=f"C log-slope {rep['C_log_slope']:.3f}")
+    return [Check("angular_identity", "closed form vs S2 quadrature on 100 random inputs",
+                  worst, 1e-8, worst < 1e-8),
+            Check("chain_difference_decay",
+                  "|A^ex - A^ex,inf| decay exponent <= -(2s-1)+0.2 at c=0.5",
+                  rep["fitted_exponent"], bound, rep["fitted_exponent"] <= bound,
+                  detail=f"C log-slope {rep['C_log_slope']:.3f}")]
 
 
-def _asys_checks(report: RunReport) -> None:
+def _asys_checks() -> list[Check]:
     """Weak-null certificate and RK4 phase-factorization order at A_L = 1."""
     q_grid = np.linspace(-8.0, 8.0, 801)
     phi0 = np.exp(-q_grid ** 2) * (q_grid / 2.0 + 0.25j)
     st = asys.AsymState.from_phi0(q_grid, phi0, A_L_param=1.0)
     final, hist = asys.integrate(st, 50.0, 1e-2, record_every=500)
     cert = asys.weak_null_certificate(hist, 1e-2)
-    report.add("weak_null_modulus", "sup_q |P| drift < 1e-10 over s in [0,50]",
-               cert["modulus_drift"], 1e-10, cert["modulus_drift"] < 1e-10)
-    report.add("weak_null_affine", "A_Lbar affine-in-s fit residual < 1e-6",
-               cert["albar_affine_residual"], 1e-6,
-               cert["albar_affine_residual"] < 1e-6)
     errs = [asys.phase_factorization_error(st, asys.integrate(st, 2.0, ds)[0])
             for ds in (4e-2, 2e-2, 1e-2)]
     order = float(np.mean([np.log2(errs[i] / errs[i + 1]) for i in range(2)]))
-    report.add("phase_factorization_order", "RK4 phase factorization order = 4.0 +- 0.1",
-               order, 0.1, abs(order - 4.0) <= 0.1,
-               detail=f"errors {errs}")
+    return [Check("weak_null_modulus", "sup_q |P| drift < 1e-10 over s in [0,50]",
+                  cert["modulus_drift"], 1e-10, cert["modulus_drift"] < 1e-10),
+            Check("weak_null_affine", "A_Lbar affine-in-s fit residual < 1e-6",
+                  cert["albar_affine_residual"], 1e-6,
+                  cert["albar_affine_residual"] < 1e-6),
+            Check("phase_factorization_order",
+                  "RK4 phase factorization order = 4.0 +- 0.1",
+                  order, 0.1, abs(order - 4.0) <= 0.1, detail=f"errors {errs}")]
 
 
 def mms_check() -> Check:
@@ -520,7 +515,7 @@ _SAMPLE_FRACS = [(0.2, 0.1), (0.2, 0.22), (0.5, 0.1), (0.5, 0.3), (0.5, 0.52),
                  (0.6, 0.58), (0.95, 0.9), (0.4, 0.38), (0.7, 0.1), (0.3, 0.28)]
 
 
-def _free_wave_order_check(report: RunReport, cfg: RunConfig) -> None:
+def _free_wave_order_check(cfg: RunConfig) -> Check:
     """Criterion-1 free-wave convergence on a scaled (r_max=100) domain."""
     errs, times = [], []
     scheme = replace(SchemeParams(**cfg.scheme), t_end=50.0)
@@ -529,14 +524,13 @@ def _free_wave_order_check(report: RunReport, cfg: RunConfig) -> None:
         t0 = time.time()
         errs.append(_free_wave_error(cfg, grid, scheme))
         times.append(time.time() - t0)
-    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
-    order = orders[-1]
-    report.add("free_wave_order", "free-wave convergence order = 2.0 +- 0.2",
-               order, 0.2, abs(order - 2.0) <= 0.2 and max(times) < 60.0,
-               detail=f"errors {errs}, orders {orders}, seconds {[f'{s:.2f}' for s in times]}")
+    orders = _orders({"free_wave": errs})[0]["free_wave"]
+    return Check("free_wave_order", "free-wave convergence order = 2.0 +- 0.2",
+                 orders[-1], 0.2, abs(orders[-1] - 2.0) <= 0.2 and max(times) < 60.0,
+                 detail=f"errors {errs}, orders {orders}, seconds {[f'{s:.2f}' for s in times]}")
 
 
-def _refinement_orders_check(report: RunReport, cfg: RunConfig, say) -> None:
+def _refinement_orders_check(cfg: RunConfig, say) -> list[Check]:
     """Lorenz-residual and charge-drift orders on a scaled coupled ladder."""
     cfg2 = deepcopy(cfg)
     cfg2.grid["r_max"], cfg2.grid["n_cells"] = 100.0, 1000
@@ -545,12 +539,12 @@ def _refinement_orders_check(report: RunReport, cfg: RunConfig, say) -> None:
     orders, _ = _orders(errors)
     lor = orders["lorenz_residual"][-1]
     chg = orders["charge_drift"][-1]
-    report.add("lorenz_order", "Lorenz residual refinement order >= 1.8",
-               lor, 1.8, np.isfinite(lor) and lor >= 1.8,
-               detail=f"residuals {errors['lorenz_residual']}")
-    report.add("charge_order", "charge drift refinement order >= 1.8",
-               chg, 1.8, np.isfinite(chg) and chg >= 1.8,
-               detail=f"drifts {errors['charge_drift']}")
+    return [Check("lorenz_order", "Lorenz residual refinement order >= 1.8",
+                  lor, 1.8, np.isfinite(lor) and lor >= 1.8,
+                  detail=f"residuals {errors['lorenz_residual']}"),
+            Check("charge_order", "charge drift refinement order >= 1.8",
+                  chg, 1.8, np.isfinite(chg) and chg >= 1.8,
+                  detail=f"drifts {errors['charge_drift']}")]
 
 
 def _emit(out_dir, chash, cfg, log, frame, table, interior_rows, env_rows, report):

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from mkglab.cli import main as cli_main
 from mkglab.config import (ConfigError, default_config, dump_config,
                            parse_config, run_config_hash)
 from mkglab.core import Weights
-from mkglab.evolution import EvolutionUnstable, SchemeParams
+from mkglab.evolution import EvolutionUnstable, SchemeParams, time_grid
 from mkglab.grid import RadialGrid
-from mkglab.pipeline import (RunReport, agreement_check, convergence_study,
+from mkglab.pipeline import (Check, agreement_check, convergence_study,
                              mms_check, run_pipeline)
 
 SMALL = """
@@ -38,6 +40,28 @@ t_fracs = 0.3, 0.5, 0.65, 0.8, 0.9, 1.0
 [interior]
 y_list = 0.1, 0.3, 0.5
 t_list = 15, 30, 45
+"""
+
+
+# 620 steps at monitor_stride 40: the last step is observed off the stride
+STRIDE_OFF = (SMALL.replace("t_end = 48.0", "t_end = 31.0")
+              .replace("monitor_stride = 10", "monitor_stride = 40")
+              .replace("t_list = 15, 30, 45", "t_list = 10, 20, 30"))
+
+# y t = 27 lies beyond r_max = 20
+BEYOND_GRID = """
+[grid]
+r_max = 20.0
+n_cells = 200
+[scheme]
+t_end = 30.0
+[extraction]
+q_rays = 0
+q_min = -5.0
+q_max = 5.0
+[interior]
+y_list = 0.9
+t_list = 30
 """
 
 
@@ -93,10 +117,23 @@ class TestParseConfig:
         ("[data]\nfamily = file\nphi0_file = /nonexistent\n", "data.family"),
         ("[data]\nphidot_file = /nonexistent\n", "data.phidot_file"),
         ("[data]\nfamily = polygauss\npower = 1\n", "data.family"),
+        (STRIDE_OFF.replace("q_rays = -5, 0, 5", "q_rays = -12, 0")
+         .replace("q_min = -10.0", "q_min = -5.0"),
+         "extraction.q_rays entry -12.0 lies below extraction.q_min"),
+        (BEYOND_GRID, "interior.y_list entry 0.9 times interior.t_list entry 30.0"),
     ])
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config(text)
+
+    def test_interior_point_allows_for_a_late_slice(self):
+        # y t = r_max exactly, but the slice at t may be captured dt / 2 late
+        text = BEYOND_GRID.replace("y_list = 0.9", "y_list = 0.5") \
+            .replace("r_max = 20.0", "r_max = 15.0")
+        with pytest.raises(ConfigError, match=r"\(\+ dt/2 = 0\.01875\) lies "
+                                              r"beyond grid\.r_max = 15\.0"):
+            parse_config(text)
+        parse_config(text.replace("t_list = 30", "t_list = 29.9"))
 
     @settings(max_examples=300, deadline=None)
     @given(r_max=hst.integers(-2, 200).map(lambda k: k / 4),
@@ -286,6 +323,70 @@ class TestChecksThatCannotRun:
         assert not rep["all_passed"]
 
 
+# the checks a run without the module checks reports, in order
+RUN_CHECK_IDS = ["lorenz_stability", "charge_conservation", "AL_limit",
+                 "phi0_cauchy", "charge_phase_slope", "albar_log_correlation",
+                 "albar_mod_cauchy", "interior_limit", "envelope_stability"]
+
+
+@hst.composite
+def tiny_configs(draw) -> str:
+    """A config on a tiny grid, drawn over the keys that decide the run's
+    steps, slices, rays and interior points."""
+    def entries(values, lo=0, hi=3) -> str:
+        return ", ".join(repr(v) for v in draw(hst.lists(values, min_size=lo,
+                                                         max_size=hi)))
+
+    r_max = draw(hst.integers(8, 30).map(float))
+    n_cells = draw(hst.integers(16, 64))
+    t_end = draw(hst.integers(1, 2 * int(r_max)).map(float))
+    q_min = draw(hst.integers(-int(r_max), 0).map(float))
+    cfl = draw(hst.integers(3, 9)) / 10
+    stride = draw(hst.integers(1, 50))
+    q_rays = entries(hst.integers(-int(r_max), int(r_max)).map(float))
+    q_max = q_min + draw(hst.integers(1, int(r_max)))
+    q_spacing = draw(hst.integers(1, 4))
+    stencil_spacing = draw(hst.integers(1, 3))
+    t_fracs = entries(hst.integers(1, 20).map(lambda k: k / 20), 2, 4)
+    y_list = entries(hst.integers(1, 19).map(lambda k: k / 20))
+    t_list = entries(hst.integers(1, int(t_end)).map(float))
+    return (f"[grid]\nr_max = {r_max!r}\nn_cells = {n_cells}\n"
+            "[data]\namplitude = 0.05\n"
+            f"[scheme]\ncfl = {cfl!r}\nt_end = {t_end!r}\nmonitor_stride = {stride}\n"
+            f"[extraction]\nq_rays = {q_rays}\nq_min = {q_min!r}\nq_max = {q_max!r}\n"
+            f"q_spacing_cells = {q_spacing}\nstencil_spacing_cells = {stencil_spacing}\n"
+            f"t_fracs = {t_fracs}\n"
+            f"[interior]\ny_list = {y_list}\nt_list = {t_list}\n")
+
+
+class TestAcceptedConfigsRun:
+    @settings(max_examples=150, deadline=None)
+    @given(text=tiny_configs())
+    def test_rejected_or_runs_to_the_end(self, text):
+        """parse_config rejects the config, or its run reaches t_end,
+        captures every requested slice and reports every check."""
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        results, run_evolve = [], pipeline.evolve
+
+        def evolve(*args):
+            results.append(run_evolve(*args))
+            return results[-1]
+
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(pipeline, "evolve", evolve):
+            report = run_pipeline(cfg, out_dir=out, module_checks=False)
+        result, = results
+        assert result.final.t == pytest.approx(cfg.scheme["t_end"], rel=1e-12)
+        requested = {round(f * cfg.scheme["t_end"], 10)
+                     for f in cfg.extraction["t_fracs"]}
+        requested |= set(cfg.interior["t_list"])
+        assert set(result.slices) == requested
+        assert [c.id for c in report.checks] == RUN_CHECK_IDS
+
+
 class TestConvergenceStudy:
     def test_orders_and_flags(self):
         cfg = parse_config(SMALL)
@@ -315,12 +416,11 @@ class TestRefinementOrdersCheck:
             raise EvolutionUnstable("stopped once the scheme is recorded")
 
         monkeypatch.setattr(pipeline, "evolve", evolve)
-        report = RunReport(config_hash="", charge_Q=0.0)
-        pipeline._refinement_orders_check(report, parse_config(SMALL),
-                                          lambda msg: None)
+        rows = pipeline._refinement_orders_check(parse_config(SMALL),
+                                                 lambda msg: None)
         assert linear == [False, False, False]
-        assert [c.id for c in report.checks] == ["lorenz_order", "charge_order"]
-        assert not any(c.passed for c in report.checks)
+        assert [c.id for c in rows] == ["lorenz_order", "charge_order"]
+        assert not any(c.passed for c in rows)
 
 
 class TestCLI:
@@ -333,6 +433,24 @@ class TestCLI:
         assert (tmp_path / "out" / "report.json").exists()
         code2 = cli_main(["report", str(tmp_path / "out")])
         assert code2 == code
+
+    def test_run_and_converge_off_the_monitor_stride(self, tmp_path, capsys):
+        # the last step is observed off the stride; the rays are not
+        cfgfile = tmp_path / "stride.cfg"
+        cfgfile.write_text(STRIDE_OFF)
+        n_steps, _ = time_grid(31.0, 0.5 * 0.1)
+        assert n_steps % 40 != 0
+        assert cli_main(["run", str(cfgfile), "--quick",
+                         "--out", str(tmp_path / "out")]) in (0, 1)
+        assert not (tmp_path / "out" / "FAILED").exists()
+        last = (tmp_path / "out" / "monitors.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(31.0)
+        capsys.readouterr()
+        assert cli_main(["converge", str(cfgfile), "--levels", "2"]) in (0, 1)
+        out = capsys.readouterr().out
+        study = json.loads(out[out.index("{"):])
+        assert all(info["status"] == "ok" for info in study["levels"])
+        assert all(e > 0.0 for e in study["errors"]["frame_identity"])
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -367,9 +485,10 @@ class TestCLI:
                                                          monkeypatch, capsys):
         # the kernel checks draw before the agreement check; the stubbed
         # ladder, free-wave and asymptotic-system checks draw nothing
-        for name in ("_free_wave_order_check", "_refinement_orders_check",
-                     "_asys_checks"):
-            monkeypatch.setattr(pipeline, name, lambda *args: None)
+        monkeypatch.setattr(pipeline, "_free_wave_order_check",
+                            lambda *args: Check("free_wave_order", "", 0.0, 0.0, True))
+        for name in ("_refinement_orders_check", "_asys_checks"):
+            monkeypatch.setattr(pipeline, name, lambda *args: [])
         report = run_pipeline(parse_config(SMALL), out_dir=str(tmp_path))
         row = next(c.row() for c in report.checks if c.id == "oracle_agreement")
         capsys.readouterr()

@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from mkglab.core import FieldState, current
 from mkglab.data_builder import (CutoffChi, FreeData, _cumulative_moment,
                                  assemble_state, build_admissible,
-                                 compute_charge, solve_a0, subtract_charge_tail,
-                                 weighted_norm)
+                                 compute_charge, coulomb_tail, solve_a0,
+                                 subtract_charge_tail, weighted_norm)
 from mkglab.grid import RadialGrid, divergence_radial, simpson_integral
 
 
@@ -201,6 +201,16 @@ class TestSubtractChargeTail:
         out = subtract_charge_tail(st, grid, 123.0)
         i = int(round(0.25 / grid.h))
         assert out.a0[i] == 0.0
+
+    def test_coulomb_tail_at_points(self):
+        # the frame identity evaluates the tail along a ray, t and r varying
+        t = np.array([0.0, 0.0, 5.0, 5.0, 5.0])
+        r = np.array([0.0, 2.0, 5.25, 5.75, 7.0])
+        tail = coulomb_tail(t, r, 4 * np.pi)
+        chi = CutoffChi()
+        assert tail[0] == 0.0 and tail[2] == 0.0
+        assert tail[[1, 3, 4]] == pytest.approx(chi(r - t)[[1, 3, 4]] / r[[1, 3, 4]],
+                                                rel=1e-15)
 
     def test_improved_exterior_decay(self, grid):
         # after subtraction, |a0^1| r^2 bounded where chi = 1 (r - t >= 1)

@@ -194,17 +194,21 @@ class TestInteriorLimitCheck:
         grid = RadialGrid(100.0, 500)
         slices = {t: FieldState.zeros(grid, t=t) for t in (50.0, 80.0)}
         src = AsymSource(q_grid=np.linspace(-1, 1, 11), j=np.zeros(11))
-        rows = interior_limit_check(slices, grid, src, [0.3], [50.0, 80.0])
+        rows = interior_limit_check(list(slices.values()), grid, src, [0.3])
         assert all(r["abs_err0"] == 0.0 for r in rows)
 
-    def test_missing_slice_raises(self):
+    def test_rows_follow_the_slice_sequence(self):
+        # y outer, the slices inner in the order given; a repeated slice
+        # gives a repeated row
         from mkglab.core import FieldState
         from mkglab.grid import RadialGrid
         grid = RadialGrid(100.0, 500)
-        slices = {t: FieldState.zeros(grid, t=t) for t in (50.0, 80.0)}
+        early, late = (FieldState.zeros(grid, t=t) for t in (50.0, 80.0))
         src = AsymSource(q_grid=np.linspace(-1, 1, 11), j=np.zeros(11))
-        with pytest.raises(ValueError, match="t = 100.0.*t = 80.0"):
-            interior_limit_check(slices, grid, src, [0.3], [50.0, 100.0])
+        rows = interior_limit_check([late, early, late], grid, src, [0.3, 0.5])
+        assert [(r["y"], r["t"]) for r in rows] == [
+            (0.3, 80.0), (0.3, 50.0), (0.3, 80.0),
+            (0.5, 80.0), (0.5, 50.0), (0.5, 80.0)]
 
     def test_coulomb_interior_matches_K(self):
         # static a0 = Q/(4 pi r) capped: t*a0(t, yt) = Q/(4 pi y t) * t;
@@ -222,7 +226,7 @@ class TestInteriorLimitCheck:
             st.a0 = prof(grid.r)
             slices[t] = st
         src = AsymSource(q_grid=np.linspace(-1, 1, 11), j=np.zeros(11))
-        rows = interior_limit_check(slices, grid, src, [0.4], [100.0, 150.0])
+        rows = interior_limit_check(list(slices.values()), grid, src, [0.4])
         for r in rows:
             expected = r["t"] * Q / (4 * np.pi * 0.4 * r["t"])
             assert r["tA0_sim"] == pytest.approx(expected, rel=1e-8)
