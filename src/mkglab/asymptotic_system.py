@@ -15,14 +15,22 @@ grow linearly in s with s-independent rates.  These exact features are
 what the weak-null certificate measures.
 
 integrate() works a block of steps at a time.  P needs neither B nor Phi,
-so each RK4 step marches P alone and keeps its four stage inputs in a
-(steps, 4, nq) block; P's arithmetic is the plain per-step RK4.  Phi and
-the drive Im(Phi conj P) of every stage in the block then come from one
-batched call, and B advances by (L_mu/2) (ds/6)(d1 + 2 d2 + 2 d3 + d4) per
-step through a running sum of those drives.  The march takes whole steps
-only: s_target must lie n * ds from the start, to 1e-9 relative as in
-evolution.time_grid, or integrate raises ValueError naming the nearest
-end it can reach.
+so each RK4 step marches P alone, in preallocated buffers, with the
+arithmetic of the plain per-step RK4.  The B drive Im(Phi conj Y) is taken
+at the rows a step stores, for all steps of a block in one batched call,
+and B advances through a running sum of the weighted drives.  In the
+standard mode a step stores one row, its P: the slope c P (c = -i A_L) is
+linear, so each stage input is alpha_j P with alpha_0 = 1,
+alpha_1 = 1 + (ds/2) c, alpha_2 = 1 + (ds/2) c alpha_1 and
+alpha_3 = 1 + ds c alpha_2; Phi is linear in P, so stage j's drive is
+|alpha_j|^2 Im(Phi(P) conj P), and the RK4 sum
+(ds/6)(d1 + 2 d2 + 2 d3 + d4) is that one drive times
+(ds/6)(1 + 2|alpha_1|^2 + 2|alpha_2|^2 + |alpha_3|^2), exact up to
+rounding.  The negative control's slope is nonlinear, so it stores all
+four stage inputs and weights their drives by (ds/6)(1, 2, 2, 1).  The
+march takes whole steps only: s_target must lie n * ds from the start, to
+1e-9 relative as in evolution.time_grid, or integrate raises ValueError
+naming the nearest end it can reach.
 """
 from __future__ import annotations
 
@@ -109,8 +117,9 @@ def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarr
     return out
 
 
-# RK4 steps whose stage drives are reduced in one batched call
-_CHUNK = 4
+# stage rows whose drives are reduced in one batched call: 16 steps of one
+# row (standard) or 4 steps of four (non_null_control)
+_CHUNK = 16
 # the most RK4 steps one march may take (integrate refuses more)
 _MAX_STEPS = 10 ** 7
 
@@ -141,13 +150,37 @@ def _step_count(s0: float, s_target: float, ds: float) -> int:
     return n
 
 
-def _slope(P: np.ndarray, c: complex, source_mode: str, out: np.ndarray) -> None:
-    """d_s P into out: -i A_L P, or the negative control -i |P| P."""
+def _slope(y: np.ndarray, c: np.ndarray, source_mode: str, out: np.ndarray,
+           absy: np.ndarray) -> None:
+    """d_s P into out: -i A_L P, or the negative control -i |P| P.
+
+    c is -i A_L as a 0-d array; absy is a real buffer for |P|.
+    """
     if source_mode == "standard":
-        np.multiply(c, P, out=out)
+        np.multiply(c, y, out)
     else:
         # negative control, not the physical system: phase speed |P|
-        np.multiply(-1j * np.abs(P), P, out=out)
+        np.abs(y, absy)
+        np.multiply(-1j, absy, out)
+        np.multiply(out, y, out)
+
+
+def _drive_rows(A_L: float, ds: float, source_mode: str):
+    """(weights, scale): a step's B drive is scale * sum_j weights[j] d_j
+    over the rows it stores, d_j = Im(Phi conj Y_j).
+
+    Standard: every stage input is alpha_j P, so its drive is |alpha_j|^2
+    that of P and one row (P itself) carries the step.  The control's
+    slope is nonlinear in P, so it keeps all four rows.
+    """
+    if source_mode == "standard":
+        c = -1j * A_L
+        a1 = 1.0 + 0.5 * ds * c
+        a2 = 1.0 + 0.5 * ds * c * a1
+        a3 = 1.0 + ds * c * a2
+        return (1.0,), ds / 6.0 * (1.0 + 2.0 * abs(a1) ** 2
+                                   + 2.0 * abs(a2) ** 2 + abs(a3) ** 2)
+    return (1.0, 2.0, 2.0, 1.0), ds / 6.0
 
 
 def integrate(state: AsymState, s_target: float, ds: float,
@@ -164,43 +197,74 @@ def integrate(state: AsymState, s_target: float, ds: float,
     n = _step_count(state.s, s_target, ds)
     half_L = 0.5 * null_vector_lower(state.omega)[:, None]
     q = state.q_grid
-    c = -1j * state.A_L_param
+    nq = len(q)
+    weights, scale = _drive_rows(state.A_L_param, ds, source_mode)
+    rows = len(weights)
+    # the march's scalars as 0-d complex arrays, the cheapest operand form
+    # for a ufunc call; they give the same products as Python scalars
+    c, hds, fds, ds6, two = (np.array(x, dtype=complex) for x in
+                             (-1j * state.A_L_param, 0.5 * ds, ds, ds / 6.0, 2.0))
     P = state.P.copy()
-    drive_sum = np.zeros(len(q))
+    drive_sum = np.zeros(nq)
     history = []
     if record_every:
         history.append(replace(state, P=P.copy(), B=state.B.copy()))
-    m = max(1, min(_CHUNK, n))
-    Y = np.empty((m, 4, len(q)), dtype=complex)     # stage inputs per step
-    K = np.empty((4, len(q)), dtype=complex)        # stage slopes
+    m = max(1, min(_CHUNK // rows, n))
+    Y = np.empty((m, rows, nq), dtype=complex)      # stored stage rows per step
     Phi = np.empty_like(Y)
-    work = np.empty((m, 4, len(q) - 1), dtype=complex)
+    work = np.empty((m, rows, nq - 1), dtype=complex)
+    W = np.empty((2, m, nq))                        # drive per step, a term
+    K = tuple(np.empty((4, nq), dtype=complex))     # stage slopes
+    T = np.empty(nq, dtype=complex)
+    absy = np.empty(nq)
+    # per step: the row P is stored to and the buffers of the three later
+    # stage inputs, which are Y's other rows when it stores them
+    X = tuple(np.empty((3, nq), dtype=complex))
+    slots = [tuple(Y[i]) if rows == 4 else (Y[i, 0],) + X for i in range(m)]
     for k0 in range(0, n, m):
         steps = min(m, n - k0)
         recorded = []
         for i in range(steps):
-            y = Y[i]
-            y[0] = P
-            _slope(y[0], c, source_mode, K[0])
-            np.add(P, 0.5 * ds * K[0], out=y[1])
-            _slope(y[1], c, source_mode, K[1])
-            np.add(P, 0.5 * ds * K[1], out=y[2])
-            _slope(y[2], c, source_mode, K[2])
-            np.add(P, ds * K[2], out=y[3])
-            _slope(y[3], c, source_mode, K[3])
-            P = P + ds / 6.0 * (K[0] + 2.0 * K[1] + 2.0 * K[2] + K[3])
+            p, y1, y2, y3 = slots[i]
+            np.copyto(p, P)
+            _slope(P, c, source_mode, K[0], absy)
+            np.multiply(K[0], hds, T)
+            np.add(P, T, y1)
+            _slope(y1, c, source_mode, K[1], absy)
+            np.multiply(K[1], hds, T)
+            np.add(P, T, y2)
+            _slope(y2, c, source_mode, K[2], absy)
+            np.multiply(K[2], fds, T)
+            np.add(P, T, y3)
+            _slope(y3, c, source_mode, K[3], absy)
+            # P += ds/6 (K0 + 2 K1 + 2 K2 + K3), summed left to right
+            np.multiply(K[1], two, T)
+            np.add(K[0], T, T)
+            np.multiply(K[2], two, K[2])
+            np.add(T, K[2], T)
+            np.add(T, K[3], T)
+            np.multiply(T, ds6, T)
+            np.add(P, T, P)
             k = k0 + i + 1
             if record_every and (k % record_every == 0 or k == n):
                 recorded.append((i, k, P.copy()))
-        # d_s B = (L/2) Im(Phi conj P) at all 4 * steps stage inputs at once;
-        # Y is conjugated in place, the next block overwrites it
+        # d_s B = (L/2) Im(Phi conj Y) at all rows * steps stored rows at
+        # once; Y is conjugated in place, the next block overwrites it
         Ys, Phis = Y[:steps], Phi[:steps]
         _cum_from_top(Ys, q, out=Phis, work=work[:steps])
         d = np.multiply(Phis, np.conjugate(Ys, out=Ys), out=Phis).imag
-        w = ds / 6.0 * (d[:, 0] + 2.0 * d[:, 1] + 2.0 * d[:, 2] + d[:, 3])
+        w, term = W[0, :steps], W[1, :steps]
+        np.copyto(w, d[:, 0])
+        for j in range(1, rows):
+            np.multiply(d[:, j], weights[j], term)
+            np.add(w, term, w)
+        np.multiply(w, scale, w)
+        # running sum over the steps, row by row: np.cumsum along axis 0
+        # takes twice as long at these sizes, with the same additions
         w[0] += drive_sum
-        np.cumsum(w, axis=0, out=w)
-        drive_sum = w[-1]
+        for prev, row in zip(w[:-1], w[1:]):
+            np.add(prev, row, row)
+        np.copyto(drive_sum, w[-1])
         for i, k, Pk in recorded:
             history.append(replace(state, s=state.s + k * ds, P=Pk,
                                    B=state.B + half_L * w[i]))

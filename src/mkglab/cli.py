@@ -2,7 +2,7 @@
 
 Subcommands:
     run <config>              full pipeline, outputs + report
-    converge <config> -N     refinement study
+    converge <config> -N     refinement study (JSON on stdout, progress on stderr)
     oracle <case>             wave-oracle self tests (mms|agreement|positivity|all)
     asys <config>             asymptotic-system run + weak-null certificate
     report <dir>              re-render a stored report
@@ -58,7 +58,9 @@ def cmd_run(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    study = convergence_study(cfg, levels=args.levels, progress=print)
+    # stdout holds only the study's JSON; the per-level progress goes to stderr
+    study = convergence_study(cfg, levels=args.levels,
+                              progress=lambda msg: print(msg, file=sys.stderr))
     print(json.dumps(study, indent=1, default=str))
     ok = not study["flags"] and all(
         info.get("status") == "ok" for info in study["levels"])

@@ -447,8 +447,10 @@ class TestCLI:
         assert float(last.split(",")[0]) == pytest.approx(31.0)
         capsys.readouterr()
         assert cli_main(["converge", str(cfgfile), "--levels", "2"]) in (0, 1)
-        out = capsys.readouterr().out
-        study = json.loads(out[out.index("{"):])
+        # stdout is the study's JSON alone; the level progress is on stderr
+        captured = capsys.readouterr()
+        study = json.loads(captured.out)
+        assert "level" in captured.err
         assert all(info["status"] == "ok" for info in study["levels"])
         assert all(e > 0.0 for e in study["errors"]["frame_identity"])
 
