@@ -58,6 +58,27 @@ def _unit(v):
 
 
 class TestAgainstPerStepRK4:
+    @pytest.mark.parametrize("source_mode", ["standard", "non_null_control"])
+    @pytest.mark.parametrize("record_every", [None, 7])
+    @pytest.mark.parametrize("omega", [(0.0, 0.0, 1.0), (0.36, 0.48, 0.8)])
+    def test_same_march(self, source_mode, record_every, omega):
+        q = np.linspace(-6.0, 6.0, 241)
+        st = AsymState.from_phi0(q, np.exp(-q ** 2) * (q / 2.0 + 0.25j), 1.3,
+                                 omega=omega)
+        # 45 steps: whole blocks, a ragged last block, 7 not dividing 45
+        got, got_hist = integrate(st, 0.45, 1e-2, source_mode, record_every)
+        ref, ref_hist = per_step_rk4(st, 0.45, 1e-2, source_mode, record_every)
+        # continue from a state whose B is already nonzero
+        got2, _ = integrate(got, 0.6, 1e-2, source_mode)
+        ref2, _ = per_step_rk4(ref, 0.6, 1e-2, source_mode)
+        pairs = list(zip(got_hist, ref_hist)) + [(got, ref), (got2, ref2)]
+        assert len(got_hist) == len(ref_hist)
+        for a, b in pairs:
+            assert a.s == b.s
+            assert np.array_equal(a.P, b.P)
+            assert np.max(np.abs(a.B - b.B)) <= 1e-14 * np.max(np.abs(b.B))
+        assert np.max(np.abs(got2.B)) > 0.0
+
     @settings(max_examples=150, deadline=None)
     @given(nq=hst.integers(3, 300),
            amplitude=hst.one_of(hst.just(0.0), hst.floats(0.1, 10.0)),
@@ -71,7 +92,7 @@ class TestAgainstPerStepRK4:
            n2=hst.integers(1, 3 * _CHUNK + 1),
            record_every=hst.one_of(hst.none(), hst.integers(1, 50)),
            source_mode=hst.sampled_from(["standard", "non_null_control"]))
-    def test_same_march(self, nq, amplitude, a_l, omega, n1, n2, record_every,
+    def test_same_march_drawn(self, nq, amplitude, a_l, omega, n1, n2, record_every,
                         source_mode):
         ds = 1e-2
         # the spacing of a 241-point grid on [-6, 6], for every nq: on a
