@@ -66,16 +66,10 @@ _SCHEMA = {
         "q_max": (float, 30.0),
         "q_spacing_cells": (int, 2),
         "t_fracs": (list, [0.3125, 0.5, 0.65, 0.8, 0.9, 1.0]),
-        "stencil_spacing_cells": (int, 2),
-        "domain_frac": (float, 0.95),
     },
     "interior": {
         "y_list": (list, [0.1, 0.3, 0.5]),
         "t_list": (list, [100.0, 200.0, 300.0]),
-    },
-    "tolerances": {
-        "al_limit_rel": (float, 0.05),
-        "interior_rel": (float, 0.10),
     },
     "output": {
         "directory": (str, "out"),
@@ -92,7 +86,6 @@ class RunConfig:
     scheme: dict = field(default_factory=dict)
     extraction: dict = field(default_factory=dict)
     interior: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
 
     def section(self, name: str) -> dict:
@@ -132,16 +125,16 @@ def parse_config(text: str) -> RunConfig:
             section = stripped[1:-1].strip()
             if section not in _SCHEMA:
                 errors.append(f"line {lineno}: unknown section [{section}]")
-                section = None
             continue
         if "=" not in stripped:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         if section is None:
-            errors.append(f"line {lineno}: key outside any known section")
+            errors.append(f"line {lineno}: key outside any section")
             continue
         key, raw = (tok.strip() for tok in stripped.split("=", 1))
-        if key not in _SCHEMA[section]:
+        # a key of an unknown section is named too, with its line
+        if key not in _SCHEMA.get(section, ()):
             errors.append(f"line {lineno}: unknown key {section}.{key}")
             continue
         if (section, key) in seen:
@@ -184,16 +177,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
             errs.append(f"extraction.q_spacing_cells * r_max / n_cells = {dq} "
                         f"exceeds q_max - q_min = {ext['q_max'] - ext['q_min']} "
                         "(the radiation table needs two q nodes)")
-    if ext["stencil_spacing_cells"] < 1:
-        errs.append("extraction.stencil_spacing_cells must be >= 1, got "
-                    f"{ext['stencil_spacing_cells']}")
     if not all(0.0 < f <= 1.0 for f in ext["t_fracs"]):
         errs.append("extraction.t_fracs must lie in (0, 1]")
     if len(set(ext["t_fracs"])) < 2:
         errs.append("extraction.t_fracs needs at least two distinct entries "
                     f"(the radiation table needs two slices), got {ext['t_fracs']}")
-    if not (0.0 < ext["domain_frac"] <= 1.0):
-        errs.append("extraction.domain_frac must lie in (0, 1]")
     if ext["q_rays"] and min(ext["q_rays"]) < ext["q_min"]:
         errs.append(f"extraction.q_rays entry {min(ext['q_rays'])} lies below "
                     f"extraction.q_min = {ext['q_min']}, where the radiation table starts")

@@ -85,16 +85,18 @@ import numpy as np
 
 from .core import FieldState, _current_ops, current, field_strength
 from .data_builder import coulomb_tail
-from .grid import (EVEN, RadialGrid, _d_r_ops, _row_d_r_origin, _row_lap_origin,
-                   _row_sommerfeld, _three_point_ops, d_r, divergence_radial,
-                   interp_values, simpson_integral)
+from .grid import (DOMAIN_FRAC, EVEN, RadialGrid, _d_r_ops, _row_d_r_origin,
+                   _row_lap_origin, _row_sommerfeld, _three_point_ops, d_r,
+                   divergence_radial, interp_values, simpson_integral)
 
 # evolve() stops when a field's sup norm exceeds this factor times its
 # initial scale (plus 1, to tolerate zero data)
 _GUARD_FACTOR = 1e6
-# each ray is sampled on 2 * _RAY_HALF + 1 radii; the outermost offsets,
-# +-_RAY_HALF stencil spacings, decide which samples fit in the domain
+# each ray is sampled on 2 * _RAY_HALF + 1 radii _RAY_SPACING_CELLS cells
+# apart; the outermost offsets, +-_RAY_HALF spacings, decide which samples
+# fit in the domain
 _RAY_HALF = 2
+_RAY_SPACING_CELLS = 2
 
 
 class EvolutionUnstable(RuntimeError):
@@ -133,11 +135,9 @@ class ObservationPlan:
     """What evolve() records along the way."""
 
     ray_qs: tuple = ()            # retarded coordinates of sampled rays
-    stencil_spacing_cells: int = 2
     snapshot_every: int = 1       # snapshots every this many monitor events
     snapshot_subsample: int = 4   # keep every k-th node in snapshots
     slice_times: tuple = ()       # full-resolution FieldState copies
-    ray_domain_frac: float = 0.95
 
 
 @dataclass
@@ -588,7 +588,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     ws = Workspace(grid)
     state = ws.load(initial)        # stepped in place; copied out below
     log = MonitorLog()
-    dlt = plan.stencil_spacing_cells * grid.h
+    dlt = _RAY_SPACING_CELLS * grid.h
     offsets = dlt * np.arange(-_RAY_HALF, _RAY_HALF + 1)
     rays = {q: RayHistory(q=q, offsets=offsets) for q in plan.ray_qs}
     snapshots: list[Snapshot] = []
@@ -614,7 +614,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         for q, hist in (rays.items() if on_stride else ()):
             x = state.t + q
             pts = x + offsets
-            if pts[0] <= 2.0 * dlt or pts[-1] >= plan.ray_domain_frac * grid.r_max:
+            if pts[0] <= 2.0 * dlt or pts[-1] >= DOMAIN_FRAC * grid.r_max:
                 continue
             hist.times.append(state.t)
             hist.r0.append(x)

@@ -28,6 +28,10 @@ import numpy as np
 EVEN = +1
 ODD = -1
 
+# ray samples and radiation-table points lie below this fraction of r_max,
+# clear of the outer boundary rows
+DOMAIN_FRAC = 0.95
+
 
 @dataclass(frozen=True)
 class RadialGrid:

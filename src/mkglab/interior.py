@@ -138,18 +138,12 @@ def angular_kernel_vector(a, x_norm):
     return val[()]
 
 
-def angular_kernel_quadrature(a: float, x_norm: float, abs_tol: float = 1e-8,
-                              vector: bool = False) -> float:
-    """Independent S^2 product-quadrature path for the kernel integrals."""
+def angular_kernel_quadrature(a: float, x_norm: float,
+                              abs_tol: float = 1e-8) -> float:
+    """Independent S^2 product-quadrature path for angular_kernel_integral."""
     x = np.array([0.0, 0.0, x_norm])
-
-    def f(omega):
-        ker = 1.0 / (a - omega @ x)
-        if vector:
-            return omega[:, 2] * ker
-        return ker
-
-    return sphere_integral_adaptive(f, abs_tol=abs_tol)
+    return sphere_integral_adaptive(lambda omega: 1.0 / (a - omega @ x),
+                                    abs_tol=abs_tol)
 
 
 def K_mu(y_norm: float, source: AsymSource) -> tuple[float, float]:
@@ -159,7 +153,8 @@ def K_mu(y_norm: float, source: AsymSource) -> tuple[float, float]:
         K_0 = -(M / 2|y|) ln((1+|y|)/(1-|y|)),
         K_r = (M/4pi) * [2 pi (-2/|y| + ln(..)/|y|^2)].
     The S^2 integrals are angular_kernel_integral and angular_kernel_vector
-    at a = 1; angular_kernel_quadrature is their independent cross check.
+    at a = 1; angular_kernel_quadrature is the scalar one's independent
+    cross check.
     """
     if not (0.0 <= y_norm < 1.0):
         raise ValueError(f"K_mu needs |y| < 1, got {y_norm}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import jbracket
-from .grid import RadialGrid, interp_values
+from .grid import DOMAIN_FRAC, RadialGrid, interp_values
 from .quadrature import integrate_log_kernel
 
 
@@ -72,13 +72,12 @@ class RadiationTable:
         return -0.5 * self.J_Lbar
 
 
-def _in_domain(x, grid: RadialGrid, domain_frac: float):
-    """Whether radii x lie in the extraction domain 4h < x < domain_frac r_max."""
-    return (x > 4.0 * grid.h) & (x < domain_frac * grid.r_max)
+def _in_domain(x, grid: RadialGrid):
+    """Whether radii x lie in the extraction domain 4h < x < DOMAIN_FRAC r_max."""
+    return (x > 4.0 * grid.h) & (x < DOMAIN_FRAC * grid.r_max)
 
 
-def sample_ray(slices: dict, grid: RadialGrid, q: float,
-               domain_frac: float = 0.95) -> RaySample:
+def sample_ray(slices: dict, grid: RadialGrid, q: float) -> RaySample:
     """Build a RaySample from stored full-resolution time slices.
 
     slices: mapping {label: FieldState}; every slice is interpolated at
@@ -88,7 +87,7 @@ def sample_ray(slices: dict, grid: RadialGrid, q: float,
     ts, rs, als, phis = [], [], [], []
     for st in sorted(slices.values(), key=lambda s: s.t):
         x = st.t + q
-        if not _in_domain(x, grid, domain_frac):
+        if not _in_domain(x, grid):
             continue
         a0 = float(interp_values(st.a0, grid, x)[0])
         ar = float(interp_values(st.ar, grid, x)[0])
@@ -225,8 +224,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
-                          q_grid: np.ndarray, domain_frac: float = 0.95,
-                          q_al: float = 0.0) -> RadiationTable:
+                          q_grid: np.ndarray, q_al: float = 0.0) -> RadiationTable:
     """Assemble the radiation table from late-time slices.
 
     Phi0 per q comes from the latest slice containing r = t + q, else from
@@ -240,16 +238,16 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
     Phi0 = np.zeros(len(q_grid), dtype=complex)
     for st in (prev, last):
         x = st.t + q_grid
-        ok = _in_domain(x, grid, domain_frac)
+        ok = _in_domain(x, grid)
         Phi0[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
                             charge_phase(Q, x[ok]))
     jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
-    ray = sample_ray(slices, grid, q_al, domain_frac)
+    ray = sample_ray(slices, grid, q_al)
     alerr = (extract_AL_limit(ray).err_est if len(ray.t) >= LIMIT_SAMPLES
              else np.inf)
     # modified A_Lbar at the last slice, on the q grid
     x = last.t + q_grid
-    ok = _in_domain(x, grid, domain_frac)
+    ok = _in_domain(x, grid)
     albar = interp_values(last.a0, grid, x[ok]) - interp_values(last.ar, grid, x[ok])
     mod = np.zeros(len(q_grid))
     mod[ok] = x[ok] * mod_ALbar(albar, q_grid, -0.5 * jlbar, last.t, x[ok],

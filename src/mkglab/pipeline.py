@@ -144,11 +144,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     interior_times = [float(t) for t in cfg.interior["t_list"]]
     plan = ObservationPlan(
         ray_qs=tuple(ext["q_rays"]),
-        stencil_spacing_cells=ext["stencil_spacing_cells"],
         snapshot_every=2,
         snapshot_subsample=max(1, grid.n_cells // 2000),
-        slice_times=tuple(sorted(set(frac_times + interior_times))),
-        ray_domain_frac=ext["domain_frac"])
+        slice_times=tuple(sorted(set(frac_times + interior_times))))
 
     n_steps, _ = time_grid(t_end, scheme.cfl * grid.h)
     say(f"[2/6] evolving to t={t_end} ({n_steps} steps)")
@@ -160,7 +158,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     lor = np.array(log.lorenz_residual_sup)
     qarr = np.array(log.charge_Q)
     earr = np.array(log.energy_E)
-    burn = tarr <= max(tarr[0], 0.05 * t_end)
+    # the burn-in window: the first 5% of the run, and at least the first
+    # monitor event after t = 0 (the residual at t = 0 may be exactly 0)
+    burn = tarr <= max(tarr[1], 0.05 * t_end)
     lor_base = float(np.max(lor[burn]))
     lor_sup = float(np.max(lor))
     report.monitor_summary = {
@@ -194,11 +194,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     dq = ext["q_spacing_cells"] * grid.h
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
     frac_slices = {t: result.slices[t] for t in frac_times}
-    table = build_radiation_table(frac_slices, grid, Q, q_grid,
-                                  domain_frac=ext["domain_frac"], q_al=central_q)
+    table = build_radiation_table(frac_slices, grid, Q, q_grid, q_al=central_q)
     report.extras["J_identity_residual"] = table.check_identity()
-    report.checks += _ray_limit_checks(frac_slices, grid, ext, Q,
-                                       cfg.tolerances["al_limit_rel"])
+    report.checks += _ray_limit_checks(frac_slices, grid, ext, Q)
     report.checks.append(_phase_slope_check(central, central_q, target))
     report.checks += _albar_checks(result, plan, table)
 
@@ -248,7 +246,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         seed = cfg.output["seed"]
         report.checks += [*_kernel_checks(seed), *_asys_checks(), mms_check(),
                           agreement_check(seed), logest1_check(),
-                          _free_wave_order_check(cfg),
+                          _free_wave_order_check(cfg, say),
                           *_refinement_orders_check(cfg, say)]
 
     # -- emission ------------------------------------------------------------
@@ -258,6 +256,10 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
 
 # ray samples the phase-slope and A_Lbar checks need on their ray
 _MIN_RAY_SAMPLES = 16
+# relative tolerances of the two asymptotic limits: r A_L -> Q/4pi along
+# the rays, and t A_0 -> K_0(y) inside the light cone
+_AL_LIMIT_TOL = 0.05
+_INTERIOR_TOL = 0.10
 
 
 def _cannot_run(q, times, needed: int) -> str | None:
@@ -270,14 +272,14 @@ def _cannot_run(q, times, needed: int) -> str | None:
     return None
 
 
-def _ray_limit_checks(slices, grid, ext, Q, al_tol) -> list[Check]:
+def _ray_limit_checks(slices, grid, ext, Q) -> list[Check]:
     """The r A_L limit and r phi Cauchy checks on every ray of q_rays."""
     target = Q / (4.0 * np.pi)
     al_rows = []
     phi0_rows = []
     short = None    # why the ray checks cannot run: the first short ray
     for qray in ext["q_rays"]:
-        ray = sample_ray(slices, grid, qray, domain_frac=ext["domain_frac"])
+        ray = sample_ray(slices, grid, qray)
         short = short or _cannot_run(qray, ray.t, LIMIT_SAMPLES)
         if short:
             continue
@@ -310,9 +312,10 @@ def _ray_limit_checks(slices, grid, ext, Q, al_tol) -> list[Check]:
     worst_ratio = np.nan if short else max((r["cauchy_ratio"] for r in phi0_rows),
                                            default=np.inf)
     return [
-        Check("AL_limit", f"r A_L limit matches Q/4pi to {al_tol:.0%} on every ray",
-              worst_al, al_tol,
-              worst_al < al_tol and all(r["decreasing"] for r in al_rows),
+        Check("AL_limit",
+              f"r A_L limit matches Q/4pi to {_AL_LIMIT_TOL:.0%} on every ray",
+              worst_al, _AL_LIMIT_TOL,
+              worst_al < _AL_LIMIT_TOL and all(r["decreasing"] for r in al_rows),
               detail=short or json.dumps(al_rows)),
         Check("phi0_cauchy",
               "phase-corrected r phi Cauchy: terminal increment < 20% of previous",
@@ -322,12 +325,11 @@ def _ray_limit_checks(slices, grid, ext, Q, al_tol) -> list[Check]:
 
 def _interior_check(rows, cfg, Q) -> Check:
     """t A_0 -> K_0(y) on the interior rows (interior_limit_check)."""
-    tol = cfg.tolerances["interior_rel"]
     desc = (f"t A_0 -> K_0(y): error decreasing in t, final rel err < "
-            f"{tol:.0%}, sign matches")
+            f"{_INTERIOR_TOL:.0%}, sign matches")
     if not rows:
         empty = next(key for key in ("t_list", "y_list") if not cfg.interior[key])
-        return Check("interior_limit", desc, np.nan, tol, False,
+        return Check("interior_limit", desc, np.nan, _INTERIOR_TOL, False,
                      detail=f"cannot run: interior.{empty} is empty")
     worst_final = 0.0
     monotone = True
@@ -339,8 +341,8 @@ def _interior_check(rows, cfg, Q) -> Check:
         k0 = sub[-1]["K0_pred"]
         worst_final = max(worst_final, abs(sub[-1]["abs_err0"] / k0) if k0 else np.inf)
     sign_ok = all((r["K0_pred"] < 0) == (Q < 0) or r["K0_pred"] == 0 for r in rows)
-    return Check("interior_limit", desc, worst_final, tol,
-                 monotone and worst_final < tol and sign_ok,
+    return Check("interior_limit", desc, worst_final, _INTERIOR_TOL,
+                 monotone and worst_final < _INTERIOR_TOL and sign_ok,
                  detail=f"monotone={monotone}, sign_ok={sign_ok}")
 
 
@@ -515,8 +517,11 @@ _SAMPLE_FRACS = [(0.2, 0.1), (0.2, 0.22), (0.5, 0.1), (0.5, 0.3), (0.5, 0.52),
                  (0.6, 0.58), (0.95, 0.9), (0.4, 0.38), (0.7, 0.1), (0.3, 0.28)]
 
 
-def _free_wave_order_check(cfg: RunConfig) -> Check:
-    """Criterion-1 free-wave convergence on a scaled (r_max=100) domain."""
+def _free_wave_order_check(cfg: RunConfig, say) -> Check:
+    """Criterion-1 free-wave convergence on a scaled (r_max=100) domain.
+
+    Each level's wall time is printed by say, not kept in the row, so that
+    two runs of one config write the same report."""
     errs, times = [], []
     scheme = replace(SchemeParams(**cfg.scheme), t_end=50.0)
     for n in (500, 1000, 2000):
@@ -524,10 +529,11 @@ def _free_wave_order_check(cfg: RunConfig) -> Check:
         t0 = time.time()
         errs.append(_free_wave_error(cfg, grid, scheme))
         times.append(time.time() - t0)
+        say(f"free-wave level n={n}: {times[-1]:.2f} s")
     orders = _orders({"free_wave": errs})[0]["free_wave"]
     return Check("free_wave_order", "free-wave convergence order = 2.0 +- 0.2",
                  orders[-1], 0.2, abs(orders[-1] - 2.0) <= 0.2 and max(times) < 60.0,
-                 detail=f"errors {errs}, orders {orders}, seconds {[f'{s:.2f}' for s in times]}")
+                 detail=f"errors {errs}, orders {orders}")
 
 
 def _refinement_orders_check(cfg: RunConfig, say) -> list[Check]:
@@ -614,8 +620,7 @@ def _coupled_ladder(cfg: RunConfig, levels: int, progress,
     errors.update(lorenz_residual=[], charge_drift=[], frame_identity=[])
     level_info = []
     scheme = SchemeParams(**cfg.scheme)
-    plan = ObservationPlan(ray_qs=(0.0,), snapshot_every=10 ** 9,
-                           stencil_spacing_cells=cfg.extraction["stencil_spacing_cells"])
+    plan = ObservationPlan(ray_qs=(0.0,), snapshot_every=10 ** 9)
     for lev in range(levels):
         n = cfg.grid["n_cells"] * (2 ** lev)
         say(f"level {lev}: n_cells = {n}")

@@ -105,8 +105,15 @@ class TestParseConfig:
             parse_config(txt)
 
     @pytest.mark.parametrize("text, key", [
-        ("[extraction]\nstencil_spacing_cells = 0\n",
-         "extraction.stencil_spacing_cells"),
+        # the knobs that became constants are unknown keys, named with their line
+        ("[extraction]\nstencil_spacing_cells = 2\n",
+         "line 2: unknown key extraction.stencil_spacing_cells"),
+        ("[grid]\nn_cells = 400\n[extraction]\ndomain_frac = 0.95\n",
+         "line 4: unknown key extraction.domain_frac"),
+        ("[tolerances]\nal_limit_rel = 0.05\n",
+         "line 2: unknown key tolerances.al_limit_rel"),
+        ("[tolerances]\n\ninterior_rel = 0.10\n",
+         "line 3: unknown key tolerances.interior_rel"),
         ("[data]\nwidth = 0\n", "data.width"),
         ("[extraction]\nt_fracs = 0.5\n", "extraction.t_fracs"),
         ("[interior]\nt_list = -5, 100\n", "interior.t_list"),
@@ -267,6 +274,17 @@ class TestRunPipeline:
                      "envelopes.csv", "report.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_lorenz_burn_in_holds_an_event_after_t0(self, tmp_path):
+        # STRIDE_OFF monitors every 2.0 time units, more than 5% of t_end
+        # (1.55), and its residual at t = 0 is 0: the burn-in window holds
+        # the event at t = 2 too, so the check divides by a measured level
+        report = run_pipeline(parse_config(STRIDE_OFF), out_dir=str(tmp_path),
+                              module_checks=False)
+        mon = report.monitor_summary
+        assert mon["lorenz_burn_in_max"] > 0.0
+        check = next(c for c in report.checks if c.id == "lorenz_stability")
+        assert check.measured == mon["lorenz_sup"] / mon["lorenz_burn_in_max"]
+
     def test_hand_built_config_validated(self, tmp_path):
         cfg = parse_config(SMALL)
         cfg.scheme["cfl"] = 1.5
@@ -346,7 +364,6 @@ def tiny_configs(draw) -> str:
     q_rays = entries(hst.integers(-int(r_max), int(r_max)).map(float))
     q_max = q_min + draw(hst.integers(1, int(r_max)))
     q_spacing = draw(hst.integers(1, 4))
-    stencil_spacing = draw(hst.integers(1, 3))
     t_fracs = entries(hst.integers(1, 20).map(lambda k: k / 20), 2, 4)
     y_list = entries(hst.integers(1, 19).map(lambda k: k / 20))
     t_list = entries(hst.integers(1, int(t_end)).map(float))
@@ -354,8 +371,7 @@ def tiny_configs(draw) -> str:
             "[data]\namplitude = 0.05\n"
             f"[scheme]\ncfl = {cfl!r}\nt_end = {t_end!r}\nmonitor_stride = {stride}\n"
             f"[extraction]\nq_rays = {q_rays}\nq_min = {q_min!r}\nq_max = {q_max!r}\n"
-            f"q_spacing_cells = {q_spacing}\nstencil_spacing_cells = {stencil_spacing}\n"
-            f"t_fracs = {t_fracs}\n"
+            f"q_spacing_cells = {q_spacing}\nt_fracs = {t_fracs}\n"
             f"[interior]\ny_list = {y_list}\nt_list = {t_list}\n")
 
 
@@ -367,7 +383,10 @@ class TestAcceptedConfigsRun:
         captures every requested slice and reports every check."""
         try:
             cfg = parse_config(text)
-        except ConfigError:
+        except ConfigError as exc:
+            # a key or section the schema lacks means the strategy has
+            # drifted from the schema, not a config that cannot run
+            assert "unknown" not in str(exc), exc
             return
         results, run_evolve = [], pipeline.evolve
 
@@ -421,6 +440,16 @@ class TestRefinementOrdersCheck:
         assert linear == [False, False, False]
         assert [c.id for c in rows] == ["lorenz_order", "charge_order"]
         assert not any(c.passed for c in rows)
+
+
+class TestFreeWaveOrderCheck:
+    def test_two_calls_return_equal_rows(self):
+        # each level's wall time goes to the progress line, not the row
+        cfg, said = parse_config(SMALL), []
+        rows = [pipeline._free_wave_order_check(cfg, said.append).row()
+                for _ in range(2)]
+        assert rows[0] == rows[1]
+        assert len(said) == 6 and all(msg.endswith(" s") for msg in said)
 
 
 class TestCLI:

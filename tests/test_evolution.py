@@ -959,7 +959,7 @@ class TestFrameIdentity:
             # with h, so every differencing error is O(h^2)
             scheme = SchemeParams(cfl=0.5, t_end=24.0, boundary="none",
                                   monitor_stride=2)
-            plan = ObservationPlan(ray_qs=(0.0,), stencil_spacing_cells=2)
+            plan = ObservationPlan(ray_qs=(0.0,))
             res = evolve(st, grid, scheme, plan)
             _, ts, series = frame_identity_residual(res.rays[0.0], Q)
             # common late-time window: the earliest samples sit next to the
