@@ -43,6 +43,4 @@ j = table.j_scalar()
 M = np.trapezoid(j, table.q)
 print(f"radiation table: int j dq = {M:+.6e} vs -Q/4pi = {-target:+.6e} "
       f"(ratio {M / -target:.4f})")
-print(f"definitional identity residual (J_Lbar vs -2 Im(Phi0 conj dPhi0)): "
-      f"{table.check_identity():.2e}")
 print(f"A_Lbar^mod sample (q = 0): {table.A_Lbar_mod[len(q_grid) // 2]:+.6e}")

@@ -193,6 +193,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
             errs.append(f"interior.t_list entries must be positive, got {t}")
         elif t > sch["t_end"]:
             errs.append(f"interior.t_list entry {t} exceeds t_end = {sch['t_end']}")
+    # a repeated entry gives two equal errors, and the interior check asks
+    # the error to fall strictly in t
+    for key, entries in cfg.interior.items():
+        repeated = sorted({v for v in entries if entries.count(v) > 1})
+        if repeated:
+            errs.append(f"interior.{key} repeats the entries {repeated}")
     ys, ts = cfg.interior["y_list"], cfg.interior["t_list"]
     if ys and ts and min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
         # evolve captures a slice up to dt / 2 after its requested time

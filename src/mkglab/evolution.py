@@ -515,19 +515,23 @@ def energy_monitor(state: FieldState, grid: RadialGrid) -> float:
     return 4.0 * np.pi * simpson_integral(dens * grid.r ** 2, grid.h)
 
 
+# samples the frame identity needs: two L-differencings
+FRAME_SAMPLES = 5
+
+
 def frame_identity_residual(history: RayHistory,
                             Q: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Residual of L(r Lbar(r A_L)) + L(r A^1_Lbar) - r^2 J_L along the ray.
 
     Along a fixed ray, d/dt of a sampled series is exactly L applied to the
-    field; radial derivatives come from the stencil.  Needs at least five
-    sampled times (two L-differencings), otherwise raises.
+    field; radial derivatives come from the stencil.  Needs at least
+    FRAME_SAMPLES sampled times, otherwise raises.
     Returns (sup_residual, times_used, residual_series).
     """
     times, r0, a0, ar, phi, j0, jr = history.as_arrays()
-    if len(times) < 5:
-        raise ValueError(
-            f"stencil starvation: {len(times)} ray samples, need >= 5")
+    if len(times) < FRAME_SAMPLES:
+        raise ValueError(f"stencil starvation: {len(times)} ray samples, "
+                         f"need >= {FRAME_SAMPLES}")
     dt = np.diff(times)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
         raise ValueError("frame identity needs uniformly spaced ray samples")

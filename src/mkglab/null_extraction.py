@@ -57,15 +57,9 @@ class RadiationTable:
 
     q: np.ndarray
     Phi0: np.ndarray
-    dPhi0_dq: np.ndarray
     J_Lbar: np.ndarray
     A_L_err: float
     A_Lbar_mod: np.ndarray
-
-    def check_identity(self) -> float:
-        """max |J_Lbar + 2 Im(Phi0 conj dPhi0)| (definitional, ~0)."""
-        return float(np.max(np.abs(
-            self.J_Lbar + 2.0 * np.imag(self.Phi0 * np.conj(self.dPhi0_dq)))))
 
     def j_scalar(self) -> np.ndarray:
         """j(q) = Im(Phi0 conj d_q Phi0) = -J_Lbar / 2."""
@@ -171,31 +165,26 @@ def phase_slope_fit(ray_r: np.ndarray, rphi: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
-def compute_J_asym(q_grid: np.ndarray, Phi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_Lbar(q) = -2 Im(Phi0 conj d_q Phi0) with centered differencing.
+def compute_J_asym(q_grid: np.ndarray, Phi0: np.ndarray) -> np.ndarray:
+    """J_Lbar(q) = -2 Im(Phi0 conj d_q Phi0) on a uniform q grid.
 
-    Returns (J_Lbar, dPhi0_dq); endpoints use one-sided differences.
+    d_q Phi0 is np.gradient's: centred inside, one-sided at the endpoints.
     """
-    dq = q_grid[1] - q_grid[0]
-    d = np.empty_like(Phi0)
-    d[1:-1] = (Phi0[2:] - Phi0[:-2]) / (2.0 * dq)
-    d[0] = (Phi0[1] - Phi0[0]) / dq
-    d[-1] = (Phi0[-1] - Phi0[-2]) / dq
-    jlbar = -2.0 * np.imag(Phi0 * np.conj(d))
-    return jlbar, d
+    d = np.gradient(Phi0, q_grid[1] - q_grid[0])
+    return -2.0 * np.imag(Phi0 * np.conj(d))
 
 
-def mod_ALbar(A_Lbar, q_grid: np.ndarray, j: np.ndarray, t, r,
+def mod_ALbar(A_Lbar, q_grid: np.ndarray, J_Lbar: np.ndarray, t, r,
               q_min: float | None = None) -> np.ndarray:
     """A_Lbar minus the log-kernel correction, at arrays of points (t, r).
 
     A^mod = A_Lbar - (1/2r) int_{r-t}^{q_grid[-1]} J_Lbar(eta)
             ln((eta+t+r)/(eta+t-r)) deta,
-    with J_Lbar = -2 j and j the linear interpolant of the table
-    (q_grid, j), zero outside it; the tail beyond the table is treated as
-    zero.  The integral, log-singular endpoint included, is evaluated
-    exactly for every point in one call.  With q_min given, a point whose
-    ray needs the source below q_min raises ValueError.
+    with J_Lbar the linear interpolant of the table (q_grid, J_Lbar), zero
+    outside it; the tail beyond the table is treated as zero.  The
+    integral, log-singular endpoint included, is evaluated exactly for every
+    point in one call.  With q_min given, a point whose ray needs the source
+    below q_min raises ValueError.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -206,7 +195,7 @@ def mod_ALbar(A_Lbar, q_grid: np.ndarray, j: np.ndarray, t, r,
             raise ValueError(
                 f"source table does not cover the ray: it starts at q = "
                 f"{q_min}, and must start at or below {np.min(q_lo[uncovered])}")
-    integral = integrate_log_kernel(q_grid, -2.0 * np.asarray(j, dtype=float),
+    integral = integrate_log_kernel(q_grid, np.asarray(J_Lbar, dtype=float),
                                     t, r)
     return A_Lbar - integral / (2.0 * r)
 
@@ -241,7 +230,7 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
         ok = _in_domain(x, grid)
         Phi0[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
                             charge_phase(Q, x[ok]))
-    jlbar, dPhi0 = compute_J_asym(q_grid, Phi0)
+    jlbar = compute_J_asym(q_grid, Phi0)
     ray = sample_ray(slices, grid, q_al)
     alerr = (extract_AL_limit(ray).err_est if len(ray.t) >= LIMIT_SAMPLES
              else np.inf)
@@ -250,11 +239,10 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
     ok = _in_domain(x, grid)
     albar = interp_values(last.a0, grid, x[ok]) - interp_values(last.ar, grid, x[ok])
     mod = np.zeros(len(q_grid))
-    mod[ok] = x[ok] * mod_ALbar(albar, q_grid, -0.5 * jlbar, last.t, x[ok],
+    mod[ok] = x[ok] * mod_ALbar(albar, q_grid, jlbar, last.t, x[ok],
                                 q_min=q_grid[0])
-    return RadiationTable(q=q_grid.copy(), Phi0=Phi0, dPhi0_dq=dPhi0,
-                          J_Lbar=jlbar, A_L_err=alerr,
-                          A_Lbar_mod=mod)
+    return RadiationTable(q=q_grid.copy(), Phi0=Phi0, J_Lbar=jlbar,
+                          A_L_err=alerr, A_Lbar_mod=mod)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from .config import (ConfigError, RunConfig, dump_config, run_config_hash,
                      validate_config)
 from .core import FieldState, Weights
 from .data_builder import FreeData, GaussianProfile, assemble_state
-from .evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
-                        evolve, frame_identity_residual, time_grid)
+from .evolution import (FRAME_SAMPLES, EvolutionUnstable, ObservationPlan,
+                        SchemeParams, evolve, frame_identity_residual,
+                        time_grid)
 from .grid import RadialGrid
 from .interior import (AsymSource, CallableSource, angular_kernel_integral,
                        angular_kernel_quadrature, chain_difference_report,
@@ -184,7 +185,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     central_q = min(plan.ray_qs, key=abs, default=0.0)
     central = result.rays.get(central_q)
     frame = {}      # monitor time -> |residual|
-    if central is not None and len(central.times) >= 5:
+    if central is not None and len(central.times) >= FRAME_SAMPLES:
         frame_sup, ftimes, fres = frame_identity_residual(central, Q)
         frame = {float(tt): float(abs(rr)) for tt, rr in zip(ftimes, fres)}
         report.extras["frame_identity_sup"] = frame_sup
@@ -195,7 +196,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
     frac_slices = {t: result.slices[t] for t in frac_times}
     table = build_radiation_table(frac_slices, grid, Q, q_grid, q_al=central_q)
-    report.extras["J_identity_residual"] = table.check_identity()
     report.checks += _ray_limit_checks(frac_slices, grid, ext, Q)
     report.checks.append(_phase_slope_check(central, central_q, target))
     report.checks += _albar_checks(result, plan, table)
@@ -398,7 +398,7 @@ def _albar_checks(result, plan, table) -> list[Check]:
     idx = [len(times) // 4, len(times) // 2, int(len(times) * 0.7),
            int(len(times) * 0.85), len(times) - 1]
     mods = r0[idx] * mod_ALbar(a0[idx, c] - ar[idx, c], table.q,
-                               table.j_scalar(), times[idx], r0[idx],
+                               table.J_Lbar, times[idx], r0[idx],
                                q_min=table.q[0])
     incs = np.abs(np.diff(mods))
     mod_ratio = float(incs[-1] / incs[-2]) if incs[-2] > 0 else np.inf
@@ -639,7 +639,7 @@ def _coupled_ladder(cfg: RunConfig, levels: int, progress,
             late = tarr >= 0.1 * scheme.t_end
             errors["lorenz_residual"].append(float(np.max(lor[late])))
             errors["charge_drift"].append(float(np.max(np.abs(qs - qs[0]))))
-            if len(res.rays[0.0].times) >= 5:
+            if len(res.rays[0.0].times) >= FRAME_SAMPLES:
                 _, fts, fser = frame_identity_residual(res.rays[0.0], Q)
                 # same propagated window as the Lorenz residual: the ray
                 # enters the sampled region at h-dependent early times

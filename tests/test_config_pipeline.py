@@ -128,6 +128,12 @@ class TestParseConfig:
          .replace("q_min = -10.0", "q_min = -5.0"),
          "extraction.q_rays entry -12.0 lies below extraction.q_min"),
         (BEYOND_GRID, "interior.y_list entry 0.9 times interior.t_list entry 30.0"),
+        # a repeated slice or point gives two equal errors, and criterion 7
+        # asks the error to fall strictly in t
+        (SMALL.replace("t_list = 15, 30, 45", "t_list = 15, 30, 30, 45"),
+         "interior.t_list repeats"),
+        (SMALL.replace("y_list = 0.1, 0.3, 0.5", "y_list = 0.3, 0.1, 0.3"),
+         "interior.y_list repeats"),
     ])
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -255,10 +261,6 @@ class TestRunPipeline:
         header = (out / "radiation.csv").read_text().splitlines()[1]
         assert header.split(",") == ["q", "Re_Phi0", "Im_Phi0", "J_Lbar",
                                      "A_L_limit_err", "A_Lbar_mod"]
-
-    def test_radiation_identity_invariant(self, small_run):
-        _, report, _ = small_run
-        assert report.extras["J_identity_residual"] < 1e-12
 
     def test_interior_columns(self, small_run):
         _, _, out = small_run
@@ -404,6 +406,9 @@ class TestAcceptedConfigsRun:
         requested |= set(cfg.interior["t_list"])
         assert set(result.slices) == requested
         assert [c.id for c in report.checks] == RUN_CHECK_IDS
+        # the data are nonzero, so the Lorenz burn-in window holds a
+        # measured residual whatever the monitor spacing
+        assert report.monitor_summary["lorenz_burn_in_max"] > 0
 
 
 class TestConvergenceStudy:

@@ -152,14 +152,14 @@ class TestPhaseSlopeFit:
 class TestComputeJAsym:
     def test_real_profile_gives_zero(self):
         q = np.linspace(-5, 5, 201)
-        jl, _ = compute_J_asym(q, np.exp(-q ** 2) + 0j)
+        jl = compute_J_asym(q, np.exp(-q ** 2) + 0j)
         assert np.max(np.abs(jl)) < 1e-14
 
     def test_unit_phase_profile(self):
         # Phi0 = e^{iq} f, f real: Im(Phi0 conj dPhi0) = -f^2, J_Lbar = 2 f^2
         q = np.linspace(-6, 6, 1201)
         f = np.exp(-q ** 2)
-        jl, _ = compute_J_asym(q, np.exp(1j * q) * f)
+        jl = compute_J_asym(q, np.exp(1j * q) * f)
         assert np.allclose(jl, 2 * f ** 2, atol=5e-4)
 
     def test_identity_against_contraction(self):
@@ -167,8 +167,8 @@ class TestComputeJAsym:
         from mkglab.asymptotic_system import contract_Lbar, null_vector_lower
         q = np.linspace(-6, 6, 801)
         Phi0 = np.exp(1j * q) * np.exp(-q ** 2) * (q + 0.3j)
-        jl, d = compute_J_asym(q, Phi0)
-        j = np.imag(Phi0 * np.conj(d))
+        jl = compute_J_asym(q, Phi0)
+        j = np.imag(Phi0 * np.conj(np.gradient(Phi0, q[1] - q[0])))
         omega = np.array([0.0, 0.0, 1.0])
         L_mu = null_vector_lower(omega)
         J_mu = L_mu[:, None] * j[None, :]
@@ -251,14 +251,14 @@ class TestModALbar:
         assert val == pytest.approx(0.7, abs=1e-12)
 
     def test_indicator_closed_form(self):
-        # J_Lbar = indicator of [0,1] means j = -1/2 on [0,1], which this
-        # table's linear interpolant (zero outside it) represents exactly
+        # J_Lbar = indicator of [0,1], which this table's linear
+        # interpolant (zero outside it) represents exactly
         t, r = 10.0, 6.0  # r - t = -4 < 0
         a, b = t + r, t - r
         # closed form: int_0^1 ln((eta+a)/(eta+b)) deta
         exact = ((1 + a) * np.log(1 + a) - a * np.log(a)
                  - (1 + b) * np.log(1 + b) + b * np.log(b))
-        got = mod_ALbar(0.0, np.array([0.0, 1.0]), np.array([-0.5, -0.5]),
+        got = mod_ALbar(0.0, np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                         t=t, r=r)
         # A^mod = A - (1/2r) * integral of J_Lbar * ln(...) = -(1/2r) exact
         assert got == pytest.approx(-exact / (2 * r), rel=1e-12)
@@ -271,24 +271,24 @@ class TestModALbar:
                       r=np.array([2.0, 0.5]), q_min=0.0)
 
     def test_log_singular_endpoint(self):
-        # a smooth tabulated j crossing the singular endpoint eta = r - t:
+        # a smooth tabulated J_Lbar crossing the singular endpoint eta = r - t:
         # the integral must match a brute-force substitution quadrature of
         # the same interpolant
         t, r = 30.0, 33.0
         q_lo = r - t
         q = np.linspace(-4.0, 8.0, 61)
-        jt = np.exp(-q ** 2)
-        j = lambda e: np.interp(e, q, jt, left=0.0, right=0.0)
+        Jt = -2.0 * np.exp(-q ** 2)
+        J = lambda e: np.interp(e, q, Jt, left=0.0, right=0.0)
         kinks = np.sqrt(q[(q > q_lo) & (q < 8.0)] - q_lo)
 
         def brute():
             # eta = q_lo + u^2 regularizes the log endpoint
-            val, _ = quad(lambda u: 2 * u * (-2.0) * j(q_lo + u * u)
+            val, _ = quad(lambda u: 2 * u * J(q_lo + u * u)
                           * np.log((q_lo + u * u + t + r) / (u * u)),
                           0.0, np.sqrt(8.0 - q_lo), points=kinks, limit=400,
                           epsabs=1e-12)
             return val
-        got = mod_ALbar(0.0, q, jt, t=t, r=r)
+        got = mod_ALbar(0.0, q, Jt, t=t, r=r)
         assert got == pytest.approx(-brute() / (2 * r), abs=1e-9)
 
 
@@ -328,17 +328,17 @@ class TestBuildRadiationTable:
             if vals:
                 phi0[i] = vals[-1]
             held.append(len(vals))
-        _, dphi0 = compute_J_asym(q_grid, phi0)
         for i, q in enumerate(q_grid):
             x = last.t + q
             if x <= 4.0 * grid.h or x >= 0.95 * grid.r_max:
                 continue
             a0 = float(interp_values(last.a0, grid, x)[0])
             ar = float(interp_values(last.ar, grid, x)[0])
-            mod[i] = x * mod_ALbar(a0 - ar, q_grid, table.j_scalar(), last.t, x,
+            mod[i] = x * mod_ALbar(a0 - ar, q_grid, table.J_Lbar, last.t, x,
                                    q_min=q_grid[0])
         assert set(held) == {0, 1, 2}
         np.testing.assert_array_equal(table.Phi0, phi0)
+        np.testing.assert_array_equal(table.J_Lbar, compute_J_asym(q_grid, phi0))
         np.testing.assert_array_equal(table.A_Lbar_mod, mod)
         assert np.any(mod != 0.0)
 
