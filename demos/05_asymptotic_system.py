@@ -14,7 +14,8 @@ q = np.linspace(-8.0, 8.0, 1601)
 phi0 = np.exp(-q ** 2) * (q / 2.0 + 0.25j)
 state = AsymState.from_phi0(q, phi0, A_L_param=1.0)
 
-print("integrating dP/ds = -i A_L P, dB/ds = (L/2) Im(Phi conj P) to s = 50")
+print("integrating dP/ds = -i A_L P, dB_L/ds = 0, dB_Lbar/ds = -Im(Phi conj P) "
+      "to s = 50")
 final, hist = integrate(state, 50.0, 1e-2, record_every=500)
 cert = weak_null_certificate(hist, 1e-2)
 print(f"  |P| drift:              {cert['modulus_drift']:.3e}  (tol 1e-10)")

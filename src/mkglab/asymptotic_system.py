@@ -1,18 +1,23 @@
 """Integrator for the (q, s) asymptotic system and the weak-null certificate.
 
-State: P(q) = d_q Phi and B_mu(q) = d_q A_mu on a uniform q grid, evolved in
-the slow time s = ln r:
+State: P(q) = d_q Phi and the null-frame components (B_L, B_Lbar)(q) of
+B_mu = d_q A_mu on a uniform q grid, evolved in the slow time s = ln r.
+The four-vector equation d_s B_mu = (L_mu/2) Im(Phi conj P), contracted
+with L^mu = (1, omega) and Lbar^mu = (1, -omega), gives
 
-    d_s P    = -i A_L_param * P,
-    d_s B_mu = (L_mu(omega)/2) * Im(Phi conj P),
+    d_s P      = -i A_L_param * P,
+    d_s B_L    = (L.L/2) Im(Phi conj P)    = 0,
+    d_s B_Lbar = (Lbar.L/2) Im(Phi conj P) = -Im(Phi conj P),
 
 with the good-component coefficient A_L_param held constant (its dynamical
-value is Q/4pi).  Phi is reconstructed by integrating P downward from
-q_max where Phi vanishes.  The decoupled system has closed-form solutions:
-P rotates by the unit phase e^{-i A_L (s - s0)} (so |P| is exactly
-preserved), Phi factorizes the same way, and the frame components of B
-grow linearly in s with s-independent rates.  These exact features are
-what the weak-null certificate measures.
+value is Q/4pi).  L is null (L.L = 0) and Lbar.L = -2 for every unit
+omega, so the frame drives, and with them the whole state, do not depend
+on the direction omega.  Phi is reconstructed by integrating P downward
+from q_max where Phi vanishes.  The decoupled system has closed-form
+solutions: P rotates by the unit phase e^{-i A_L (s - s0)} (so |P| is
+exactly preserved), Phi factorizes the same way, B_L keeps its initial
+value and B_Lbar grows linearly in s with s-independent rates.  These
+exact features are what the weak-null certificate measures.
 
 integrate() works a block of steps at a time.  P needs neither B nor Phi,
 so each RK4 step marches P alone, in preallocated buffers, with the
@@ -34,30 +39,12 @@ naming the nearest end it can reach.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-
-def null_vector_lower(omega: np.ndarray) -> np.ndarray:
-    """L_mu(omega) = (-1, omega): the lowered null generator."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,):
-        raise ValueError("omega must be a 3-vector")
-    n = np.linalg.norm(omega)
-    if abs(n - 1.0) > 1e-12:
-        raise ValueError(f"omega must be a unit vector, |omega| = {n}")
-    return np.array([-1.0, omega[0], omega[1], omega[2]])
-
-
-def contract_L(components: np.ndarray, omega: np.ndarray):
-    """A_L = A_0 + omega . A  (raised L against lowered components)."""
-    return components[0] + omega @ components[1:]
-
-
-def contract_Lbar(components: np.ndarray, omega: np.ndarray):
-    """A_Lbar = A_0 - omega . A."""
-    return components[0] - omega @ components[1:]
+# (L.L, Lbar.L)/2: d_s (B_L, B_Lbar) per unit of the drive Im(Phi conj P)
+_FRAME_DRIVE = np.array([[0.0], [-1.0]])
 
 
 @dataclass
@@ -65,38 +52,29 @@ class AsymState:
     s: float
     q_grid: np.ndarray
     P: np.ndarray                 # complex, d_q Phi per q
-    B: np.ndarray                 # real, shape (4, nq): d_q A_mu per q
+    B: np.ndarray                 # real, shape (2, nq): (B_L, B_Lbar) per q
     A_L_param: float
-    omega: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        null_vector_lower(self.omega)  # validates unit omega
 
     @staticmethod
-    def from_phi0(q_grid: np.ndarray, phi0: np.ndarray, A_L_param: float,
-                  omega=(0.0, 0.0, 1.0)) -> "AsymState":
+    def from_phi0(q_grid: np.ndarray, phi0: np.ndarray,
+                  A_L_param: float) -> "AsymState":
         """Initial state at s = 0 from a radiation profile Phi(q, s=0)."""
         dq = q_grid[1] - q_grid[0]
         P = np.gradient(np.asarray(phi0, dtype=complex), dq)
         return AsymState(s=0.0, q_grid=np.asarray(q_grid, dtype=float), P=P,
-                         B=np.zeros((4, len(q_grid))), A_L_param=A_L_param,
-                         omega=np.asarray(omega, dtype=float))
+                         B=np.zeros((2, len(q_grid))), A_L_param=A_L_param)
 
     def phi(self) -> np.ndarray:
         """Phi(q) = -int_q^{q_max} P, anchored at Phi(q_max) = 0."""
         return _cum_from_top(self.P, self.q_grid)
 
     def A_frame(self) -> dict:
-        """Frame components of A_mu(q) = -int_q^{q_max} B_mu."""
-        a = _cum_from_top(self.B, self.q_grid)
-        return {
-            "A_L": contract_L(a, self.omega),
-            "A_Lbar": contract_Lbar(a, self.omega),
-            "components": a,
-        }
+        """(A_L, A_Lbar)(q) = -int_q^{q_max} (B_L, B_Lbar)."""
+        a_l, a_lbar = _cum_from_top(self.B, self.q_grid)
+        return {"A_L": a_l, "A_Lbar": a_lbar}
 
     def B_L(self):
-        return contract_L(self.B, self.omega)
+        return self.B[0]
 
 
 def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -195,7 +173,6 @@ def integrate(state: AsymState, s_target: float, ds: float,
     if source_mode not in ("standard", "non_null_control"):
         raise ValueError(f"unknown source mode {source_mode!r}")
     n = _step_count(state.s, s_target, ds)
-    half_L = 0.5 * null_vector_lower(state.omega)[:, None]
     q = state.q_grid
     nq = len(q)
     weights, scale = _drive_rows(state.A_L_param, ds, source_mode)
@@ -248,8 +225,8 @@ def integrate(state: AsymState, s_target: float, ds: float,
             k = k0 + i + 1
             if record_every and (k % record_every == 0 or k == n):
                 recorded.append((i, k, P.copy()))
-        # d_s B = (L/2) Im(Phi conj Y) at all rows * steps stored rows at
-        # once; Y is conjugated in place, the next block overwrites it
+        # the drive Im(Phi conj Y) at all rows * steps stored rows at once;
+        # Y is conjugated in place, the next block overwrites it
         Ys, Phis = Y[:steps], Phi[:steps]
         _cum_from_top(Ys, q, out=Phis, work=work[:steps])
         d = np.multiply(Phis, np.conjugate(Ys, out=Ys), out=Phis).imag
@@ -267,8 +244,9 @@ def integrate(state: AsymState, s_target: float, ds: float,
         np.copyto(drive_sum, w[-1])
         for i, k, Pk in recorded:
             history.append(replace(state, s=state.s + k * ds, P=Pk,
-                                   B=state.B + half_L * w[i]))
-    final = replace(state, s=state.s + n * ds, P=P, B=state.B + half_L * drive_sum)
+                                   B=state.B + _FRAME_DRIVE * w[i]))
+    final = replace(state, s=state.s + n * ds, P=P,
+                    B=state.B + _FRAME_DRIVE * drive_sum)
     return final, history
 
 
@@ -306,9 +284,9 @@ def weak_null_certificate(states: list, ds: float) -> dict:
     Checks: (1) sup_q |P| drifts from its initial value by less than
     _MODULUS_TOL (exact invariant of the analytic flow, so drift is pure
     integrator error); (2) sup_q |A_Lbar| fits an affine function of s
-    with residual below _AFFINE_TOL; (3) the good components B_L (and the
-    tangential ones, identically zero here) are s-independent; (4) no
-    blow-up: sup |P| stays bounded by twice its initial value.
+    with residual below _AFFINE_TOL; (3) the good component B_L is
+    s-independent (B_L_drift, reported, not gated); (4) no blow-up:
+    sup |P| stays bounded by twice its initial value.
     """
     if len(states) < 3:
         raise ValueError("certificate needs at least 3 recorded states")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from copy import deepcopy
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -124,7 +123,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     if cfg_errs:
         raise ConfigError(cfg_errs)
     say = progress or (lambda msg: None)
-    chash = run_config_hash(cfg)
     out_dir = out_dir or cfg.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -135,7 +133,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     say(f"[1/6] building data on n={grid.n_cells}, r_max={grid.r_max}")
     data = build_free_data(cfg, grid)
     state0, Q = assemble_state(data, grid)
-    report = RunReport(config_hash=chash, charge_Q=Q)
+    report = RunReport(config_hash=run_config_hash(cfg), charge_Q=Q)
     target = Q / (4.0 * np.pi)
 
     ext = cfg.extraction
@@ -212,25 +210,25 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
 
     # -- envelopes -----------------------------------------------------------
     say("[5/6] decay envelope sups")
-    phi_spec = phi_peeling_spec(weights)
-    j0_spec = j0_envelope_spec(weights)
-    sup_phi, arg_phi = envelope_check(result.snapshots, phi_spec, "phi")
-    sup_j0, arg_j0 = envelope_check(result.snapshots, j0_spec, "j0")
-    env_rows = [
-        (phi_spec.label, sup_phi, arg_phi[0], arg_phi[1]),
-        (j0_spec.label, sup_j0, arg_j0[0], arg_j0[1]),
-    ]
+    env_rows = _envelopes(result.snapshots, weights)
+    (_, sup_phi, _, _), (_, sup_j0, _, _) = env_rows
     if full_criteria:
         say("[5/6+] domain-doubling companion run for envelope stability")
-        sup2_phi, sup2_j0 = _doubled_domain_sups(cfg, phi_spec, j0_spec)
+        cfg2 = _scaled(cfg, 2.0 * cfg.grid["r_max"], 2 * cfg.grid["n_cells"], 2.0 * t_end)
+        grid2 = RadialGrid(**cfg2.grid)
+        st2, _ = assemble_state(build_free_data(cfg2, grid2), grid2)
+        res2 = evolve(st2, grid2, SchemeParams(**cfg2.scheme), ObservationPlan(
+            snapshot_every=2, snapshot_subsample=max(1, grid2.n_cells // 2000)))
+        doubled = _envelopes(res2.snapshots, weights)
+        (_, sup2_phi, _, _), (_, sup2_j0, _, _) = doubled
         change = max(abs(sup2_phi - sup_phi) / sup_phi if sup_phi else 0.0,
                      abs(sup2_j0 - sup_j0) / sup_j0 if sup_j0 else 0.0)
         report.checks.append(Check(
             "envelope_stability", "weighted sups change < 10% when r_max, t_end double",
             change, 0.10, change < 0.10,
             detail=f"phi: {sup_phi:.6g} -> {sup2_phi:.6g}; J0: {sup_j0:.6g} -> {sup2_j0:.6g}"))
-        env_rows.append((phi_spec.label + "_doubled", sup2_phi, np.nan, np.nan))
-        env_rows.append((j0_spec.label + "_doubled", sup2_j0, np.nan, np.nan))
+        env_rows += [(label + "_doubled", sup, np.nan, np.nan)
+                     for label, sup, _, _ in doubled]
     else:
         report.checks.append(Check(
             "envelope_stability",
@@ -250,7 +248,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
                           *_refinement_orders_check(cfg, say)]
 
     # -- emission ------------------------------------------------------------
-    _emit(out_dir, chash, cfg, log, frame, table, interior_rows, env_rows, report)
+    _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report)
     return report
 
 
@@ -407,21 +405,21 @@ def _albar_checks(result, plan, table) -> list[Check]:
     return rows(abs(corr), abs(corr) >= 0.99, mod_ratio, mod_ratio < 0.2, detail)
 
 
-def _doubled_domain_sups(cfg, phi_spec, j0_spec):
-    cfg2 = deepcopy(cfg)
-    cfg2.grid["r_max"] = 2.0 * cfg.grid["r_max"]
-    cfg2.grid["n_cells"] = 2 * cfg.grid["n_cells"]
-    cfg2.scheme["t_end"] = 2.0 * cfg.scheme["t_end"]
-    grid2 = RadialGrid(**cfg2.grid)
-    scheme2 = SchemeParams(**cfg2.scheme)
-    data2 = build_free_data(cfg2, grid2)
-    st2, _ = assemble_state(data2, grid2)
-    plan2 = ObservationPlan(snapshot_every=2,
-                            snapshot_subsample=max(1, grid2.n_cells // 2000))
-    res2 = evolve(st2, grid2, scheme2, plan2)
-    s_phi, _ = envelope_check(res2.snapshots, phi_spec, "phi")
-    s_j0, _ = envelope_check(res2.snapshots, j0_spec, "j0")
-    return s_phi, s_j0
+def _scaled(cfg: RunConfig, r_max: float, n_cells: int, t_end: float) -> RunConfig:
+    """cfg on n_cells cells out to r_max, evolved to t_end."""
+    return replace(cfg, grid={**cfg.grid, "r_max": r_max, "n_cells": n_cells},
+                   scheme={**cfg.scheme, "t_end": t_end})
+
+
+def _envelopes(snapshots, weights: Weights) -> list[tuple]:
+    """(label, weighted sup, argmax t, argmax r) of the phi peeling and the
+    J_0 envelopes over snapshots."""
+    rows = []
+    for spec, quantity in ((phi_peeling_spec(weights), "phi"),
+                           (j0_envelope_spec(weights), "j0")):
+        sup, (t, r) = envelope_check(snapshots, spec, quantity)
+        rows.append((spec.label, sup, t, r))
+    return rows
 
 
 def _kernel_checks(seed: int) -> list[Check]:
@@ -523,11 +521,9 @@ def _free_wave_order_check(cfg: RunConfig, say) -> Check:
     Each level's wall time is printed by say, not kept in the row, so that
     two runs of one config write the same report."""
     errs, times = [], []
-    scheme = replace(SchemeParams(**cfg.scheme), t_end=50.0)
     for n in (500, 1000, 2000):
-        grid = RadialGrid(100.0, n)
         t0 = time.time()
-        errs.append(_free_wave_error(cfg, grid, scheme))
+        errs.append(_free_wave_error(_scaled(cfg, 100.0, n, 50.0)))
         times.append(time.time() - t0)
         say(f"free-wave level n={n}: {times[-1]:.2f} s")
     orders = _orders({"free_wave": errs})[0]["free_wave"]
@@ -538,10 +534,7 @@ def _free_wave_order_check(cfg: RunConfig, say) -> Check:
 
 def _refinement_orders_check(cfg: RunConfig, say) -> list[Check]:
     """Lorenz-residual and charge-drift orders on a scaled coupled ladder."""
-    cfg2 = deepcopy(cfg)
-    cfg2.grid["r_max"], cfg2.grid["n_cells"] = 100.0, 1000
-    cfg2.scheme["t_end"] = 80.0
-    _, errors = _coupled_ladder(cfg2, 3, say)
+    _, errors = _coupled_ladder(_scaled(cfg, 100.0, 1000, 80.0), 3, say)
     orders, _ = _orders(errors)
     lor = orders["lorenz_residual"][-1]
     chg = orders["charge_drift"][-1]
@@ -553,7 +546,8 @@ def _refinement_orders_check(cfg: RunConfig, say) -> list[Check]:
                   detail=f"drifts {errors['charge_drift']}")]
 
 
-def _emit(out_dir, chash, cfg, log, frame, table, interior_rows, env_rows, report):
+def _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report):
+    chash = report.config_hash
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.write(dump_config(cfg))
     mon_rows = [(t, log.lorenz_residual_sup[i], log.charge_Q[i], log.energy_E[i],
@@ -624,12 +618,13 @@ def _coupled_ladder(cfg: RunConfig, levels: int, progress,
     for lev in range(levels):
         n = cfg.grid["n_cells"] * (2 ** lev)
         say(f"level {lev}: n_cells = {n}")
-        grid = RadialGrid(cfg.grid["r_max"], n)
+        lev_cfg = _scaled(cfg, cfg.grid["r_max"], n, cfg.scheme["t_end"])
+        grid = RadialGrid(**lev_cfg.grid)
         info = {"n_cells": n, "h": grid.h}
         try:
             if free_wave:
-                errors["free_wave"].append(_free_wave_error(cfg, grid, scheme))
-            st0, Q = assemble_state(build_free_data(cfg, grid), grid)
+                errors["free_wave"].append(_free_wave_error(lev_cfg))
+            st0, Q = assemble_state(build_free_data(lev_cfg, grid), grid)
             res = evolve(st0, grid, scheme, plan)
             lor = np.array(res.log.lorenz_residual_sup)
             tarr = np.array(res.log.t)
@@ -676,12 +671,13 @@ def _orders(errors: dict) -> tuple[dict, list]:
     return orders, flags
 
 
-def _free_wave_error(cfg: RunConfig, grid: RadialGrid, scheme: SchemeParams) -> float:
-    """Sup error of the linear (A = 0) run against the d'Alembert oracle."""
+def _free_wave_error(cfg: RunConfig) -> float:
+    """Sup error of cfg's linear (A = 0) run against the d'Alembert oracle."""
+    grid = RadialGrid(**cfg.grid)
     data = build_free_data(cfg, grid)
     state0 = FieldState.zeros(grid)
     state0.phi, state0.phi_t = data.phi0, data.phi0_dot
-    res = evolve(state0, grid, replace(scheme, linear=True),
+    res = evolve(state0, grid, SchemeParams(**cfg.scheme, linear=True),
                  ObservationPlan(snapshot_every=10 ** 9))
     t_fin = res.final.t
     r = grid.r[1:]

@@ -172,19 +172,6 @@ class TestChainDifference:
         assert np.isfinite(rep["rows"][0]["diff"])
 
 
-class TestSourceFrameConsistency:
-    def test_null_contraction_structural_zero(self):
-        from mkglab.asymptotic_system import (contract_L, null_vector_lower)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            v = rng.standard_normal(3)
-            omega = v / np.linalg.norm(v)
-            L_mu = null_vector_lower(omega)
-            j = rng.standard_normal(7)
-            J = L_mu[:, None] * j[None, :]
-            assert np.max(np.abs(contract_L(J, omega))) < 1e-12
-
-
 class TestCutoffChi0:
     def test_plateaus(self):
         chi0 = CutoffChi0()

@@ -163,16 +163,14 @@ class TestComputeJAsym:
         assert np.allclose(jl, 2 * f ** 2, atol=5e-4)
 
     def test_identity_against_contraction(self):
-        # J_Lbar = -2 j must match the Lbar contraction of L_mu j
-        from mkglab.asymptotic_system import contract_Lbar, null_vector_lower
+        # J_Lbar = -2 j must match the Lbar contraction of L_mu j; along
+        # omega = e_z, L_mu = (-1, 0, 0, 1) and Lbar^mu = (1, 0, 0, -1)
         q = np.linspace(-6, 6, 801)
         Phi0 = np.exp(1j * q) * np.exp(-q ** 2) * (q + 0.3j)
         jl = compute_J_asym(q, Phi0)
         j = np.imag(Phi0 * np.conj(np.gradient(Phi0, q[1] - q[0])))
-        omega = np.array([0.0, 0.0, 1.0])
-        L_mu = null_vector_lower(omega)
-        J_mu = L_mu[:, None] * j[None, :]
-        jl2 = contract_Lbar(J_mu, omega)
+        J_mu = np.array([-1.0, 0.0, 0.0, 1.0])[:, None] * j[None, :]
+        jl2 = np.array([1.0, 0.0, 0.0, -1.0]) @ J_mu
         assert np.max(np.abs(jl - jl2)) < 1e-12
 
 
