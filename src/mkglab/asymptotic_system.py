@@ -1,41 +1,38 @@
 """Integrator for the (q, s) asymptotic system and the weak-null certificate.
 
-State: P(q) = d_q Phi and the null-frame components (B_L, B_Lbar)(q) of
-B_mu = d_q A_mu on a uniform q grid, evolved in the slow time s = ln r.
-The four-vector equation d_s B_mu = (L_mu/2) Im(Phi conj P), contracted
-with L^mu = (1, omega) and Lbar^mu = (1, -omega), gives
+State: P(q) = d_q Phi and B_Lbar(q) = d_q A_Lbar, the bad null-frame
+component of B_mu = d_q A_mu, on a uniform q grid, evolved in the slow
+time s = ln r.  The four-vector equation d_s B_mu = (L_mu/2) Im(Phi conj P),
+contracted with Lbar^mu = (1, -omega), gives
 
     d_s P      = -i A_L_param * P,
-    d_s B_L    = (L.L/2) Im(Phi conj P)    = 0,
     d_s B_Lbar = (Lbar.L/2) Im(Phi conj P) = -Im(Phi conj P),
 
 with the good-component coefficient A_L_param held constant (its dynamical
-value is Q/4pi).  L is null (L.L = 0) and Lbar.L = -2 for every unit
-omega, so the frame drives, and with them the whole state, do not depend
-on the direction omega.  Phi is reconstructed by integrating P downward
+value is Q/4pi).  Lbar.L = -2 for every unit omega, so the state does not
+depend on the direction omega.  The good component B_L is not marched: L
+is null (L.L = 0), so its drive (L.L/2) Im(Phi conj P) vanishes and B_L
+keeps its initial value.  Phi is reconstructed by integrating P downward
 from q_max where Phi vanishes.  The decoupled system has closed-form
 solutions: P rotates by the unit phase e^{-i A_L (s - s0)} (so |P| is
-exactly preserved), Phi factorizes the same way, B_L keeps its initial
-value and B_Lbar grows linearly in s with s-independent rates.  These
-exact features are what the weak-null certificate measures.
+exactly preserved), Phi factorizes the same way, and B_Lbar grows linearly
+in s with s-independent rates.  These exact features are what the
+weak-null certificate measures.
 
-integrate() works a block of steps at a time.  P needs neither B nor Phi,
-so each RK4 step marches P alone, in preallocated buffers, with the
-arithmetic of the plain per-step RK4.  The B drive Im(Phi conj Y) is taken
-at the rows a step stores, for all steps of a block in one batched call,
-and B advances through a running sum of the weighted drives.  In the
-standard mode a step stores one row, its P: the slope c P (c = -i A_L) is
-linear, so each stage input is alpha_j P with alpha_0 = 1,
-alpha_1 = 1 + (ds/2) c, alpha_2 = 1 + (ds/2) c alpha_1 and
+integrate() works a block of steps at a time.  P needs neither B_Lbar nor
+Phi, so each RK4 step marches P alone, in preallocated buffers, with the
+arithmetic of the plain per-step RK4.  The B_Lbar drive is taken at each
+step's starting P, for all steps of a block in one batched call, and
+B_Lbar advances through a running sum of the scaled drives.  The slope
+c P (c = -i A_L) is linear, so each stage input is alpha_j P with
+alpha_0 = 1, alpha_1 = 1 + (ds/2) c, alpha_2 = 1 + (ds/2) c alpha_1 and
 alpha_3 = 1 + ds c alpha_2; Phi is linear in P, so stage j's drive is
 |alpha_j|^2 Im(Phi(P) conj P), and the RK4 sum
 (ds/6)(d1 + 2 d2 + 2 d3 + d4) is that one drive times
 (ds/6)(1 + 2|alpha_1|^2 + 2|alpha_2|^2 + |alpha_3|^2), exact up to
-rounding.  The negative control's slope is nonlinear, so it stores all
-four stage inputs and weights their drives by (ds/6)(1, 2, 2, 1).  The
-march takes whole steps only: s_target must lie n * ds from the start, to
-1e-9 relative as in evolution.time_grid, or integrate raises ValueError
-naming the nearest end it can reach.
+rounding.  The march takes whole steps only: s_target must lie n * ds from
+the start, to 1e-9 relative as in evolution.time_grid, or integrate raises
+ValueError naming the nearest end it can reach.
 """
 from __future__ import annotations
 
@@ -43,16 +40,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# (L.L, Lbar.L)/2: d_s (B_L, B_Lbar) per unit of the drive Im(Phi conj P)
-_FRAME_DRIVE = np.array([[0.0], [-1.0]])
-
 
 @dataclass
 class AsymState:
     s: float
     q_grid: np.ndarray
     P: np.ndarray                 # complex, d_q Phi per q
-    B: np.ndarray                 # real, shape (2, nq): (B_L, B_Lbar) per q
+    B_Lbar: np.ndarray            # real, d_q A_Lbar per q
     A_L_param: float
 
     @staticmethod
@@ -62,19 +56,15 @@ class AsymState:
         dq = q_grid[1] - q_grid[0]
         P = np.gradient(np.asarray(phi0, dtype=complex), dq)
         return AsymState(s=0.0, q_grid=np.asarray(q_grid, dtype=float), P=P,
-                         B=np.zeros((2, len(q_grid))), A_L_param=A_L_param)
+                         B_Lbar=np.zeros(len(q_grid)), A_L_param=A_L_param)
 
     def phi(self) -> np.ndarray:
         """Phi(q) = -int_q^{q_max} P, anchored at Phi(q_max) = 0."""
         return _cum_from_top(self.P, self.q_grid)
 
-    def A_frame(self) -> dict:
-        """(A_L, A_Lbar)(q) = -int_q^{q_max} (B_L, B_Lbar)."""
-        a_l, a_lbar = _cum_from_top(self.B, self.q_grid)
-        return {"A_L": a_l, "A_Lbar": a_lbar}
-
-    def B_L(self):
-        return self.B[0]
+    def A_Lbar(self) -> np.ndarray:
+        """A_Lbar(q) = -int_q^{q_max} B_Lbar."""
+        return _cum_from_top(self.B_Lbar, self.q_grid)
 
 
 def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -95,8 +85,7 @@ def _cum_from_top(f: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarr
     return out
 
 
-# stage rows whose drives are reduced in one batched call: 16 steps of one
-# row (standard) or 4 steps of four (non_null_control)
+# steps whose drives are reduced in one batched call
 _CHUNK = 16
 # the most RK4 steps one march may take (integrate refuses more)
 _MAX_STEPS = 10 ** 7
@@ -128,41 +117,7 @@ def _step_count(s0: float, s_target: float, ds: float) -> int:
     return n
 
 
-def _slope(y: np.ndarray, c: np.ndarray, source_mode: str, out: np.ndarray,
-           absy: np.ndarray) -> None:
-    """d_s P into out: -i A_L P, or the negative control -i |P| P.
-
-    c is -i A_L as a 0-d array; absy is a real buffer for |P|.
-    """
-    if source_mode == "standard":
-        np.multiply(c, y, out)
-    else:
-        # negative control, not the physical system: phase speed |P|
-        np.abs(y, absy)
-        np.multiply(-1j, absy, out)
-        np.multiply(out, y, out)
-
-
-def _drive_rows(A_L: float, ds: float, source_mode: str):
-    """(weights, scale): a step's B drive is scale * sum_j weights[j] d_j
-    over the rows it stores, d_j = Im(Phi conj Y_j).
-
-    Standard: every stage input is alpha_j P, so its drive is |alpha_j|^2
-    that of P and one row (P itself) carries the step.  The control's
-    slope is nonlinear in P, so it keeps all four rows.
-    """
-    if source_mode == "standard":
-        c = -1j * A_L
-        a1 = 1.0 + 0.5 * ds * c
-        a2 = 1.0 + 0.5 * ds * c * a1
-        a3 = 1.0 + ds * c * a2
-        return (1.0,), ds / 6.0 * (1.0 + 2.0 * abs(a1) ** 2
-                                   + 2.0 * abs(a2) ** 2 + abs(a3) ** 2)
-    return (1.0, 2.0, 2.0, 1.0), ds / 6.0
-
-
 def integrate(state: AsymState, s_target: float, ds: float,
-              source_mode: str = "standard",
               record_every: int | None = None) -> tuple[AsymState, list]:
     """RK4 march of the asymptotic system from state.s to s_target.
 
@@ -170,50 +125,48 @@ def integrate(state: AsymState, s_target: float, ds: float,
     Returns the final state and, when record_every is set, a history of
     intermediate states (including the initial and final ones).
     """
-    if source_mode not in ("standard", "non_null_control"):
-        raise ValueError(f"unknown source mode {source_mode!r}")
     n = _step_count(state.s, s_target, ds)
     q = state.q_grid
     nq = len(q)
-    weights, scale = _drive_rows(state.A_L_param, ds, source_mode)
-    rows = len(weights)
+    # a step's B_Lbar drive is scale * Im(Phi conj P) at its starting P
+    cs = -1j * state.A_L_param
+    a1 = 1.0 + 0.5 * ds * cs
+    a2 = 1.0 + 0.5 * ds * cs * a1
+    a3 = 1.0 + ds * cs * a2
+    scale = ds / 6.0 * (1.0 + 2.0 * abs(a1) ** 2 + 2.0 * abs(a2) ** 2
+                        + abs(a3) ** 2)
     # the march's scalars as 0-d complex arrays, the cheapest operand form
     # for a ufunc call; they give the same products as Python scalars
     c, hds, fds, ds6, two = (np.array(x, dtype=complex) for x in
-                             (-1j * state.A_L_param, 0.5 * ds, ds, ds / 6.0, 2.0))
+                             (cs, 0.5 * ds, ds, ds / 6.0, 2.0))
     P = state.P.copy()
     drive_sum = np.zeros(nq)
     history = []
     if record_every:
-        history.append(replace(state, P=P.copy(), B=state.B.copy()))
-    m = max(1, min(_CHUNK // rows, n))
-    Y = np.empty((m, rows, nq), dtype=complex)      # stored stage rows per step
+        history.append(replace(state, P=P.copy(), B_Lbar=state.B_Lbar.copy()))
+    m = max(1, min(_CHUNK, n))
+    Y = np.empty((m, nq), dtype=complex)            # each step's starting P
     Phi = np.empty_like(Y)
-    work = np.empty((m, rows, nq - 1), dtype=complex)
-    W = np.empty((2, m, nq))                        # drive per step, a term
+    work = np.empty((m, nq - 1), dtype=complex)
+    W = np.empty((m, nq))                           # drive per step
     K = tuple(np.empty((4, nq), dtype=complex))     # stage slopes
     T = np.empty(nq, dtype=complex)
-    absy = np.empty(nq)
-    # per step: the row P is stored to and the buffers of the three later
-    # stage inputs, which are Y's other rows when it stores them
-    X = tuple(np.empty((3, nq), dtype=complex))
-    slots = [tuple(Y[i]) if rows == 4 else (Y[i, 0],) + X for i in range(m)]
+    y1, y2, y3 = np.empty((3, nq), dtype=complex)   # later stage inputs
     for k0 in range(0, n, m):
         steps = min(m, n - k0)
         recorded = []
         for i in range(steps):
-            p, y1, y2, y3 = slots[i]
-            np.copyto(p, P)
-            _slope(P, c, source_mode, K[0], absy)
+            np.copyto(Y[i], P)
+            np.multiply(c, P, K[0])
             np.multiply(K[0], hds, T)
             np.add(P, T, y1)
-            _slope(y1, c, source_mode, K[1], absy)
+            np.multiply(c, y1, K[1])
             np.multiply(K[1], hds, T)
             np.add(P, T, y2)
-            _slope(y2, c, source_mode, K[2], absy)
+            np.multiply(c, y2, K[2])
             np.multiply(K[2], fds, T)
             np.add(P, T, y3)
-            _slope(y3, c, source_mode, K[3], absy)
+            np.multiply(c, y3, K[3])
             # P += ds/6 (K0 + 2 K1 + 2 K2 + K3), summed left to right
             np.multiply(K[1], two, T)
             np.add(K[0], T, T)
@@ -225,17 +178,12 @@ def integrate(state: AsymState, s_target: float, ds: float,
             k = k0 + i + 1
             if record_every and (k % record_every == 0 or k == n):
                 recorded.append((i, k, P.copy()))
-        # the drive Im(Phi conj Y) at all rows * steps stored rows at once;
-        # Y is conjugated in place, the next block overwrites it
-        Ys, Phis = Y[:steps], Phi[:steps]
+        # the drive Im(Phi conj Y) of all steps at once; Y is conjugated in
+        # place, the next block overwrites it
+        Ys, Phis, w = Y[:steps], Phi[:steps], W[:steps]
         _cum_from_top(Ys, q, out=Phis, work=work[:steps])
         d = np.multiply(Phis, np.conjugate(Ys, out=Ys), out=Phis).imag
-        w, term = W[0, :steps], W[1, :steps]
-        np.copyto(w, d[:, 0])
-        for j in range(1, rows):
-            np.multiply(d[:, j], weights[j], term)
-            np.add(w, term, w)
-        np.multiply(w, scale, w)
+        np.multiply(d, scale, w)
         # running sum over the steps, row by row: np.cumsum along axis 0
         # takes twice as long at these sizes, with the same additions
         w[0] += drive_sum
@@ -244,9 +192,9 @@ def integrate(state: AsymState, s_target: float, ds: float,
         np.copyto(drive_sum, w[-1])
         for i, k, Pk in recorded:
             history.append(replace(state, s=state.s + k * ds, P=Pk,
-                                   B=state.B + _FRAME_DRIVE * w[i]))
+                                   B_Lbar=state.B_Lbar - w[i]))
     final = replace(state, s=state.s + n * ds, P=P,
-                    B=state.B + _FRAME_DRIVE * drive_sum)
+                    B_Lbar=state.B_Lbar - drive_sum)
     return final, history
 
 
@@ -260,7 +208,7 @@ def Albar_profile(states: list) -> dict:
     if len(states) < 3:
         raise ValueError("Albar_profile needs at least 3 recorded states")
     s_vals = np.array([st.s for st in states])
-    albar = np.stack([st.A_frame()["A_Lbar"] for st in states])  # (ns, nq)
+    albar = np.stack([st.A_Lbar() for st in states])  # (ns, nq)
     A = np.vstack([s_vals, np.ones_like(s_vals)]).T
     coef, _, _, _ = np.linalg.lstsq(A, albar, rcond=None)
     slopes, intercepts = coef[0], coef[1]
@@ -284,9 +232,8 @@ def weak_null_certificate(states: list, ds: float) -> dict:
     Checks: (1) sup_q |P| drifts from its initial value by less than
     _MODULUS_TOL (exact invariant of the analytic flow, so drift is pure
     integrator error); (2) sup_q |A_Lbar| fits an affine function of s
-    with residual below _AFFINE_TOL; (3) the good component B_L is
-    s-independent (B_L_drift, reported, not gated); (4) no blow-up:
-    sup |P| stays bounded by twice its initial value.
+    with residual below _AFFINE_TOL; (3) no blow-up: sup |P| stays
+    bounded by twice its initial value.
     """
     if len(states) < 3:
         raise ValueError("certificate needs at least 3 recorded states")
@@ -295,12 +242,10 @@ def weak_null_certificate(states: list, ds: float) -> dict:
     mod_drift = float(np.max(np.abs(np.abs(states[-1].P) - np.abs(states[0].P))))
     blow_up = bool(np.any(p_sup > 2.0 * max(p_sup[0], 1e-300)) or
                    not np.all(np.isfinite(p_sup)))
-    alb_sup = np.array([np.max(np.abs(st.A_frame()["A_Lbar"])) for st in states])
+    alb_sup = np.array([np.max(np.abs(st.A_Lbar())) for st in states])
     A = np.vstack([s_vals, np.ones_like(s_vals)]).T
     coef, _, _, _ = np.linalg.lstsq(A, alb_sup, rcond=None)
     affine_resid = float(np.max(np.abs(alb_sup - A @ coef)))
-    bl = np.stack([st.B_L() for st in states])
-    bl_drift = float(np.max(np.abs(bl - bl[0])))
     passed = (mod_drift < _MODULUS_TOL and affine_resid < _AFFINE_TOL
               and not blow_up)
     return {
@@ -308,7 +253,6 @@ def weak_null_certificate(states: list, ds: float) -> dict:
         "modulus_drift": mod_drift,
         "albar_affine_residual": affine_resid,
         "albar_slope": float(coef[0]),
-        "B_L_drift": bl_drift,
         "blow_up": blow_up,
         "s_range": (float(s_vals[0]), float(s_vals[-1])),
         "ds": ds,

@@ -117,7 +117,7 @@ def cmd_asys(args) -> int:
         f.write("q,s,absP,Re_Phi,Im_Phi,A_Lbar\n")
         for stt in hist:
             phi = stt.phi()
-            alb = stt.A_frame()["A_Lbar"]
+            alb = stt.A_Lbar()
             for i in range(0, len(q_grid), 40):
                 f.write(f"{q_grid[i]:.17g},{stt.s:.17g},{abs(stt.P[i]):.17g},"
                         f"{phi[i].real:.17g},{phi[i].imag:.17g},{alb[i]:.17g}\n")

@@ -227,8 +227,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
             "envelope_stability", "weighted sups change < 10% when r_max, t_end double",
             change, 0.10, change < 0.10,
             detail=f"phi: {sup_phi:.6g} -> {sup2_phi:.6g}; J0: {sup_j0:.6g} -> {sup2_j0:.6g}"))
-        env_rows += [(label + "_doubled", sup, np.nan, np.nan)
-                     for label, sup, _, _ in doubled]
+        env_rows += [(label + "_doubled", sup, t, r)
+                     for label, sup, t, r in doubled]
     else:
         report.checks.append(Check(
             "envelope_stability",

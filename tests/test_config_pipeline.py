@@ -1,7 +1,9 @@
 import json
+import math
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -303,6 +305,52 @@ class TestRunPipeline:
         mon = report.monitor_summary
         assert mon["lorenz_sup"] == 0.0
         assert mon["charge_drift_max"] == 0.0
+
+    def test_full_run_locates_the_companion_sups(self, tmp_path):
+        # the doubling companion's rows give where their sups sit, on the
+        # companion's domain: r_max and t_end doubled
+        cfg = parse_config(SMALL)
+        run_pipeline(cfg, out_dir=str(tmp_path), full_criteria=True,
+                     module_checks=False)
+        lines = (tmp_path / "envelopes.csv").read_text().splitlines()[2:]
+        doubled = [line.split(",") for line in lines if "_doubled," in line]
+        assert len(doubled) == 2
+        for _, sup, t, r in doubled:
+            assert math.isfinite(float(sup))
+            assert 0.0 <= float(t) <= 2.0 * cfg.scheme["t_end"]
+            assert 0.0 <= float(r) <= 2.0 * cfg.grid["r_max"]
+
+
+class TestChargeConjugation:
+    def test_conjugate_data_give_the_conjugate_run(self, monkeypatch, tmp_path):
+        # phidot_scale -> -phidot_scale conjugates the data: Q, A and the
+        # current flip sign, phi is conjugated, and every check measures
+        # the same number, bit for bit
+        finals, pipeline_evolve = [], pipeline.evolve
+
+        def evolve(*args, **kwargs):
+            result = pipeline_evolve(*args, **kwargs)
+            finals.append(result.final)
+            return result
+
+        monkeypatch.setattr(pipeline, "evolve", evolve)
+        reports = []
+        for scale in (1.0, -1.0):
+            cfg = parse_config(SMALL)
+            cfg.data["phidot_scale"] = scale
+            reports.append(run_pipeline(cfg, out_dir=str(tmp_path / str(scale)),
+                                        module_checks=False))
+        plus, minus = reports
+        assert plus.charge_Q != 0.0
+        assert minus.charge_Q == -plus.charge_Q
+        assert (minus.extras["asym_source_mass"]
+                == -plus.extras["asym_source_mass"] != 0.0)
+        assert ([(c.id, repr(c.measured), c.passed) for c in minus.checks]
+                == [(c.id, repr(c.measured), c.passed) for c in plus.checks])
+        f_plus, f_minus = finals
+        assert np.array_equal(f_minus.phi, np.conj(f_plus.phi))
+        assert np.array_equal(f_minus.a0, -f_plus.a0)
+        assert np.array_equal(f_minus.ar, -f_plus.ar)
 
 
 # a short run on which every check can run
