@@ -25,9 +25,9 @@ for n in (500, 1000, 2000):
     state.phi = g(grid.r).astype(complex)
     state.phi_t = 1j * g(grid.r)
     scheme = SchemeParams(cfl=0.5, t_end=T_END, boundary="none", linear=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = evolve(state, grid, scheme, ObservationPlan(snapshot_every=10 ** 9))
-    dt_wall = time.time() - t0
+    dt_wall = time.perf_counter() - t0
     r = grid.r[1:]
     t = res.final.t
     exact = dalembert_free(g, None, t, r) + 0.5j * (

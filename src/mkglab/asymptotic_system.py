@@ -220,19 +220,19 @@ def Albar_profile(states: list) -> dict:
             "max_residual": resid, "predicted_slopes": predicted}
 
 
-# weak_null_certificate's bounds on the drift of |P| and on the residual of
-# the affine fit of sup_q |A_Lbar| in s
-_MODULUS_TOL = 1e-10
-_AFFINE_TOL = 1e-6
+# the bounds of weak_null_certificate and of the pipeline's weak-null rows:
+# the drift of |P| and the residual of the affine fit of sup_q |A_Lbar| in s
+MODULUS_TOL = 1e-10
+AFFINE_TOL = 1e-6
 
 
 def weak_null_certificate(states: list, ds: float) -> dict:
     """Certify the weak-null behaviour over a recorded s history.
 
     Checks: (1) sup_q |P| drifts from its initial value by less than
-    _MODULUS_TOL (exact invariant of the analytic flow, so drift is pure
+    MODULUS_TOL (exact invariant of the analytic flow, so drift is pure
     integrator error); (2) sup_q |A_Lbar| fits an affine function of s
-    with residual below _AFFINE_TOL; (3) no blow-up: sup |P| stays
+    with residual below AFFINE_TOL; (3) no blow-up: sup |P| stays
     bounded by twice its initial value.
     """
     if len(states) < 3:
@@ -246,7 +246,7 @@ def weak_null_certificate(states: list, ds: float) -> dict:
     A = np.vstack([s_vals, np.ones_like(s_vals)]).T
     coef, _, _, _ = np.linalg.lstsq(A, alb_sup, rcond=None)
     affine_resid = float(np.max(np.abs(alb_sup - A @ coef)))
-    passed = (mod_drift < _MODULUS_TOL and affine_resid < _AFFINE_TOL
+    passed = (mod_drift < MODULUS_TOL and affine_resid < AFFINE_TOL
               and not blow_up)
     return {
         "passed": bool(passed),

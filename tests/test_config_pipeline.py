@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
+import re
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from mkglab import asymptotic_system as asys
 from mkglab import cli, pipeline
 from mkglab.cli import main as cli_main
 from mkglab.config import (ConfigError, default_config, dump_config,
@@ -252,6 +256,14 @@ class TestRunPipeline:
         for c in rep["checks"]:
             assert {"id", "description", "measured", "tolerance",
                     "passed"} <= set(c)
+        # every row but the base-domain envelope row (a run without the
+        # doubling companion has no bound on it) is its gate's row
+        gated = [c for c in rep["checks"] if c["id"] != "envelope_stability"]
+        assert len(gated) == len(rep["checks"]) - 1
+        for c in gated:
+            desc, bound, test = pipeline.GATES[c["id"]]
+            assert (c["description"], c["tolerance"]) == (desc, bound)
+            assert not c["passed"] or test(c["measured"], bound)
 
     def test_monitor_header_and_hash(self, small_run):
         cfg, report, out = small_run
@@ -505,6 +517,82 @@ class TestFreeWaveOrderCheck:
                 for _ in range(2)]
         assert rows[0] == rows[1]
         assert len(said) == 6 and all(msg.endswith(" s") for msg in said)
+
+    def test_a_system_clock_step_moves_no_level_time(self, monkeypatch):
+        # the system clock jumps an hour at each reading; the level times
+        # come from a monotonic clock, so the 60 s clause still holds.  The
+        # levels' errors are stubbed at an exact order 2
+        clock = itertools.count(0.0, 3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        monkeypatch.setattr(pipeline, "_free_wave_error",
+                            lambda cfg: {500: 2.0 ** -10, 1000: 2.0 ** -12,
+                                         2000: 2.0 ** -14}[cfg.grid["n_cells"]])
+        said = []
+        row = pipeline._free_wave_order_check(parse_config(SMALL), said.append)
+        assert row.measured == 2.0 and row.passed
+        assert len(said) == 3
+        assert all(re.fullmatch(r"free-wave level n=\d+: \d+\.\d\d s", msg)
+                   for msg in said)
+
+
+# the acceptance values of every gate: id -> (comparison, bound, target of
+# a +- gate, the bound as the description states it).  These are fixed
+# points: the tests assert them and a change to the gates never edits them
+ACCEPTANCE_GATES = {
+    "lorenz_stability": ("<=", 10.0, None, "within 10x"),
+    "charge_conservation": ("<", 1e-3, None, "< 1e-3"),
+    "AL_limit": ("<", 0.05, None, "to 5%"),
+    "phi0_cauchy": ("<", 0.2, None, "< 20%"),
+    "charge_phase_slope": ("<", 0.10, None, "within 10%"),
+    "albar_log_correlation": (">=", 0.99, None, ">= 0.99"),
+    "albar_mod_cauchy": ("<", 0.2, None, "< 20%"),
+    "interior_limit": ("<", 0.10, None, "< 10%"),
+    "envelope_stability": ("<", 0.10, None, "< 10%"),
+    "angular_identity": ("<", 1e-8, None, ""),     # its description states no bound
+    "chain_difference_decay": ("<=", -(2 * 0.9 - 1.0) + 0.2, None, "<= -(2s-1)+0.2"),
+    "weak_null_modulus": ("<", 1e-10, None, "< 1e-10"),
+    "weak_null_affine": ("<", 1e-6, None, "< 1e-6"),
+    "phase_factorization_order": ("+-", 0.1, 4.0, "= 4.0 +- 0.1"),
+    "oracle_mms": ("<", 1e-6, None, "to 1e-6"),
+    "oracle_agreement": ("<", 1e-8, None, "< 1e-8"),
+    "oracle_positivity": (">=", -1e-12, None, ">= -1e-12"),
+    "oracle_logest1": ("<", 0.20, None, "within 20%"),
+    "free_wave_order": ("+-", 0.2, 2.0, "= 2.0 +- 0.2"),
+    "lorenz_order": (">=", 1.8, None, ">= 1.8"),
+    "charge_order": (">=", 1.8, None, ">= 1.8"),
+}
+
+
+class TestGates:
+    def test_every_test_at_its_edge(self):
+        # just inside passes, just outside fails, NaN fails; +inf fails a
+        # >= gate too (an order that is no number)
+        assert set(pipeline.GATES) == set(ACCEPTANCE_GATES)
+        for gid, (kind, _, target, _) in ACCEPTANCE_GATES.items():
+            _, bound, test = pipeline.GATES[gid]
+            if kind == "+-":
+                inside = [target + bound * (1 - 1e-9), target - bound * (1 - 1e-9)]
+                outside = [target + bound * (1 + 1e-9), target - bound * (1 + 1e-9)]
+            else:
+                up, down = np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf)
+                inside, outside = {"<": ([down], [bound]), "<=": ([bound], [up]),
+                                   ">=": ([bound], [down, np.inf])}[kind]
+            for m in inside:
+                assert test(m, bound), (gid, m)
+            for m in [*outside, np.nan]:
+                assert not test(m, bound), (gid, m)
+
+    def test_bounds_are_the_acceptance_values(self):
+        for gid, (_, bound, target, stated) in ACCEPTANCE_GATES.items():
+            desc, gate_bound, test = pipeline.GATES[gid]
+            assert gate_bound == bound, gid
+            assert stated in desc, gid
+            if target is not None:
+                assert test.args == (target,), gid
+        assert pipeline._CHAIN_S == 0.9
+        assert pipeline._LEVEL_SECONDS == 60.0
+        # the certificate of mkglab asys holds the weak-null rows' bounds
+        assert (asys.MODULUS_TOL, asys.AFFINE_TOL) == (1e-10, 1e-6)
 
 
 class TestCLI:
