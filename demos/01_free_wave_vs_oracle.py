@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from mkglab import FieldState, ObservationPlan, RadialGrid, SchemeParams, evolve
+from mkglab import FieldState, RadialGrid, SchemeParams, evolve
 from mkglab.data_builder import GaussianProfile
 from mkglab.wave_oracle import dalembert_free
 
@@ -26,7 +26,7 @@ for n in (500, 1000, 2000):
     state.phi_t = 1j * g(grid.r)
     scheme = SchemeParams(cfl=0.5, t_end=T_END, boundary="none", linear=True)
     t0 = time.perf_counter()
-    res = evolve(state, grid, scheme, ObservationPlan(snapshot_every=10 ** 9))
+    res = evolve(state, grid, scheme)
     dt_wall = time.perf_counter() - t0
     r = grid.r[1:]
     t = res.final.t

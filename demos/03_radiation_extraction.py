@@ -22,7 +22,7 @@ print(f"Q = {Q:+.6e}, Q/4pi = {target:+.6e}")
 
 t_end = 160.0
 fracs = (0.3, 0.5, 0.65, 0.8, 0.9, 1.0)
-plan = ObservationPlan(ray_qs=(0.0,), slice_times=tuple(f * t_end for f in fracs))
+plan = ObservationPlan(slice_times=tuple(f * t_end for f in fracs))
 print(f"evolving to t = {t_end} ...")
 res = evolve(state, grid, SchemeParams(cfl=0.5, t_end=t_end, monitor_stride=40), plan)
 
@@ -38,7 +38,7 @@ print(f"phase-corrected r phi at q=0: {ph.value:+.6e}, Cauchy increments "
 
 dq = 2 * grid.h
 q_grid = np.arange(-10.0, 10.0 + dq / 2, dq)
-table = build_radiation_table(res.slices, grid, Q, q_grid, q_al=0.0)
+table = build_radiation_table(res.slices, grid, Q, q_grid)
 j = table.j_scalar()
 M = np.trapezoid(j, table.q)
 print(f"radiation table: int j dq = {M:+.6e} vs -Q/4pi = {-target:+.6e} "

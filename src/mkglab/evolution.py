@@ -85,7 +85,7 @@ import numpy as np
 
 from .core import FieldState, _current_ops, current, field_strength
 from .data_builder import coulomb_tail
-from .grid import (DOMAIN_FRAC, EVEN, RadialGrid, _d_r_ops, _row_d_r_origin,
+from .grid import (EVEN, RadialGrid, _d_r_ops, _in_domain, _row_d_r_origin,
                    _row_lap_origin, _row_sommerfeld, _three_point_ops, d_r,
                    divergence_radial, interp_values, simpson_integral)
 
@@ -132,10 +132,10 @@ class SchemeParams:
 
 @dataclass
 class ObservationPlan:
-    """What evolve() records along the way."""
+    """What evolve() records along the way; by default only the monitors."""
 
     ray_qs: tuple = ()            # retarded coordinates of sampled rays
-    snapshot_every: int = 1       # snapshots every this many monitor events
+    snapshot_every: int = 0       # snapshots every this many monitor events (0: none)
     snapshot_subsample: int = 4   # keep every k-th node in snapshots
     slice_times: tuple = ()       # full-resolution FieldState copies
 
@@ -576,8 +576,9 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
            plan: ObservationPlan | None = None) -> EvolveResult:
     """Run RK4 to t_end, recording monitors, ray samples, and snapshots.
 
-    Monitors and snapshots are taken every monitor_stride steps and at the
-    last step; ray samples only on the stride, uniformly spaced in t.
+    Monitors are taken every monitor_stride steps and at the last step, a
+    snapshot at every plan.snapshot_every-th monitor (none at 0), and ray
+    samples on the stride only (uniformly spaced in t) within grid._in_domain.
 
     The instability guard aborts when the sup norm of any field exceeds
     _GUARD_FACTOR times its initial scale (plus 1 to tolerate zero data).
@@ -592,8 +593,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     ws = Workspace(grid)
     state = ws.load(initial)        # stepped in place; copied out below
     log = MonitorLog()
-    dlt = _RAY_SPACING_CELLS * grid.h
-    offsets = dlt * np.arange(-_RAY_HALF, _RAY_HALF + 1)
+    offsets = _RAY_SPACING_CELLS * grid.h * np.arange(-_RAY_HALF, _RAY_HALF + 1)
     rays = {q: RayHistory(q=q, offsets=offsets) for q in plan.ray_qs}
     snapshots: list[Snapshot] = []
     slices: dict[float, FieldState] = {}
@@ -618,7 +618,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
         for q, hist in (rays.items() if on_stride else ()):
             x = state.t + q
             pts = x + offsets
-            if pts[0] <= 2.0 * dlt or pts[-1] >= DOMAIN_FRAC * grid.r_max:
+            if not _in_domain(pts, grid).all():
                 continue
             hist.times.append(state.t)
             hist.r0.append(x)
@@ -627,7 +627,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
             hist.phi.append(interp_values(state.phi, grid, pts))
             hist.j0.append(interp_values(j0, grid, pts))
             hist.jr.append(interp_values(jr, grid, pts))
-        if monitor_count % plan.snapshot_every == 0:
+        if plan.snapshot_every and monitor_count % plan.snapshot_every == 0:
             k = plan.snapshot_subsample
             snapshots.append(Snapshot(t=state.t, r=grid.r[::k],
                                       phi=state.phi[::k].copy(),

@@ -33,6 +33,11 @@ ODD = -1
 DOMAIN_FRAC = 0.95
 
 
+def _in_domain(x, grid: RadialGrid):
+    """Whether radii x lie in the extraction domain 4h < x < DOMAIN_FRAC r_max."""
+    return (x > 4.0 * grid.h) & (x < DOMAIN_FRAC * grid.r_max)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform 1-D radial grid.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import jbracket
-from .grid import DOMAIN_FRAC, RadialGrid, interp_values
+from .grid import RadialGrid, _in_domain, interp_values
 from .quadrature import integrate_log_kernel
 
 
@@ -58,17 +58,11 @@ class RadiationTable:
     q: np.ndarray
     Phi0: np.ndarray
     J_Lbar: np.ndarray
-    A_L_err: float
     A_Lbar_mod: np.ndarray
 
     def j_scalar(self) -> np.ndarray:
         """j(q) = Im(Phi0 conj d_q Phi0) = -J_Lbar / 2."""
         return -0.5 * self.J_Lbar
-
-
-def _in_domain(x, grid: RadialGrid):
-    """Whether radii x lie in the extraction domain 4h < x < DOMAIN_FRAC r_max."""
-    return (x > 4.0 * grid.h) & (x < DOMAIN_FRAC * grid.r_max)
 
 
 def sample_ray(slices: dict, grid: RadialGrid, q: float) -> RaySample:
@@ -213,12 +207,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
-                          q_grid: np.ndarray, q_al: float = 0.0) -> RadiationTable:
+                          q_grid: np.ndarray) -> RadiationTable:
     """Assemble the radiation table from late-time slices.
 
     Phi0 per q comes from the latest slice containing r = t + q, else from
-    the previous slice.  A_L's limit error is estimated along the ray at
-    q_al (inf when that ray has fewer than LIMIT_SAMPLES samples).
+    the previous slice; A_Lbar^mod is taken on the latest slice.  The
+    table holds no ray quantity (extract_AL_limit gives A_L's limit).
     """
     states = sorted(slices.values(), key=lambda s: s.t)
     if len(states) < 2:
@@ -231,9 +225,6 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
         Phi0[ok] = _product(x[ok] * interp_values(st.phi, grid, x[ok]),
                             charge_phase(Q, x[ok]))
     jlbar = compute_J_asym(q_grid, Phi0)
-    ray = sample_ray(slices, grid, q_al)
-    alerr = (extract_AL_limit(ray).err_est if len(ray.t) >= LIMIT_SAMPLES
-             else np.inf)
     # modified A_Lbar at the last slice, on the q grid
     x = last.t + q_grid
     ok = _in_domain(x, grid)
@@ -242,7 +233,7 @@ def build_radiation_table(slices: dict, grid: RadialGrid, Q: float,
     mod[ok] = x[ok] * mod_ALbar(albar, q_grid, jlbar, last.t, x[ok],
                                 q_min=q_grid[0])
     return RadiationTable(q=q_grid.copy(), Phi0=Phi0, J_Lbar=jlbar,
-                          A_L_err=alerr, A_Lbar_mod=mod)
+                          A_Lbar_mod=mod)
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     # evolve stores each slice under the time requested for it
     frac_times = [round(f * t_end, 10) for f in ext["t_fracs"]]
     interior_times = [float(t) for t in cfg.interior["t_list"]]
+    # evolve records the rays the checks read: the central one and the lowest
+    q_rays = ext["q_rays"]
+    central_q = min(q_rays, key=abs, default=None)
+    q_low = min(q_rays, default=None)
     plan = ObservationPlan(
-        ray_qs=tuple(ext["q_rays"]),
+        ray_qs=tuple(sorted({central_q, q_low})) if q_rays else (),
         snapshot_every=2,
         snapshot_subsample=max(1, grid.n_cells // 2000),
         slice_times=tuple(sorted(set(frac_times + interior_times))))
@@ -228,9 +232,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
              f"t=0 residual {lor[0]:.3e}, burn-in max {lor_base:.3e}, sup {lor_sup:.3e}"),
         gate("charge_conservation", qdrift)]
 
-    # the central ray: the frame identity, the phase slope and the table's
-    # A_L limit error are measured on it (q = 0 when no ray is sampled)
-    central_q = min(plan.ray_qs, key=abs, default=0.0)
     central = result.rays.get(central_q)
     frame = {}      # monitor time -> |residual|
     if central is not None and len(central.times) >= FRAME_SAMPLES:
@@ -243,10 +244,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     dq = ext["q_spacing_cells"] * grid.h
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
     frac_slices = {t: result.slices[t] for t in frac_times}
-    table = build_radiation_table(frac_slices, grid, Q, q_grid, q_al=central_q)
-    report.checks += _ray_limit_checks(frac_slices, grid, ext, Q)
+    table = build_radiation_table(frac_slices, grid, Q, q_grid)
+    limit_rows, al_err = _ray_limit_checks(frac_slices, grid, q_rays, central_q, Q)
+    report.checks += limit_rows
     report.checks.append(_phase_slope_check(central, central_q, target))
-    report.checks += _albar_checks(result, plan, table)
+    report.checks += _albar_checks(result.rays.get(q_low), q_low, table)
 
     # -- interior ------------------------------------------------------------
     say("[4/6] interior limit comparison")
@@ -296,7 +298,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
                           *_refinement_orders_check(cfg, say)]
 
     # -- emission ------------------------------------------------------------
-    _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report)
+    _emit(out_dir, cfg, log, frame, table, al_err, interior_rows, env_rows, report)
     return report
 
 
@@ -314,18 +316,24 @@ def _cannot_run(q, times, needed: int) -> str | None:
     return None
 
 
-def _ray_limit_checks(slices, grid, ext, Q) -> list[Check]:
-    """The r A_L limit and r phi Cauchy checks on every ray of q_rays."""
+def _ray_limit_checks(slices, grid, q_rays, central_q, Q) -> tuple[list[Check], float]:
+    """The r A_L limit and r phi Cauchy checks on every ray of q_rays, each
+    ray sampled once from slices, and the A_L limit error on the central ray
+    at central_q (NaN when that ray cannot run)."""
     target = Q / (4.0 * np.pi)
-    al_rows = []
-    phi0_rows = []
-    short = None    # why the ray checks cannot run: the first short ray
-    for qray in ext["q_rays"]:
+    al_rows, phi0_rows = [], []
+    al_err = np.nan
+    # why the ray checks cannot run: no ray, or the first short ray
+    short = None if q_rays else _cannot_run(None, None, LIMIT_SAMPLES)
+    for qray in q_rays:
         ray = sample_ray(slices, grid, qray)
-        short = short or _cannot_run(qray, ray.t, LIMIT_SAMPLES)
-        if short:
+        reason = _cannot_run(qray, ray.t, LIMIT_SAMPLES)
+        short = short or reason
+        if reason:
             continue
         al = extract_AL_limit(ray)
+        if qray == central_q:
+            al_err = al.err_est
         errs_last3 = np.abs(ray.r[-3:] * ray.A_L[-3:] - target)
         rel = abs(al.value.real - target) / abs(target) if target != 0 else abs(al.value.real)
         floor = 1e-10 * abs(target) + 1e-300
@@ -341,21 +349,20 @@ def _ray_limit_checks(slices, grid, ext, Q) -> list[Check]:
                           "amp": abs(ph.value), "err_est": ph.err_est,
                           "cauchy_ratio": ratio, "converged": ph.converged,
                           "diagnostic": ph.diagnostic})
+    if short:   # both checks fail with the reason
+        return [gate("AL_limit", np.nan, short), gate("phi0_cauchy", np.nan, short)], al_err
+
     # rays carrying no radiation to double precision are trivially Cauchy
-    amp_max = max((row["amp"] for row in phi0_rows), default=0.0)
+    amp_max = max(row["amp"] for row in phi0_rows)
     for row in phi0_rows:
         if row["amp"] < 1e-10 * amp_max or row["err_est"] < 1e-30:
             row["cauchy_ratio"] = 0.0
             row["converged"] = True
             row["diagnostic"] = "below radiation noise floor, trivially Cauchy"
-
-    # a short ray fails both checks with its reason
-    worst_al = np.nan if short else max((r["rel_err"] for r in al_rows), default=np.inf)
-    worst_ratio = np.nan if short else max((r["cauchy_ratio"] for r in phi0_rows),
-                                           default=np.inf)
-    return [gate("AL_limit", worst_al, short or json.dumps(al_rows),
+    return [gate("AL_limit", max(r["rel_err"] for r in al_rows), json.dumps(al_rows),
                  also=all(r["decreasing"] for r in al_rows)),
-            gate("phi0_cauchy", worst_ratio, short or json.dumps(phi0_rows))]
+            gate("phi0_cauchy", max(r["cauchy_ratio"] for r in phi0_rows),
+                 json.dumps(phi0_rows))], al_err
 
 
 def _interior_check(rows, cfg, Q) -> Check:
@@ -398,15 +405,13 @@ def _phase_slope_check(hist, q, target) -> Check:
     return row(rel, f"slope={slope:.6e}, expected={expected:.6e}, r2={r2:.4f}")
 
 
-def _albar_checks(result, plan, table) -> list[Check]:
-    """A_Lbar's log growth and its mod-corrected Cauchy check on the most
-    interior ray."""
+def _albar_checks(hist, q_low, table) -> list[Check]:
+    """A_Lbar's log growth and its mod-corrected Cauchy check on the ray
+    history hist of the most interior ray, at q_low (None: no ray)."""
     def rows(corr, mod_ratio, detail):
         return [gate("albar_log_correlation", corr, detail),
                 gate("albar_mod_cauchy", mod_ratio, detail)]
 
-    q_low = min(plan.ray_qs, default=None)
-    hist = result.rays.get(q_low)
     reason = _cannot_run(q_low, None if hist is None else hist.times, _MIN_RAY_SAMPLES)
     if reason:
         return rows(np.nan, np.nan, reason)
@@ -553,7 +558,7 @@ def _refinement_orders_check(cfg: RunConfig, say) -> list[Check]:
             gate("charge_order", chg, f"drifts {errors['charge_drift']}")]
 
 
-def _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report):
+def _emit(out_dir, cfg, log, frame, table, al_err, interior_rows, env_rows, report):
     chash = report.config_hash
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.write(dump_config(cfg))
@@ -563,7 +568,7 @@ def _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report):
                ["t", "lorenz_residual_sup", "charge_Q", "energy_E",
                 "frame_identity_residual_sup"], mon_rows, chash)
     rad_rows = [(table.q[i], table.Phi0[i].real, table.Phi0[i].imag,
-                 table.J_Lbar[i], table.A_L_err, table.A_Lbar_mod[i])
+                 table.J_Lbar[i], al_err, table.A_Lbar_mod[i])
                 for i in range(len(table.q))]
     _write_csv(os.path.join(out_dir, "radiation.csv"),
                ["q", "Re_Phi0", "Im_Phi0", "J_Lbar", "A_L_limit_err", "A_Lbar_mod"],
@@ -601,27 +606,29 @@ def convergence_study(cfg: RunConfig, levels: int = 3, progress=None) -> dict:
     """
     if levels < 2:
         raise ValueError("convergence_study needs >= 2 levels")
-    level_info, errors = _coupled_ladder(cfg, levels, progress, free_wave=True)
+    level_info, errors = _coupled_ladder(cfg, levels, progress, study=True)
     orders, flags = _orders(errors)
     return {"levels": level_info, "errors": errors, "orders": orders,
             "flags": flags}
 
 
 def _coupled_ladder(cfg: RunConfig, levels: int, progress,
-                    free_wave: bool = False) -> tuple[list, dict]:
+                    study: bool = False) -> tuple[list, dict]:
     """Per-level status and errors of the coupled run at h, h/2, h/4, ...
 
-    The errors are the Lorenz residual, the charge drift and the
-    frame-identity residual on the ray q = 0.  free_wave=True first measures
-    each level's free-wave error (_free_wave_error) as errors["free_wave"].
-    A level whose evolve is unstable gets NaN for every error it lacks.
+    The errors are the Lorenz residual and the charge drift; the coupled
+    runs record no snapshot, and no ray unless study is set.  study=True
+    (convergence_study) also measures each level's free-wave error
+    (_free_wave_error) as errors["free_wave"] and records the ray q = 0 for
+    its frame-identity residual, errors["frame_identity"].  A level gets
+    NaN for every error it cannot measure (an unstable evolve, a short ray).
     """
     say = progress or (lambda msg: None)
-    errors = {"free_wave": []} if free_wave else {}
-    errors.update(lorenz_residual=[], charge_drift=[], frame_identity=[])
+    keys = ("free_wave", "lorenz_residual", "charge_drift", "frame_identity")
+    errors = {key: [] for key in (keys if study else keys[1:3])}
     level_info = []
     scheme = SchemeParams(**cfg.scheme)
-    plan = ObservationPlan(ray_qs=(0.0,), snapshot_every=10 ** 9)
+    plan = ObservationPlan(ray_qs=(0.0,) if study else ())
     for lev in range(levels):
         n = cfg.grid["n_cells"] * (2 ** lev)
         say(f"level {lev}: n_cells = {n}")
@@ -629,7 +636,7 @@ def _coupled_ladder(cfg: RunConfig, levels: int, progress,
         grid = RadialGrid(**lev_cfg.grid)
         info = {"n_cells": n, "h": grid.h}
         try:
-            if free_wave:
+            if study:
                 errors["free_wave"].append(_free_wave_error(lev_cfg))
             st0, Q = assemble_state(build_free_data(lev_cfg, grid), grid)
             res = evolve(st0, grid, scheme, plan)
@@ -641,21 +648,19 @@ def _coupled_ladder(cfg: RunConfig, levels: int, progress,
             late = tarr >= 0.1 * scheme.t_end
             errors["lorenz_residual"].append(float(np.max(lor[late])))
             errors["charge_drift"].append(float(np.max(np.abs(qs - qs[0]))))
-            if len(res.rays[0.0].times) >= FRAME_SAMPLES:
+            if study and len(res.rays[0.0].times) >= FRAME_SAMPLES:
                 _, fts, fser = frame_identity_residual(res.rays[0.0], Q)
                 # same propagated window as the Lorenz residual: the ray
                 # enters the sampled region at h-dependent early times
                 fwin = fts >= 0.1 * scheme.t_end
-                fr = float(np.max(np.abs(fser[fwin]))) if np.any(fwin) else np.nan
-                errors["frame_identity"].append(fr)
-            else:
-                errors["frame_identity"].append(np.nan)
+                if np.any(fwin):
+                    errors["frame_identity"].append(float(np.max(np.abs(fser[fwin]))))
             info["status"] = "ok"
         except EvolutionUnstable as exc:
             info["status"] = f"unstable: {exc}"
-            for key in errors:
-                if len(errors[key]) <= lev:
-                    errors[key].append(np.nan)
+        for key in errors:
+            if len(errors[key]) <= lev:
+                errors[key].append(np.nan)
         level_info.append(info)
     return level_info, errors
 
@@ -684,8 +689,7 @@ def _free_wave_error(cfg: RunConfig) -> float:
     data = build_free_data(cfg, grid)
     state0 = FieldState.zeros(grid)
     state0.phi, state0.phi_t = data.phi0, data.phi0_dot
-    res = evolve(state0, grid, SchemeParams(**cfg.scheme, linear=True),
-                 ObservationPlan(snapshot_every=10 ** 9))
+    res = evolve(state0, grid, SchemeParams(**cfg.scheme, linear=True))
     t_fin = res.final.t
     r = grid.r[1:]
     d = cfg.data

@@ -372,35 +372,61 @@ PROBE = (SMALL.replace("r_max = 60.0", "r_max = 40.0")
          .replace("t_list = 15, 30, 45", "t_list = 5, 10, 15"))
 
 
+def radiation_rows(out) -> list[list[str]]:
+    """The rows of out's radiation.csv below its hash and header lines."""
+    return [line.split(",") for line in
+            (out / "radiation.csv").read_text().splitlines()[2:]]
+
+
 class TestChecksThatCannotRun:
     @pytest.fixture(scope="class")
-    def probe_ids(self, tmp_path_factory):
+    def probe_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("probe")
         report = run_pipeline(parse_config(PROBE), module_checks=False,
-                              out_dir=str(tmp_path_factory.mktemp("probe")))
+                              out_dir=str(out))
         assert not any(c.detail.startswith("cannot run") for c in report.checks)
-        return [c.id for c in report.checks]
+        return report, out
 
     @pytest.mark.parametrize("old, new, ids, reason", [
         ("t_list = 5, 10, 15", "t_list =", {"interior_limit"},
          "interior.t_list is empty"),
         ("q_rays = -5, 0, 5", "q_rays =",
-         {"charge_phase_slope", "albar_log_correlation", "albar_mod_cauchy"},
+         {"AL_limit", "phi0_cauchy", "charge_phase_slope",
+          "albar_log_correlation", "albar_mod_cauchy"},
          "extraction.q_rays is empty"),
         ("q_rays = -5, 0, 5", "q_rays = -5, 0, 39", {"AL_limit", "phi0_cauchy"},
          "ray q=39 has 0 samples, needs >= 3"),
     ])
-    def test_reported_failed_with_reason(self, probe_ids, tmp_path, old, new,
+    def test_reported_failed_with_reason(self, probe_run, tmp_path, old, new,
                                          ids, reason):
         assert old in PROBE
         report = run_pipeline(parse_config(PROBE.replace(old, new)),
                               out_dir=str(tmp_path), module_checks=False)
-        assert [c.id for c in report.checks] == probe_ids
+        assert [c.id for c in report.checks] == [c.id for c in probe_run[0].checks]
+        assert ids <= {c.id for c in report.checks}
         for c in report.checks:
             if c.id in ids:
                 assert not c.passed
+                assert math.isnan(c.measured)
                 assert c.detail == f"cannot run: {reason}"
         rep = json.loads((tmp_path / "report.json").read_text())
         assert not rep["all_passed"]
+
+    @pytest.mark.parametrize("rays, column", [("39, 0, 5", None), ("", "nan")])
+    def test_AL_limit_err_is_the_central_ray_s(self, probe_run, tmp_path, rays,
+                                               column):
+        """radiation.csv's A_L_limit_err column holds the A_L limit error of
+        the central ray alone (a short first ray leaves it as it is), and
+        nan with no ray; the table's other columns do not read the rays."""
+        text = PROBE.replace("q_rays = -5, 0, 5", f"q_rays = {rays}".rstrip())
+        run_pipeline(parse_config(text), out_dir=str(tmp_path), module_checks=False)
+        want = radiation_rows(probe_run[1])
+        assert len({row[4] for row in want}) == 1
+        assert math.isfinite(float(want[0][4]))
+        if column:
+            for row in want:
+                row[4] = column
+        assert radiation_rows(tmp_path) == want
 
 
 # the checks a run without the module checks reports, in order
@@ -493,18 +519,40 @@ class TestConvergenceStudy:
         assert any("unstable" in info["status"] for info in study["levels"])
 
 
+class TestRunsRecordWhatTheirChecksRead:
+    def test_base_run_and_free_wave_level(self, monkeypatch, tmp_path):
+        calls, run_evolve = [], pipeline.evolve
+
+        def evolve(initial, grid, scheme, plan=None):
+            calls.append((plan, run_evolve(initial, grid, scheme, plan)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(pipeline, "evolve", evolve)
+        cfg = parse_config(SMALL)
+        run_pipeline(cfg, out_dir=str(tmp_path), module_checks=False)
+        (plan, result), = calls
+        # of q_rays = -5, 0, 5 the checks read the central ray and the lowest
+        assert plan.ray_qs == (-5.0, 0.0) == tuple(result.rays)
+        pipeline._free_wave_error(cfg)
+        (_, free), = calls[1:]
+        assert free.snapshots == [] and free.rays == {}
+
+
 class TestRefinementOrdersCheck:
     def test_coupled_ladder_runs_no_linear_evolve(self, monkeypatch):
-        linear = []
+        linear, plans = [], []
 
         def evolve(initial, grid, scheme, plan=None):
             linear.append(scheme.linear)
+            plans.append((plan.ray_qs, plan.snapshot_every))
             raise EvolutionUnstable("stopped once the scheme is recorded")
 
         monkeypatch.setattr(pipeline, "evolve", evolve)
         rows = pipeline._refinement_orders_check(parse_config(SMALL),
                                                  lambda msg: None)
         assert linear == [False, False, False]
+        # the order rows read no ray and no snapshot, so none is recorded
+        assert plans == [((), 0)] * 3
         assert [c.id for c in rows] == ["lorenz_order", "charge_order"]
         assert not any(c.passed for c in rows)
 
