@@ -3,11 +3,14 @@
 Runs a mid-size charged evolution, extracts the asymptotic source from the
 radiation field of the same run, and compares the simulated interior
 potential with the kernel prediction at several interior fractions y.
+Each slice is read back under its step, slice_step(t, dt), the key evolve
+stores it by.
 """
 import numpy as np
 
 from mkglab import RadialGrid, SchemeParams, ObservationPlan, evolve
 from mkglab.data_builder import FreeData, assemble_state
+from mkglab.evolution import slice_step, time_grid
 from mkglab.interior import AsymSource, K_mu, eval_A_ex, eval_A_ex_infty, \
     interior_limit_check
 from mkglab.null_extraction import build_radiation_table
@@ -22,20 +25,22 @@ state, Q = assemble_state(data, grid)
 t_end = 160.0
 t_list = (60.0, 110.0, 160.0)
 fracs = (0.5, 0.8, 0.9, 1.0)
-slice_times = tuple(sorted(set([f * t_end for f in fracs]) | set(t_list)))
-res = evolve(state, grid, SchemeParams(cfl=0.5, t_end=t_end, monitor_stride=40),
-             ObservationPlan(slice_times=slice_times))
+frac_times = tuple(f * t_end for f in fracs)
+scheme = SchemeParams(cfl=0.5, t_end=t_end, monitor_stride=40)
+res = evolve(state, grid, scheme,
+             ObservationPlan(slice_times=frac_times + t_list))
+_, dt = time_grid(t_end, scheme.cfl * grid.h)
 
 dq = 2 * grid.h
 q_grid = np.arange(-10.0, 10.0 + dq / 2, dq)
-frac_slices = {t: res.slices[t] for t in res.slices if t in [f * t_end for f in fracs]}
+frac_slices = {k: res.slices[k] for k in {slice_step(t, dt) for t in frac_times}}
 table = build_radiation_table(frac_slices, grid, Q, q_grid)
 source = AsymSource(q_grid=table.q, j=table.j_scalar())
 print(f"source mass M = {source.mass():+.6e} (vs -Q/4pi = {-Q / 4 / np.pi:+.6e})")
 
 print(f"{'y':>5} {'t':>6} {'t*A0 sim':>14} {'K0 pred':>14} {'rel err':>9}")
-rows = interior_limit_check([res.slices[t] for t in t_list], grid, source,
-                            [0.1, 0.3, 0.5])
+rows = interior_limit_check([res.slices[slice_step(t, dt)] for t in t_list],
+                            grid, source, [0.1, 0.3, 0.5])
 for row in rows:
     rel = row["abs_err0"] / abs(row["K0_pred"])
     print(f"{row['y']:>5.1f} {row['t']:>6.0f} {row['tA0_sim']:>14.6e} "

@@ -27,7 +27,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .core import Weights
-from .evolution import SchemeParams, time_grid
+from .evolution import SchemeParams, slice_step, time_grid
 from .grid import RadialGrid
 
 
@@ -157,6 +157,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
     and SchemeParams; the rules below them are the config's own.
     """
     g, sch = cfg.grid, cfg.scheme
+    dt = None       # the run's step, when the grid and scheme give one
+    if min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
+        _, dt = time_grid(sch["t_end"], sch["cfl"] * g["r_max"] / g["n_cells"])
+
+    def step_of(t):     # the step of the slice at t (t itself without a step)
+        return t if dt is None else slice_step(t, dt)
     errs = [f"grid.{e}" for e in RadialGrid.problems(**g)]
     errs += [f"weights.{e}" for e in Weights.problems(**cfg.weights)]
     errs += [f"scheme.{e}" for e in SchemeParams(**sch).validate(g["r_max"])]
@@ -179,8 +185,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
                         "(the radiation table needs two q nodes)")
     if not all(0.0 < f <= 1.0 for f in ext["t_fracs"]):
         errs.append("extraction.t_fracs must lie in (0, 1]")
-    if len(set(ext["t_fracs"])) < 2:
-        errs.append("extraction.t_fracs needs at least two distinct entries "
+    if len({step_of(f * sch["t_end"]) for f in ext["t_fracs"]}) < 2:
+        errs.append("extraction.t_fracs needs entries on at least two steps "
                     f"(the radiation table needs two slices), got {ext['t_fracs']}")
     if ext["q_rays"] and min(ext["q_rays"]) < ext["q_min"]:
         errs.append(f"extraction.q_rays entry {min(ext['q_rays'])} lies below "
@@ -193,20 +199,19 @@ def validate_config(cfg: RunConfig) -> list[str]:
             errs.append(f"interior.t_list entries must be positive, got {t}")
         elif t > sch["t_end"]:
             errs.append(f"interior.t_list entry {t} exceeds t_end = {sch['t_end']}")
-    # a repeated entry gives two equal errors, and the interior check asks
-    # the error to fall strictly in t
-    for key, entries in cfg.interior.items():
-        repeated = sorted({v for v in entries if entries.count(v) > 1})
+    # a repeated y, or two times on one step (one slice), gives two equal
+    # errors, and the interior check asks the error to fall strictly in t
+    ys, ts = cfg.interior["y_list"], cfg.interior["t_list"]
+    for key, entries, keys in (("y_list", ys, ys),
+                               ("t_list", ts, [step_of(t) for t in ts])):
+        repeated = sorted({v for v, k in zip(entries, keys) if keys.count(k) > 1})
         if repeated:
             errs.append(f"interior.{key} repeats the entries {repeated}")
-    ys, ts = cfg.interior["y_list"], cfg.interior["t_list"]
-    if ys and ts and min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
-        # evolve captures a slice up to dt / 2 after its requested time
-        _, dt = time_grid(sch["t_end"], sch["cfl"] * g["r_max"] / g["n_cells"])
-        if max(ys) * (max(ts) + 0.5 * dt) > g["r_max"]:
-            errs.append(f"interior.y_list entry {max(ys)} times interior.t_list "
-                        f"entry {max(ts)} (+ dt/2 = {0.5 * dt:g}) lies beyond "
-                        f"grid.r_max = {g['r_max']}")
+    # a slice is the state of the nearest step, up to dt / 2 late
+    if ys and ts and dt is not None and max(ys) * (max(ts) + 0.5 * dt) > g["r_max"]:
+        errs.append(f"interior.y_list entry {max(ys)} times interior.t_list "
+                    f"entry {max(ts)} (+ dt/2 = {0.5 * dt:g}) lies beyond "
+                    f"grid.r_max = {g['r_max']}")
     return errs
 
 

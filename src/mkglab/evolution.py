@@ -74,7 +74,8 @@ state are copies and never share memory with a workspace.  A snapshot
 holds t, a strided view of the grid's read-only radii (shared by every
 snapshot) and copies of phi and J_0 on those nodes; the envelope checks
 read nothing else.  The run takes n_steps = ceil(t_end / (cfl h)) steps of
-dt = t_end / n_steps, so it ends at t_end (time_grid).
+dt = t_end / n_steps, so it ends at t_end (time_grid).  A slice is the state
+of the step nearest its time, keyed by that step (slice_step).
 """
 from __future__ import annotations
 
@@ -92,10 +93,9 @@ from .grid import (EVEN, RadialGrid, _d_r_ops, _in_domain, _row_d_r_origin,
 # evolve() stops when a field's sup norm exceeds this factor times its
 # initial scale (plus 1, to tolerate zero data)
 _GUARD_FACTOR = 1e6
-# each ray is sampled on 2 * _RAY_HALF + 1 radii _RAY_SPACING_CELLS cells
-# apart; the outermost offsets, +-_RAY_HALF spacings, decide which samples
-# fit in the domain
-_RAY_HALF = 2
+# a ray sample holds 2 * _RAY_HALF + 1 radii _RAY_SPACING_CELLS cells apart, all
+# in the domain; the frame identity reads the offsets +-1, the other readers the centre
+_RAY_HALF = 1
 _RAY_SPACING_CELLS = 2
 
 
@@ -137,7 +137,7 @@ class ObservationPlan:
     ray_qs: tuple = ()            # retarded coordinates of sampled rays
     snapshot_every: int = 0       # snapshots every this many monitor events (0: none)
     snapshot_subsample: int = 4   # keep every k-th node in snapshots
-    slice_times: tuple = ()       # full-resolution FieldState copies
+    slice_times: tuple = ()       # each t: a copy of step slice_step(t, dt)
 
 
 @dataclass
@@ -572,6 +572,11 @@ def time_grid(t_end: float, dt_max: float) -> tuple[int, float]:
     return n_steps, t_end / n_steps
 
 
+def slice_step(t: float, dt: float) -> int:
+    """The step of the slice at t: the nearest, the earlier at an exact tie."""
+    return math.ceil(t / dt - 0.5)
+
+
 def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
            plan: ObservationPlan | None = None) -> EvolveResult:
     """Run RK4 to t_end, recording monitors, ray samples, and snapshots.
@@ -579,6 +584,7 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     Monitors are taken every monitor_stride steps and at the last step, a
     snapshot at every plan.snapshot_every-th monitor (none at 0), and ray
     samples on the stride only (uniformly spaced in t) within grid._in_domain.
+    result.slices: one state copy per step slice_step(t, dt), t in plan.slice_times.
 
     The instability guard aborts when the sup norm of any field exceeds
     _GUARD_FACTOR times its initial scale (plus 1 to tolerate zero data).
@@ -596,8 +602,8 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     offsets = _RAY_SPACING_CELLS * grid.h * np.arange(-_RAY_HALF, _RAY_HALF + 1)
     rays = {q: RayHistory(q=q, offsets=offsets) for q in plan.ray_qs}
     snapshots: list[Snapshot] = []
-    slices: dict[float, FieldState] = {}
-    slice_times = sorted(plan.slice_times)
+    slices: dict[int, FieldState] = {}
+    slice_steps = {slice_step(t, dt) for t in plan.slice_times}
     guard0 = max(np.max(np.abs(initial.phi)), np.max(np.abs(initial.a0)),
                  np.max(np.abs(initial.ar)))
     floor = _TAIL_FLOOR * guard0    # 0 for zero data: nothing is dropped
@@ -634,15 +640,12 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
                                       j0=j0[::k].copy()))
         monitor_count += 1
 
-    next_slice = 0
     for k_step in range(n_steps + 1):
         on_stride = k_step % scheme.monitor_stride == 0
         if on_stride or k_step == n_steps:
             observe(on_stride)
-        while next_slice < len(slice_times) and \
-                state.t >= slice_times[next_slice] - 0.5 * dt:
-            slices[slice_times[next_slice]] = state.copy()
-            next_slice += 1
+        if k_step in slice_steps:
+            slices[k_step] = state.copy()
         if k_step < n_steps:
             state = step(state, grid, scheme, dt, ws)
             ws.drop_below(floor, ws.window)

@@ -24,7 +24,7 @@ from .core import FieldState, Weights
 from .data_builder import FreeData, GaussianProfile, assemble_state
 from .evolution import (FRAME_SAMPLES, EvolutionUnstable, ObservationPlan,
                         SchemeParams, evolve, frame_identity_residual,
-                        time_grid)
+                        slice_step, time_grid)
 from .grid import RadialGrid
 from .interior import (AsymSource, CallableSource, angular_kernel_integral,
                        angular_kernel_quadrature, chain_difference_report,
@@ -191,9 +191,10 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
 
     ext = cfg.extraction
     t_end = scheme.t_end
-    # evolve stores each slice under the time requested for it
-    frac_times = [round(f * t_end, 10) for f in ext["t_fracs"]]
-    interior_times = [float(t) for t in cfg.interior["t_list"]]
+    n_steps, dt = time_grid(t_end, scheme.cfl * grid.h)
+    frac_times = [f * t_end for f in ext["t_fracs"]]
+    frac_steps = {slice_step(t, dt) for t in frac_times}
+    interior_steps = [slice_step(t, dt) for t in cfg.interior["t_list"]]
     # evolve records the rays the checks read: the central one and the lowest
     q_rays = ext["q_rays"]
     central_q = min(q_rays, key=abs, default=None)
@@ -202,9 +203,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
         ray_qs=tuple(sorted({central_q, q_low})) if q_rays else (),
         snapshot_every=2,
         snapshot_subsample=max(1, grid.n_cells // 2000),
-        slice_times=tuple(sorted(set(frac_times + interior_times))))
+        slice_times=(*frac_times, *cfg.interior["t_list"]))
 
-    n_steps, _ = time_grid(t_end, scheme.cfl * grid.h)
     say(f"[2/6] evolving to t={t_end} ({n_steps} steps)")
     result = evolve(state0, grid, scheme, plan)
     log = result.log
@@ -243,7 +243,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     say("[3/6] extracting radiation tables and ray limits")
     dq = ext["q_spacing_cells"] * grid.h
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
-    frac_slices = {t: result.slices[t] for t in frac_times}
+    frac_slices = {k: result.slices[k] for k in frac_steps}
     table = build_radiation_table(frac_slices, grid, Q, q_grid)
     limit_rows, al_err = _ray_limit_checks(frac_slices, grid, q_rays, central_q, Q)
     report.checks += limit_rows
@@ -253,7 +253,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     # -- interior ------------------------------------------------------------
     say("[4/6] interior limit comparison")
     source = AsymSource(q_grid=table.q, j=table.j_scalar())
-    interior_rows = interior_limit_check([result.slices[t] for t in interior_times],
+    interior_rows = interior_limit_check([result.slices[k] for k in interior_steps],
                                          grid, source, cfg.interior["y_list"])
     report.checks.append(_interior_check(interior_rows, cfg, Q))
     report.extras["asym_source_mass"] = source.mass()

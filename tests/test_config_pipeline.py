@@ -17,7 +17,8 @@ from mkglab.cli import main as cli_main
 from mkglab.config import (ConfigError, default_config, dump_config,
                            parse_config, run_config_hash)
 from mkglab.core import Weights
-from mkglab.evolution import EvolutionUnstable, SchemeParams, time_grid
+from mkglab.evolution import (EvolutionUnstable, SchemeParams, slice_step,
+                              time_grid)
 from mkglab.grid import RadialGrid
 from mkglab.pipeline import (Check, agreement_check, convergence_study,
                              mms_check, run_pipeline)
@@ -140,6 +141,11 @@ class TestParseConfig:
          "interior.t_list repeats"),
         (SMALL.replace("y_list = 0.1, 0.3, 0.5", "y_list = 0.3, 0.1, 0.3"),
          "interior.y_list repeats"),
+        # two times on one step (dt = 0.05) are one slice, as a repeat is
+        (SMALL.replace("t_list = 15, 30, 45", "t_list = 15, 15.01, 30, 45"),
+         "interior.t_list repeats"),
+        (SMALL.replace("t_fracs = 0.3, 0.5, 0.65, 0.8, 0.9, 1.0",
+                       "t_fracs = 0.9999999, 1.0"), "extraction.t_fracs"),
     ])
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -289,6 +295,16 @@ class TestRunPipeline:
         for name in ("monitors.csv", "radiation.csv", "interior.csv",
                      "envelopes.csv", "report.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_fracs_on_one_step_share_a_slice(self, small_run, tmp_path):
+        # 0.9999999 t_end lies on the step of t_end: one slice, not a second
+        # copy with a zero Cauchy increment
+        text = SMALL.replace("0.9, 1.0", "0.9, 0.9999999, 1.0")
+        assert text != SMALL
+        run_pipeline(parse_config(text), out_dir=str(tmp_path), module_checks=False)
+        rows = [json.loads((out / "report.json").read_text())["checks"]
+                for out in (small_run[2], tmp_path)]
+        assert rows[0] == rows[1]
 
     def test_lorenz_burn_in_holds_an_event_after_t0(self, tmp_path):
         # STRIDE_OFF monitors every 2.0 time units, more than 5% of t_end
@@ -488,11 +504,15 @@ class TestAcceptedConfigsRun:
                 mock.patch.object(pipeline, "evolve", evolve):
             report = run_pipeline(cfg, out_dir=out, module_checks=False)
         result, = results
-        assert result.final.t == pytest.approx(cfg.scheme["t_end"], rel=1e-12)
-        requested = {round(f * cfg.scheme["t_end"], 10)
-                     for f in cfg.extraction["t_fracs"]}
-        requested |= set(cfg.interior["t_list"])
-        assert set(result.slices) == requested
+        t_end = cfg.scheme["t_end"]
+        assert result.final.t == pytest.approx(t_end, rel=1e-12)
+        n_steps, dt = time_grid(t_end, cfg.scheme["cfl"] * RadialGrid(**cfg.grid).h)
+        rounding = 4.0 * np.finfo(float).eps * n_steps * t_end
+        requested = [f * t_end for f in cfg.extraction["t_fracs"]]
+        requested += cfg.interior["t_list"]
+        assert set(result.slices) == {slice_step(t, dt) for t in requested}
+        for t in requested:
+            assert abs(result.slices[slice_step(t, dt)].t - t) <= 0.5 * dt + rounding
         assert [c.id for c in report.checks] == RUN_CHECK_IDS
         # the data are nonzero, so the Lorenz burn-in window holds a
         # measured residual whatever the monitor spacing

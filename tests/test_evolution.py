@@ -11,7 +11,7 @@ from mkglab.evolution import (_TAIL_FLOOR, _WINDOW_CHUNK, EvolutionUnstable,
                               ObservationPlan, SchemeParams, Workspace,
                               _field_views, _rhs, charge_monitor,
                               energy_monitor, evolve, frame_identity_residual,
-                              lorenz_residual, step, time_grid)
+                              lorenz_residual, slice_step, step, time_grid)
 from mkglab.grid import (EVEN, ODD, RadialGrid, _row_d_r_origin,
                          _row_d_r_outer, _row_lap_origin, _row_sommerfeld,
                          _run, _three_point_ops, d_r, divergence_radial,
@@ -677,12 +677,14 @@ class TestTimeGrid:
         st, _ = gaussian_state(grid)
         scheme = SchemeParams(cfl=0.5, t_end=0.125, monitor_stride=1)
         times = (0.0, 0.125 / 3, 0.25 / 3, 0.125)
+        _, dt = time_grid(0.125, scheme.cfl * grid.h)
         res = evolve(st, grid, scheme, ObservationPlan(slice_times=times))
         assert res.final.t == pytest.approx(0.125, rel=1e-14)
         assert res.log.t[-1] == pytest.approx(0.125, rel=1e-14)
-        assert sorted(res.slices) == list(times)
-        for t, sl in res.slices.items():
-            assert sl.t == pytest.approx(t, abs=1e-14)
+        # each slice is keyed by its step
+        assert set(res.slices) == {slice_step(t, dt) for t in times} == {0, 1, 2, 3}
+        for t in times:
+            assert res.slices[slice_step(t, dt)].t == pytest.approx(t, abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(n_cells=st.integers(16, 40),
@@ -696,13 +698,18 @@ class TestTimeGrid:
         scheme = SchemeParams(cfl=cfl, t_end=t_end, monitor_stride=7)
         times = tuple(f * t_end for f in fracs) + (t_end,)
         n_steps, dt = time_grid(t_end, cfl * grid.h)
+        # a second request a quarter step after a step's own time
+        first = slice_step(times[0], dt) * dt
+        times += (first, first + 0.25 * dt)
         rounding = 4.0 * np.finfo(float).eps * n_steps * t_end
         res = evolve(FieldState.zeros(grid), grid, scheme,
                      ObservationPlan(slice_times=times))
         assert abs(res.final.t - t_end) <= rounding
-        assert sorted(res.slices) == sorted(set(times))
-        for t, sl in res.slices.items():
-            assert abs(sl.t - t) <= 0.5 * dt + rounding
+        # one copy per step: the two requests read one key
+        assert slice_step(first, dt) == slice_step(first + 0.25 * dt, dt)
+        assert set(res.slices) == {slice_step(t, dt) for t in times}
+        for t in times:
+            assert abs(res.slices[slice_step(t, dt)].t - t) <= 0.5 * dt + rounding
 
 
 class TestRHS:
