@@ -9,14 +9,14 @@ and the weak-null behaviour of the associated asymptotic system.
 
 from .config import RunConfig, default_config, parse_config, run_config_hash
 from .core import FieldState, Weights, current, field_strength, jbracket
-from .data_builder import (CutoffChi, FreeData, GaussianProfile, assemble_state,
+from .data_builder import (FreeData, GaussianProfile, assemble_state,
                            build_admissible, compute_charge, solve_a0,
                            subtract_charge_tail, weighted_norm)
 from .evolution import (EvolutionUnstable, MonitorLog, ObservationPlan,
                         SchemeParams, charge_monitor, energy_monitor, evolve,
                         frame_identity_residual, lorenz_residual, step)
 from .grid import RadialGrid
-from .interior import (AsymSource, CutoffChi0, K_mu, angular_kernel_integral,
+from .interior import (AsymSource, K_mu, angular_kernel_integral,
                        chain_difference_report, eval_A_ex, eval_A_ex_infty,
                        interior_limit_check)
 from .null_extraction import (EnvelopeSpec, RadiationTable, RaySample,

@@ -24,6 +24,7 @@ file header.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .core import Weights
@@ -150,20 +151,36 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _non_finite(cfg: RunConfig) -> list[str]:
+    """A message for each float key and list key holding a nan or an
+    infinity: a nan fails every comparison and an infinity passes some, so
+    no other rule can judge either."""
+    errs = []
+    for sec, keys in _SCHEMA.items():
+        for key, (typ, _) in keys.items():
+            val = cfg.section(sec)[key]
+            if typ in (float, list) and not all(map(math.isfinite, val if typ is list else [val])):
+                errs.append(f"{sec}.{key} must be finite, got {val}")
+    return errs
+
+
 def validate_config(cfg: RunConfig) -> list[str]:
     """Every constraint violation, exhaustively, each naming its key.
 
-    The grid, weights and scheme bounds are those of RadialGrid, Weights
-    and SchemeParams; the rules below them are the config's own.
+    Every float and every list entry must be finite; the run's step (and
+    each slice's) is computed only from finite, positive values.  The grid,
+    weights and scheme bounds are those of RadialGrid, Weights and
+    SchemeParams; the rules below them are the config's own.
     """
     g, sch = cfg.grid, cfg.scheme
+    errs = _non_finite(cfg)
     dt = None       # the run's step, when the grid and scheme give one
-    if min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
+    if not errs and min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
         _, dt = time_grid(sch["t_end"], sch["cfl"] * g["r_max"] / g["n_cells"])
 
     def step_of(t):     # the step of the slice at t (t itself without a step)
         return t if dt is None else slice_step(t, dt)
-    errs = [f"grid.{e}" for e in RadialGrid.problems(**g)]
+    errs += [f"grid.{e}" for e in RadialGrid.problems(**g)]
     errs += [f"weights.{e}" for e in Weights.problems(**cfg.weights)]
     errs += [f"scheme.{e}" for e in SchemeParams(**sch).validate(g["r_max"])]
     if sch["cfl"] > 0.9:

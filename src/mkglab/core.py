@@ -96,7 +96,8 @@ def jbracket(x):
 
 
 def _current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp) -> list:
-    """The ufunc calls (fn, args) of current_density, on fixed buffers.
+    """The ufunc calls (fn, args) of the current on fixed buffers, run by
+    current and by evolution's RHS plan.
 
     Each J is formed in its own buffer as Im(phi) Re(u) - Re(phi) Im(u) -
     a |phi|^2, with u = phi_t, a = a0 for J_0 and u = d_r phi, a = ar for J_r.
@@ -111,26 +112,18 @@ def _current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp) -> list:
     return ops
 
 
-def current_density(phi, phi_t, drphi, a0, ar):
-    """(J_0, J_r) from phi, phi_t, d_r phi and the potentials (a0, ar).
+def current(state: FieldState, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Charge and radial current densities (J_0, J_r) on the grid,
 
         J_0 = -Im(conj(phi) phi_t) - a0 |phi|^2,
         J_r = -Im(conj(phi) d_r phi) - ar |phi|^2.
-
-    phi, phi_t and drphi are complex128 arrays, a0 and ar float64 arrays of
-    the same length.  Returns (j0, jr).
     """
-    j0, jr, abs2, tmp = (np.empty(len(phi)) for _ in range(4))
-    _run(_current_ops(phi, phi_t, drphi, a0, ar, j0, jr, abs2, tmp))
-    return j0, jr
-
-
-def current(state: FieldState, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Charge and radial current densities (J_0, J_r) on the grid."""
     phi = np.asarray(state.phi, dtype=complex)
-    return current_density(phi, np.asarray(state.phi_t, dtype=complex),
-                           d_r(phi, grid, EVEN), np.real(state.a0),
-                           np.real(state.ar))
+    j0, jr, abs2, tmp = (np.empty(len(phi)) for _ in range(4))
+    _run(_current_ops(phi, np.asarray(state.phi_t, dtype=complex),
+                      d_r(phi, grid, EVEN), np.real(state.a0), np.real(state.ar),
+                      j0, jr, abs2, tmp))
+    return j0, jr
 
 
 def field_strength(state: FieldState, grid: RadialGrid) -> np.ndarray:

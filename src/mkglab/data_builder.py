@@ -71,19 +71,14 @@ def smoothstep_quintic(x):
     return x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
 
 
-@dataclass(frozen=True)
-class CutoffChi:
-    """Exterior cutoff: chi = 0 below lo, 1 above hi, quintic ramp between."""
-
-    lo: float = 0.5
-    hi: float = 1.0
-
-    def __call__(self, x):
-        return smoothstep_quintic((np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo))
+# the ends of the Coulomb tail's cutoff chi
+_CHI_LO, _CHI_HI = 0.5, 1.0
 
 
-# the cutoff of the Coulomb tail (coulomb_tail)
-_CHI = CutoffChi()
+def chi(x):
+    """Exterior cutoff of the Coulomb tail: 0 below _CHI_LO, 1 above
+    _CHI_HI, quintic ramp between."""
+    return smoothstep_quintic((np.asarray(x, dtype=float) - _CHI_LO) / (_CHI_HI - _CHI_LO))
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +217,11 @@ def assemble_state(data: FreeData, grid: RadialGrid) -> tuple[FieldState, float]
 
 def coulomb_tail(t, r, Q: float) -> np.ndarray:
     """The cut-off Coulomb potential chi(r - t) Q/(4 pi r) at points (t, r);
-    0 where chi = _CHI is (r - t <= 1/2), so regular at r = 0 for t >= 0."""
+    0 where chi is (r - t <= _CHI_LO), so regular at r = 0 for t >= 0."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
     tail = np.zeros(r.shape)
-    mask = r - t > _CHI.lo
-    tail[mask] = _CHI(r[mask] - t[mask]) * Q / (4.0 * np.pi * r[mask])
+    mask = r - t > _CHI_LO
+    tail[mask] = chi(r[mask] - t[mask]) * Q / (4.0 * np.pi * r[mask])
     return tail
 
 

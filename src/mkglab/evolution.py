@@ -585,6 +585,8 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     snapshot at every plan.snapshot_every-th monitor (none at 0), and ray
     samples on the stride only (uniformly spaced in t) within grid._in_domain.
     result.slices: one state copy per step slice_step(t, dt), t in plan.slice_times.
+    Raises ValueError, before any step, on an invalid scheme, an initial
+    state not at t = 0, or a slice time on no step of the run.
 
     The instability guard aborts when the sup norm of any field exceeds
     _GUARD_FACTOR times its initial scale (plus 1 to tolerate zero data).
@@ -593,9 +595,16 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     """
     plan = plan or ObservationPlan()
     errs = scheme.validate(grid.r_max)
+    if initial.t != 0.0:
+        errs.append(f"the initial state must be at t = 0, got t = {initial.t}")
     if errs:
         raise ValueError("; ".join(errs))
     n_steps, dt = time_grid(scheme.t_end, scheme.cfl * grid.h)
+    slice_steps = {slice_step(t, dt) for t in plan.slice_times}
+    beyond = [t for t in plan.slice_times if not 0 <= slice_step(t, dt) <= n_steps]
+    if beyond:
+        raise ValueError(f"slice_times {beyond} lie on no step 0..{n_steps} of the "
+                         f"run to t_end = {scheme.t_end}")
     ws = Workspace(grid)
     state = ws.load(initial)        # stepped in place; copied out below
     log = MonitorLog()
@@ -603,7 +612,6 @@ def evolve(initial: FieldState, grid: RadialGrid, scheme: SchemeParams,
     rays = {q: RayHistory(q=q, offsets=offsets) for q in plan.ray_qs}
     snapshots: list[Snapshot] = []
     slices: dict[int, FieldState] = {}
-    slice_steps = {slice_step(t, dt) for t in plan.slice_times}
     guard0 = max(np.max(np.abs(initial.phi)), np.max(np.abs(initial.a0)),
                  np.max(np.abs(initial.ar)))
     floor = _TAIL_FLOOR * guard0    # 0 for zero data: nothing is dropped

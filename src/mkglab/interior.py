@@ -11,7 +11,7 @@ reduce to closed forms through the identity (|x| < a)
 
     int_S2 dS(omega) / (a - <x, omega>) = (2 pi / |x|) ln((a+|x|)/(a-|x|)),
 
-and the explicit wave approximations A^ex (with the cutoff _CHI0) and
+and the explicit wave approximations A^ex (with the cutoff chi0) and
 A^ex,inf bridge the exact potential to K_mu with quantified differences.
 The q integral of A^ex runs on quadrature.adaptive_quad, both components
 in one array-valued call, with breakpoints at q = 0 and at the nodes of a
@@ -30,21 +30,17 @@ from .quadrature import adaptive_quad, sphere_integral_adaptive
 FOUR_PI = 4.0 * np.pi
 
 
-@dataclass(frozen=True)
-class CutoffChi0:
-    """Smooth decreasing cutoff: 1 for x <= lo, 0 for x >= hi (quintic)."""
-
-    lo: float = 0.5
-    hi: float = 0.75
-
-    def __call__(self, x):
-        return 1.0 - smoothstep_quintic((np.asarray(x, dtype=float) - self.lo)
-                                        / (self.hi - self.lo))
-
-
-# the cutoff of A^ex's q integral, and the absolute tolerance of that integral
-_CHI0 = CutoffChi0()
+# the ends of the cutoff chi0 of A^ex's q integral, and the absolute
+# tolerance of that integral
+_CHI0_LO, _CHI0_HI = 0.5, 0.75
 _A_EX_ABS_TOL = 1e-8
+
+
+def chi0(x):
+    """Smooth decreasing cutoff of A^ex: 1 for x <= _CHI0_LO, 0 for
+    x >= _CHI0_HI (quintic)."""
+    return 1.0 - smoothstep_quintic((np.asarray(x, dtype=float) - _CHI0_LO)
+                                    / (_CHI0_HI - _CHI0_LO))
 
 
 @dataclass
@@ -169,11 +165,11 @@ def eval_A_ex(t: float, x_norm: float, source: AsymSource) -> tuple[float, float
 
     A^ex_mu(t,x) = int_{|x|-t}^inf (1/4pi) [int_S2 J_mu/(t+q-<x,omega>) dS]
                    chi0(<q>/(t+|x|)) dq,
-    with chi0 = _CHI0.  The angular integral per q is the closed form with
-    a = t + q, valid since a > |x| strictly inside the q range; the
-    integrable log singularity of the scalar kernel at the lower endpoint
-    is split off analytically.  The q integral is adaptive, to the absolute
-    tolerance _A_EX_ABS_TOL.
+    chi0 falling from 1 to 0 over [_CHI0_LO, _CHI0_HI].  The angular
+    integral per q is the closed form with a = t + q, valid since a > |x|
+    strictly inside the q range; the integrable log singularity of the
+    scalar kernel at the lower endpoint is split off analytically.  The q
+    integral is adaptive, to the absolute tolerance _A_EX_ABS_TOL.
     """
     if t < 1.0:
         raise ValueError("eval_A_ex is defined for t >= 1")
@@ -187,7 +183,7 @@ def eval_A_ex(t: float, x_norm: float, source: AsymSource) -> tuple[float, float
 
     def integrand(q):
         # the kernels raise where a = t + q <= |x|
-        w = source.j_of(q) * _CHI0(np.sqrt(1.0 + q * q) / tx) / FOUR_PI
+        w = source.j_of(q) * chi0(np.sqrt(1.0 + q * q) / tx) / FOUR_PI
         return np.stack((-w * angular_kernel_integral(t + q, x_norm),
                          w * angular_kernel_vector(t + q, x_norm)))
 

@@ -245,8 +245,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     q_grid = np.arange(ext["q_min"], ext["q_max"] + 0.5 * dq, dq)
     frac_slices = {k: result.slices[k] for k in frac_steps}
     table = build_radiation_table(frac_slices, grid, Q, q_grid)
-    limit_rows, al_err = _ray_limit_checks(frac_slices, grid, q_rays, central_q, Q)
-    report.checks += limit_rows
+    report.checks += _ray_limit_checks(frac_slices, grid, q_rays, Q)
     report.checks.append(_phase_slope_check(central, central_q, target))
     report.checks += _albar_checks(result.rays.get(q_low), q_low, table)
 
@@ -298,7 +297,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
                           *_refinement_orders_check(cfg, say)]
 
     # -- emission ------------------------------------------------------------
-    _emit(out_dir, cfg, log, frame, table, al_err, interior_rows, env_rows, report)
+    _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report)
     return report
 
 
@@ -316,13 +315,12 @@ def _cannot_run(q, times, needed: int) -> str | None:
     return None
 
 
-def _ray_limit_checks(slices, grid, q_rays, central_q, Q) -> tuple[list[Check], float]:
+def _ray_limit_checks(slices, grid, q_rays, Q) -> list[Check]:
     """The r A_L limit and r phi Cauchy checks on every ray of q_rays, each
-    ray sampled once from slices, and the A_L limit error on the central ray
-    at central_q (NaN when that ray cannot run)."""
+    ray sampled once from slices; each ray's row of either check carries its
+    limit's err_est, the last Cauchy increment."""
     target = Q / (4.0 * np.pi)
     al_rows, phi0_rows = [], []
-    al_err = np.nan
     # why the ray checks cannot run: no ray, or the first short ray
     short = None if q_rays else _cannot_run(None, None, LIMIT_SAMPLES)
     for qray in q_rays:
@@ -332,15 +330,13 @@ def _ray_limit_checks(slices, grid, q_rays, central_q, Q) -> tuple[list[Check], 
         if reason:
             continue
         al = extract_AL_limit(ray)
-        if qray == central_q:
-            al_err = al.err_est
         errs_last3 = np.abs(ray.r[-3:] * ray.A_L[-3:] - target)
         rel = abs(al.value.real - target) / abs(target) if target != 0 else abs(al.value.real)
         floor = 1e-10 * abs(target) + 1e-300
         decreasing = bool(np.all(np.diff(errs_last3) < 0)
                           or np.all(errs_last3 < floor))
         al_rows.append({"q": qray, "value": al.value.real, "rel_err": rel,
-                        "decreasing": decreasing,
+                        "err_est": al.err_est, "decreasing": decreasing,
                         "err_last3": [float(e) for e in errs_last3]})
         ph = extract_phi0(ray, Q)
         incs = ph.increments    # LIMIT_SAMPLES leaves at least two
@@ -350,7 +346,7 @@ def _ray_limit_checks(slices, grid, q_rays, central_q, Q) -> tuple[list[Check], 
                           "cauchy_ratio": ratio, "converged": ph.converged,
                           "diagnostic": ph.diagnostic})
     if short:   # both checks fail with the reason
-        return [gate("AL_limit", np.nan, short), gate("phi0_cauchy", np.nan, short)], al_err
+        return [gate("AL_limit", np.nan, short), gate("phi0_cauchy", np.nan, short)]
 
     # rays carrying no radiation to double precision are trivially Cauchy
     amp_max = max(row["amp"] for row in phi0_rows)
@@ -362,7 +358,7 @@ def _ray_limit_checks(slices, grid, q_rays, central_q, Q) -> tuple[list[Check], 
     return [gate("AL_limit", max(r["rel_err"] for r in al_rows), json.dumps(al_rows),
                  also=all(r["decreasing"] for r in al_rows)),
             gate("phi0_cauchy", max(r["cauchy_ratio"] for r in phi0_rows),
-                 json.dumps(phi0_rows))], al_err
+                 json.dumps(phi0_rows))]
 
 
 def _interior_check(rows, cfg, Q) -> Check:
@@ -558,7 +554,7 @@ def _refinement_orders_check(cfg: RunConfig, say) -> list[Check]:
             gate("charge_order", chg, f"drifts {errors['charge_drift']}")]
 
 
-def _emit(out_dir, cfg, log, frame, table, al_err, interior_rows, env_rows, report):
+def _emit(out_dir, cfg, log, frame, table, interior_rows, env_rows, report):
     chash = report.config_hash
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.write(dump_config(cfg))
@@ -568,10 +564,10 @@ def _emit(out_dir, cfg, log, frame, table, al_err, interior_rows, env_rows, repo
                ["t", "lorenz_residual_sup", "charge_Q", "energy_E",
                 "frame_identity_residual_sup"], mon_rows, chash)
     rad_rows = [(table.q[i], table.Phi0[i].real, table.Phi0[i].imag,
-                 table.J_Lbar[i], al_err, table.A_Lbar_mod[i])
+                 table.J_Lbar[i], table.A_Lbar_mod[i])
                 for i in range(len(table.q))]
     _write_csv(os.path.join(out_dir, "radiation.csv"),
-               ["q", "Re_Phi0", "Im_Phi0", "J_Lbar", "A_L_limit_err", "A_Lbar_mod"],
+               ["q", "Re_Phi0", "Im_Phi0", "J_Lbar", "A_Lbar_mod"],
                rad_rows, chash)
     int_rows = [(r["t"], r["y"], r["tA0_sim"], r["K0_pred"], r["abs_err0"],
                  r["tAr_sim"], r["Kr_pred"], r["abs_errr"])

@@ -15,13 +15,9 @@ import functools
 
 import numpy as np
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 # the panel rule of adaptive_quad: Gauss-Legendre with 8 and 16 nodes, built

@@ -146,29 +146,24 @@ def _s0_appendix(t, r):
     return np.where(r == 0.0, 2.0 * t * t / (1.0 + t * t), val)
 
 
-def bound_envelope(bound_id: str, t, r, params: dict):
-    """Pointwise envelope for |phi| asserted by the named estimate."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    qp = np.maximum(r - t, 0.0)
-    if bound_id == "logest1":
-        delta = params["delta"]
-        if delta <= 0:
-            raise ValueError("logest1 requires delta > 0")
-        return _s0_appendix(t, r) / ((1.0 + t + r) * (1.0 + qp) ** delta)
-    raise ValueError(f"unknown bound id {bound_id!r}; known: 'logest1'")
-
-
 def verify_decay_bound(samples, bound_id: str, params: dict) -> tuple[float, tuple]:
     """Observed envelope constant over solution samples.
 
-    samples: iterable of (t, r, value).  Returns (C_observed, argmax_point)
+    samples: iterable of (t, r, value).  The one bound_id, "logest1", has
+    the envelope _s0_appendix(t, r) / ((1 + t + r) (1 + max(r - t, 0))^delta)
+    with delta = params["delta"] > 0.  Returns (C_observed, argmax_point)
     where C_observed = sup |value| / envelope(t, r).  Pass/fail at the
     caller's level means C stays stable when the sample domain grows.
     """
+    if bound_id != "logest1":
+        raise ValueError(f"unknown bound id {bound_id!r}; known: 'logest1'")
+    delta = params["delta"]
+    if delta <= 0:
+        raise ValueError("logest1 requires delta > 0")
     best, arg = 0.0, None
     for (t, r, v) in samples:
-        env = float(bound_envelope(bound_id, t, r, params))
+        qp = np.maximum(r - t, 0.0)
+        env = float(_s0_appendix(t, r) / ((1.0 + t + r) * (1.0 + qp) ** delta))
         if env <= 0.0:
             continue
         c = abs(v) / env

@@ -15,11 +15,13 @@ from mkglab import asymptotic_system as asys
 from mkglab import cli, pipeline
 from mkglab.cli import main as cli_main
 from mkglab.config import (ConfigError, default_config, dump_config,
-                           parse_config, run_config_hash)
+                           parse_config, run_config_hash, validate_config)
 from mkglab.core import Weights
-from mkglab.evolution import (EvolutionUnstable, SchemeParams, slice_step,
-                              time_grid)
+from mkglab.data_builder import assemble_state
+from mkglab.evolution import (EvolutionUnstable, ObservationPlan, SchemeParams,
+                              evolve, slice_step, time_grid)
 from mkglab.grid import RadialGrid
+from mkglab.null_extraction import extract_AL_limit, sample_ray
 from mkglab.pipeline import (Check, agreement_check, convergence_study,
                              mms_check, run_pipeline)
 
@@ -70,6 +72,16 @@ q_max = 5.0
 y_list = 0.9
 t_list = 30
 """
+
+
+def _keys_of(kind) -> list[str]:
+    """section.key of each default config value of type kind."""
+    return [f"{sec}.{key}" for sec, values in vars(default_config()).items()
+            for key, val in values.items() if isinstance(val, kind)]
+
+
+LIST_KEYS = _keys_of(list)
+NUMBER_KEYS = _keys_of(float) + LIST_KEYS
 
 
 class TestParseConfig:
@@ -150,6 +162,20 @@ class TestParseConfig:
     def test_configs_that_cannot_run_rejected(self, text, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_non_finite_number_rejected(self, key, value):
+        # a nan fails every comparison, so no other rule is sure to catch it
+        section, name = key.split(".")
+        entry = f"0.5, {value}" if key in LIST_KEYS else value
+        with pytest.raises(ConfigError, match=rf"{section}\.{name} must be finite"):
+            parse_config(f"[{section}]\n{name} = {entry}\n")
+
+    def test_validate_returns_a_non_finite_t_end(self):
+        cfg = default_config()
+        cfg.scheme["t_end"] = math.nan
+        assert "scheme.t_end must be finite, got nan" in validate_config(cfg)
 
     def test_interior_point_allows_for_a_late_slice(self):
         # y t = r_max exactly, but the slice at t may be captured dt / 2 late
@@ -280,7 +306,7 @@ class TestRunPipeline:
         _, _, out = small_run
         header = (out / "radiation.csv").read_text().splitlines()[1]
         assert header.split(",") == ["q", "Re_Phi0", "Im_Phi0", "J_Lbar",
-                                     "A_L_limit_err", "A_Lbar_mod"]
+                                     "A_Lbar_mod"]
 
     def test_interior_columns(self, small_run):
         _, _, out = small_run
@@ -427,22 +453,27 @@ class TestChecksThatCannotRun:
                 assert c.detail == f"cannot run: {reason}"
         rep = json.loads((tmp_path / "report.json").read_text())
         assert not rep["all_passed"]
+        # the radiation table reads the t_fracs slices alone: no ray, no
+        # interior time
+        assert radiation_rows(tmp_path) == radiation_rows(probe_run[1])
 
-    @pytest.mark.parametrize("rays, column", [("39, 0, 5", None), ("", "nan")])
-    def test_AL_limit_err_is_the_central_ray_s(self, probe_run, tmp_path, rays,
-                                               column):
-        """radiation.csv's A_L_limit_err column holds the A_L limit error of
-        the central ray alone (a short first ray leaves it as it is), and
-        nan with no ray; the table's other columns do not read the rays."""
-        text = PROBE.replace("q_rays = -5, 0, 5", f"q_rays = {rays}".rstrip())
-        run_pipeline(parse_config(text), out_dir=str(tmp_path), module_checks=False)
-        want = radiation_rows(probe_run[1])
-        assert len({row[4] for row in want}) == 1
-        assert math.isfinite(float(want[0][4]))
-        if column:
-            for row in want:
-                row[4] = column
-        assert radiation_rows(tmp_path) == want
+    def test_AL_limit_rows_carry_their_ray_s_err_est(self, probe_run):
+        """Each AL_limit detail row holds the A_L limit error of its own ray,
+        sampled from the t_fracs slices of a separate evolve of the config."""
+        cfg = parse_config(PROBE)
+        grid = RadialGrid(**cfg.grid)
+        scheme = SchemeParams(**cfg.scheme)
+        state0, _ = assemble_state(pipeline.build_free_data(cfg, grid), grid)
+        plan = ObservationPlan(slice_times=tuple(f * scheme.t_end
+                                                 for f in cfg.extraction["t_fracs"]))
+        slices = evolve(state0, grid, scheme, plan).slices
+        al = next(c for c in probe_run[0].checks if c.id == "AL_limit")
+        rows = json.loads(al.detail)
+        assert [row["q"] for row in rows] == cfg.extraction["q_rays"]
+        for row in rows:
+            ray = sample_ray(slices, grid, row["q"])
+            assert row["err_est"] == extract_AL_limit(ray).err_est
+        assert len({row["err_est"] for row in rows}) == len(rows)
 
 
 # the checks a run without the module checks reports, in order

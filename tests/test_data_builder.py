@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.core import FieldState, current
-from mkglab.data_builder import (CutoffChi, FreeData, _cumulative_moment,
-                                 assemble_state, build_admissible,
-                                 compute_charge, coulomb_tail, solve_a0,
-                                 subtract_charge_tail, weighted_norm)
+from mkglab.data_builder import (FreeData, _cumulative_moment, assemble_state,
+                                 build_admissible, chi, compute_charge,
+                                 coulomb_tail, solve_a0, subtract_charge_tail,
+                                 weighted_norm)
 from mkglab.grid import RadialGrid, divergence_radial, simpson_integral
 
 
@@ -207,7 +207,6 @@ class TestSubtractChargeTail:
         t = np.array([0.0, 0.0, 5.0, 5.0, 5.0])
         r = np.array([0.0, 2.0, 5.25, 5.75, 7.0])
         tail = coulomb_tail(t, r, 4 * np.pi)
-        chi = CutoffChi()
         assert tail[0] == 0.0 and tail[2] == 0.0
         assert tail[[1, 3, 4]] == pytest.approx(chi(r - t)[[1, 3, 4]] / r[[1, 3, 4]],
                                                 rel=1e-15)
@@ -227,7 +226,6 @@ class TestSubtractChargeTail:
 
 class TestCutoffChi:
     def test_plateaus_and_monotone(self):
-        chi = CutoffChi()
         x = np.linspace(-1, 2, 601)
         v = chi(x)
         assert np.all(v[x <= 0.5] == 0.0)
@@ -236,7 +234,6 @@ class TestCutoffChi:
 
     def test_c2_smoothness(self):
         # second difference stays bounded across the ramp endpoints
-        chi = CutoffChi()
         h = 1e-4
         x = np.array([0.5 - h, 0.5, 0.5 + h, 1.0 - h, 1.0, 1.0 + h])
         second = (chi(x + h) - 2 * chi(x) + chi(x - h)) / h ** 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GaugeFunction, gauge_transform
-from mkglab.core import FieldState, current, current_density
+from mkglab.core import FieldState, current
 from mkglab.data_builder import FreeData, GaussianProfile, assemble_state
 from mkglab import evolution
 from mkglab.evolution import (_TAIL_FLOOR, _WINDOW_CHUNK, EvolutionUnstable,
@@ -112,8 +112,8 @@ def laplacian(f, grid, vector):
 
 def reference_rhs(y, grid, boundary, linear):
     """(phi_tt, a0_tt, ar_tt) of the fields y, as the kernel computed them
-    before its RHS plan: laplacian above, d_r and current_density, one field
-    at a time, with numpy-scalar boundary rows.  The plan must match it byte
+    before its RHS plan: laplacian above, d_r and current, one field at a
+    time, with numpy-scalar boundary rows.  The plan must match it byte
     for byte."""
     phi, phi_t, a0, a0_t, ar, ar_t = y
     n = grid.n_nodes
@@ -123,7 +123,7 @@ def reference_rhs(y, grid, boundary, linear):
     if not linear:
         w, s, t = np.empty(n), np.empty(n), np.empty(n)
         drphi = d_r(phi, grid, EVEN)
-        j0, jr = current_density(phi, phi_t, drphi, a0, ar)
+        j0, jr = current(FieldState(0.0, *y), grid)
         a0_tt += j0
         ar_tt += jr
         np.multiply(a0, a0, out=w)
@@ -710,6 +710,20 @@ class TestTimeGrid:
         assert set(res.slices) == {slice_step(t, dt) for t in times}
         for t in times:
             assert abs(res.slices[slice_step(t, dt)].t - t) <= 0.5 * dt + rounding
+
+    def test_slice_time_on_no_step_refused(self):
+        # the run has steps 0..20: t = 2.0 and t = -1.0 lie beyond either end
+        grid = RadialGrid(10.0, 100)
+        plan = ObservationPlan(slice_times=(0.5, 2.0, -1.0))
+        with pytest.raises(ValueError, match=r"slice_times \[2\.0, -1\.0\] lie on "
+                                             r"no step 0\.\.20"):
+            evolve(FieldState.zeros(grid), grid, SchemeParams(t_end=1.0), plan)
+
+    def test_initial_state_off_t0_refused(self):
+        # steps count from t = 0: from t = 5 the run would end at t = 13
+        grid = RadialGrid(10.0, 100)
+        with pytest.raises(ValueError, match="initial state must be at t = 0, got t = 5.0"):
+            evolve(FieldState.zeros(grid, t=5.0), grid, SchemeParams(t_end=8.0))
 
 
 class TestRHS:

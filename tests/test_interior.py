@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mkglab.interior import (AsymSource, CallableSource, CutoffChi0, K_mu,
+from mkglab.interior import (AsymSource, CallableSource, K_mu,
                              angular_kernel_integral, angular_kernel_quadrature,
-                             angular_kernel_vector, chain_difference_report,
+                             angular_kernel_vector, chain_difference_report, chi0,
                              eval_A_ex, eval_A_ex_infty, interior_limit_check)
 from mkglab.quadrature import sphere_integral_adaptive
 
@@ -174,7 +174,6 @@ class TestChainDifference:
 
 class TestCutoffChi0:
     def test_plateaus(self):
-        chi0 = CutoffChi0()
         x = np.linspace(0, 1.2, 400)
         v = chi0(x)
         assert np.all(v[x <= 0.5] == 1.0)

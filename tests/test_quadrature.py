@@ -17,9 +17,9 @@ from scipy.integrate import quad
 
 from mkglab.data_builder import GaussianProfile
 from mkglab import interior
-from mkglab.interior import (_CHI0, AsymSource, CallableSource,
+from mkglab.interior import (_CHI0_HI, _CHI0_LO, AsymSource, CallableSource,
                              angular_kernel_integral, angular_kernel_vector,
-                             eval_A_ex)
+                             chi0, eval_A_ex)
 from mkglab.quadrature import (_P_SERIES, _S_SERIES, _polyval, adaptive_quad,
                                gauss_legendre, sphere_quadrature)
 from mkglab.wave_oracle import RadialSource, dalembert_free, solve_inhom_radial
@@ -82,12 +82,11 @@ class TestRule:
 
 def a_ex_reference(t, x_norm, source):
     """eval_A_ex with QUADPACK on the scalar integrands, cut at every kink."""
-    chi0 = _CHI0
     q_lo = x_norm - t
     q_min, q_max = source.support_bounds()
     lo, hi, tx = max(q_lo, q_min), q_max, t + x_norm
     kinks = [0.0, *source.breakpoints()]
-    for c in (chi0.lo, chi0.hi):
+    for c in (_CHI0_LO, _CHI0_HI):
         if c * tx > 1.0:
             kinks += [-np.sqrt((c * tx) ** 2 - 1.0), np.sqrt((c * tx) ** 2 - 1.0)]
     kinks = [k for k in kinks if lo < k < hi]

@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from mkglab.data_builder import GaussianProfile
-from mkglab.wave_oracle import (RadialSource, bound_envelope,
-                                dalembert_free, kirchhoff_eval,
+from mkglab.wave_oracle import (RadialSource, dalembert_free, kirchhoff_eval,
                                 solve_inhom_radial, verify_decay_bound)
 
 
@@ -200,4 +199,8 @@ class TestDecayBounds:
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
-            bound_envelope("nope", 1.0, 1.0, {})
+            verify_decay_bound([(1.0, 1.0, 1.0)], "nope", {})
+
+    def test_nonpositive_delta_rejected_before_any_sample(self):
+        with pytest.raises(ValueError, match="delta > 0"):
+            verify_decay_bound([], "logest1", {"delta": 0.0})
