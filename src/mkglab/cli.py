@@ -8,7 +8,8 @@ Subcommands:
     report <dir>              re-render a stored report
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 bad input (an
-unreadable or rejected config or report, or a bad argument).
+unreadable or rejected config or report, a bad argument, or an output
+directory that cannot be made).
 """
 from __future__ import annotations
 
@@ -41,9 +42,19 @@ def _load_config(path: str):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _out_dir(path: str) -> str:
+    """path, made a directory; exit 2 when it cannot be (a file is there)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot make output directory {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
+    return path
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    out_dir = args.out or cfg.output["directory"]
+    out_dir = _out_dir(args.out or cfg.output["directory"])
     try:
         report = run_pipeline(cfg, out_dir=out_dir, progress=print,
                               full_criteria=args.full,
@@ -108,9 +119,7 @@ def cmd_asys(args) -> int:
     except ValueError as exc:
         print(f"asys: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = args.out or cfg.output["directory"]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "asys.csv")
+    path = os.path.join(_out_dir(args.out or cfg.output["directory"]), "asys.csv")
     with open(path, "w") as f:
         f.write(f"# mkglab asys output, config_hash={run_config_hash(cfg)}\n")
         f.write("q,s,absP,Re_Phi,Im_Phi,A_Lbar\n")

@@ -165,17 +165,21 @@ def _non_finite(cfg: RunConfig) -> list[str]:
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
-    """Every constraint violation, exhaustively, each naming its key.
+    """Every constraint violation, each naming its key.
 
-    Every float and every list entry must be finite; the run's step (and
-    each slice's) is computed only from finite, positive values.  The grid,
-    weights and scheme bounds are those of RadialGrid, Weights and
-    SchemeParams; the rules below them are the config's own.
+    Every float and every list entry must be finite.  A key holding a nan
+    or an infinity gets one message, and those messages are all that is
+    returned: no bound can judge either value.  The run's step (and each
+    slice's) is computed only from positive values.  The grid, weights and
+    scheme bounds are those of RadialGrid, Weights and SchemeParams; the
+    rules below them are the config's own.
     """
     g, sch = cfg.grid, cfg.scheme
     errs = _non_finite(cfg)
+    if errs:
+        return errs
     dt = None       # the run's step, when the grid and scheme give one
-    if not errs and min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
+    if min(g["r_max"], g["n_cells"], sch["cfl"], sch["t_end"]) > 0:
         _, dt = time_grid(sch["t_end"], sch["cfl"] * g["r_max"] / g["n_cells"])
 
     def step_of(t):     # the step of the slice at t (t itself without a step)

@@ -2,7 +2,11 @@
 verdict lines here so they appear in the terminal summary even under
 captured output; coulomb_capped_profile builds the static Coulomb states
 several modules test against; GaugeFunction and gauge_transform are the
-gauge map the gauge-covariance tests apply to a slice."""
+gauge map the gauge-covariance tests apply to a slice; run_python runs a
+fresh interpreter on this checkout."""
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +26,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in VERDICT_LINES:
             terminalreporter.write_line(line)
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, importing mkglab from src/ and the
+    test modules from tests/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=600)
 
 
 def coulomb_capped_profile(Q: float, r_cap: float = 1.0):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import run_python
 from mkglab import asymptotic_system as asys
 from mkglab import cli, pipeline
 from mkglab.cli import main as cli_main
@@ -166,16 +167,19 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", NUMBER_KEYS)
     def test_non_finite_number_rejected(self, key, value):
-        # a nan fails every comparison, so no other rule is sure to catch it
+        # a nan fails every comparison, so no other rule is sure to catch it;
+        # and no bound can judge it, so its message is the only one
         section, name = key.split(".")
         entry = f"0.5, {value}" if key in LIST_KEYS else value
-        with pytest.raises(ConfigError, match=rf"{section}\.{name} must be finite"):
+        got = [0.5, float(value)] if key in LIST_KEYS else float(value)
+        with pytest.raises(ConfigError) as exc:
             parse_config(f"[{section}]\n{name} = {entry}\n")
+        assert str(exc.value) == str(ConfigError([f"{key} must be finite, got {got}"]))
 
     def test_validate_returns_a_non_finite_t_end(self):
         cfg = default_config()
         cfg.scheme["t_end"] = math.nan
-        assert "scheme.t_end must be finite, got nan" in validate_config(cfg)
+        assert validate_config(cfg) == ["scheme.t_end must be finite, got nan"]
 
     def test_interior_point_allows_for_a_late_slice(self):
         # y t = r_max exactly, but the slice at t may be captured dt / 2 late
@@ -717,13 +721,91 @@ class TestCLI:
         last = (tmp_path / "out" / "monitors.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(31.0)
         capsys.readouterr()
-        assert cli_main(["converge", str(cfgfile), "--levels", "2"]) in (0, 1)
+        assert cli_main(["converge", str(cfgfile), "--levels", "2"]) == 0
         # stdout is the study's JSON alone; the level progress is on stderr
         captured = capsys.readouterr()
         study = json.loads(captured.out)
         assert "level" in captured.err
         assert all(info["status"] == "ok" for info in study["levels"])
         assert all(e > 0.0 for e in study["errors"]["frame_identity"])
+
+    def test_two_default_runs_write_byte_identical_directories(self, tmp_path):
+        # one run where scipy cannot be imported, one through the CLI here:
+        # the module checks need no scipy, and scipy changes no byte
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text(SMALL)
+        blocked, run = tmp_path / "no_scipy", tmp_path / "run"
+        proc = run_python("-c", "import sys\n"
+                       "sys.modules['scipy'] = None\n"
+                       "from mkglab.config import parse_config\n"
+                       "from mkglab.pipeline import run_pipeline\n"
+                       f"with open({str(cfgfile)!r}) as f:\n"
+                       "    cfg = parse_config(f.read())\n"
+                       f"rep = run_pipeline(cfg, out_dir={str(blocked)!r}, "
+                       "module_checks=True)\n"
+                       "print(len(rep.checks))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) >= 20
+        assert (blocked / "report.json").exists()
+        assert cli_main(["run", str(cfgfile), "--out", str(run)]) in (0, 1)
+        assert not (run / "FAILED").exists()
+        names = sorted(p.name for p in blocked.iterdir())
+        assert names == sorted(p.name for p in run.iterdir())
+        for name in names:
+            assert (blocked / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_report_of_a_red_run(self, tmp_path, capsys):
+        # with no ray the five ray checks cannot run: the run and its
+        # re-rendered report exit 1, and neither is a crash
+        assert "q_rays = -5, 0, 5" in SMALL
+        cfgfile = tmp_path / "no_ray.cfg"
+        cfgfile.write_text(SMALL.replace("q_rays = -5, 0, 5", "q_rays ="))
+        out = tmp_path / "no_ray"
+        assert cli_main(["run", str(cfgfile), "--quick", "--out", str(out)]) == 1
+        assert not (out / "FAILED").exists()
+        rows = json.loads((out / "report.json").read_text())["checks"]
+        assert sum(row["detail"] == "cannot run: extraction.q_rays is empty"
+                   for row in rows) == 5
+        capsys.readouterr()
+        assert cli_main(["report", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert "SOME CHECKS FAILED" in printed.out.splitlines()
+        assert printed.err == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[extraction]\nq_rays = -40, 0, 20\nq_min = -30.0\n",
+         "extraction.q_rays entry -40.0 lies below"),
+        (SMALL.replace("t_list = 15, 30, 45", "t_list = 15, 15.01, 30, 45"),
+         "interior.t_list repeats"),
+        (SMALL.replace("t_end = 48.0", "t_end = nan"), "scheme.t_end must be finite"),
+        (SMALL.replace("amplitude = 0.05", "amplitude = inf"),
+         "data.amplitude must be finite"),
+    ], ids=["ray_below_table", "t_list_on_one_step", "t_end_nan", "amplitude_inf"])
+    def test_rejected_config_exits_2_before_any_run(self, tmp_path, text, message):
+        # the process itself: its exit status, and a stderr that names the
+        # key once and holds no traceback
+        key = message.split()[0]
+        cfgfile = tmp_path / "rejected.cfg"
+        cfgfile.write_text(text)
+        proc = run_python("-m", "mkglab.cli", "run", str(cfgfile),
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert message in proc.stderr and proc.stderr.count(key) == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run", "--quick"], ["asys", "--s-end", "5.0"]],
+                             ids=["run", "asys"])
+    def test_out_naming_a_file_is_bad_input(self, tmp_path, capsys, command):
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text(SMALL)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        name, *flags = command
+        assert cli_main([name, str(cfgfile), *flags, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(taken) in err
+        assert taken.read_text() == "kept\n"
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

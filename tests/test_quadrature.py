@@ -7,14 +7,11 @@ scalar integrand, at tolerances near rounding, and the two must agree to
 rule are held bitwise to numpy's polyval and to a node-by-node build, and
 fresh interpreters check which modules a run leaves unloaded.
 """
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import run_python
 from mkglab.data_builder import GaussianProfile
 from mkglab import interior
 from mkglab.interior import (_CHI0_HI, _CHI0_LO, AsymSource, CallableSource,
@@ -23,9 +20,6 @@ from mkglab.interior import (_CHI0_HI, _CHI0_LO, AsymSource, CallableSource,
 from mkglab.quadrature import (_P_SERIES, _S_SERIES, _polyval, adaptive_quad,
                                gauss_legendre, sphere_quadrature)
 from mkglab.wave_oracle import RadialSource, dalembert_free, solve_inhom_radial
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def skew(q):
@@ -199,16 +193,10 @@ class TestSeriesAndSphere:
         assert np.array_equal(got_weights.view(np.uint64), weights.view(np.uint64))
 
 
-def _run(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
-
-
 class TestNoScipy:
     def test_import_leaves_scipy_unloaded(self):
-        proc = _run("import sys, mkglab, mkglab.cli\n"
-                    "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = run_python("-c", "import sys, mkglab, mkglab.cli\n"
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -216,27 +204,14 @@ class TestNoScipy:
         # only the seeded module checks draw random numbers, only the
         # oracles' Gauss-Legendre rules need numpy.polynomial, and numpy.ma
         # comes with np.unique
-        proc = _run("import sys\n"
-                    "from test_config_pipeline import SMALL\n"
-                    "from mkglab.config import parse_config\n"
-                    "from mkglab.pipeline import run_pipeline\n"
-                    "run_pipeline(parse_config(SMALL), "
-                    f"out_dir={str(tmp_path)!r}, module_checks=False)\n"
-                    "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-                    "(['numpy', 'random'], ['numpy', 'polynomial'], ['numpy', 'ma'])))\n")
+        proc = run_python("-c", "import sys\n"
+                          "from test_config_pipeline import SMALL\n"
+                          "from mkglab.config import parse_config\n"
+                          "from mkglab.pipeline import run_pipeline\n"
+                          "run_pipeline(parse_config(SMALL), "
+                          f"out_dir={str(tmp_path)!r}, module_checks=False)\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                          "(['numpy', 'random'], ['numpy', 'polynomial'], ['numpy', 'ma'])))\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-        assert (tmp_path / "report.json").exists()
-
-    def test_pipeline_with_module_checks_runs_without_scipy(self, tmp_path):
-        proc = _run("import sys\n"
-                    "sys.modules['scipy'] = None\n"
-                    "from test_config_pipeline import SMALL\n"
-                    "from mkglab.config import parse_config\n"
-                    "from mkglab.pipeline import run_pipeline\n"
-                    "rep = run_pipeline(parse_config(SMALL), "
-                    f"out_dir={str(tmp_path)!r}, module_checks=True)\n"
-                    "print(len(rep.checks))\n")
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) >= 20
         assert (tmp_path / "report.json").exists()
